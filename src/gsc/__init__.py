@@ -14,7 +14,7 @@ from .discrimination import (GmmModel, SoftLabels, combine_labels, cross_modal_i
 from .losses import GradSet, LossReport, fd_check, grad_total, loss_cm, loss_im, total_loss
 from .evalmetrics import (DetectionReport, RetrievalReport, assemble_report,
                           detection_metrics, recall_at_k, retrieval_report)
-from .trainer import (MODES, RunResult, TrainConfig, evaluate_retrieval, init_state,
-                      run, train_epoch, warmup)
+from .trainer import (MODE_SPECS, MODES, ModeSpec, RunResult, TrainConfig, evaluate_retrieval,
+                      init_state, run, train_epoch)
 
 __version__ = "0.1.0"

@@ -17,13 +17,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .evalmetrics import (CSV_COLUMNS, assemble_report, csv_row,
-                          detection_metrics)
+from .evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
+                          assemble_report, csv_row)
 from .losses import fd_check
 from .model import Encoder, encoder_to_json
 from .numerics import NumericalError, derive_rng
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
-from .trainer import (MODES, TrainConfig, combined_labels, evaluate_retrieval, run)
+from .trainer import MODES, TrainConfig, evaluate_retrieval, run
 
 GEN_KEYS = ("n", "d_latent", "d_img", "d_txt", "n_clusters",
             "sigma_cluster", "sigma_view")
@@ -138,9 +138,7 @@ def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
     tc = train_config_from({**cfg, "mode": mode, "seed": seed})
     train, dev, test = splits if splits is not None else build_splits(cfg, seed, rho)
     result = run(tc, train, dev)
-    test_retr = evaluate_retrieval(result.best_nets, test)
-    detection = detection_metrics(combined_labels(result.labels), train.noise_mask)
-    return result, test_retr, detection, (train, dev, test)
+    return result, evaluate_retrieval(result.best_nets, test), (train, dev, test)
 
 
 def cmd_train(args) -> int:
@@ -158,12 +156,12 @@ def cmd_train(args) -> int:
     splits = load_splits(args.data) if args.data else None
     if splits is not None:
         rho = float(splits[0].meta.get("rho", rho))
-    result, test_retr, detection, (train, _, _) = _run_cell(cfg, mode, rho, seed, splits)
+    result, test_retr, (train, _, _) = _run_cell(cfg, mode, rho, seed, splits)
 
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for row in result.history:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    report = assemble_report(test_retr, detection, {
+    report = assemble_report(test_retr, result.detection, {
         "mode": mode, "rho": rho, "seed": seed,
         "best_epoch": result.best_epoch,
         "best_dev_recall_sum": result.best_recall_sum,
@@ -187,7 +185,7 @@ def cmd_train(args) -> int:
                         "is_noisy_gt": bool(mask[i]),
                     }, sort_keys=True) + "\n")
     print(f"mode={mode} rho={rho} seed={seed} "
-          f"test_rsum={test_retr.recall_sum:.1f} det_acc={detection.accuracy:.3f} "
+          f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
           f"-> {out / 'report.json'}")
     return 0
 
@@ -215,8 +213,8 @@ def cmd_sweep(args) -> int:
         for rho in rhos:
             for mode in modes:
                 seed = _cell_seed(args.seed, rho, mode)
-                _, test_retr, detection, _ = _run_cell(cfg, mode, rho, seed)
-                writer.writerow(csv_row(mode, rho, test_retr, detection))
+                result, test_retr, _ = _run_cell(cfg, mode, rho, seed)
+                writer.writerow(csv_row(mode, rho, test_retr, result.detection))
                 fh.flush()
                 print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")
     print(f"wrote {csv_path}")
@@ -257,14 +255,11 @@ def cmd_report(args) -> int:
             rep = json.load(fh)
         meta = rep.get("meta", {})
         retr = rep["retrieval"]
-        det = rep.get("detection") or {}
-        rows.append([
+        det = rep.get("detection")
+        rows.append(csv_row(
             meta.get("mode", "?"), meta.get("rho", ""),
-            retr["i2t"]["r1"], retr["i2t"]["r5"], retr["i2t"]["r10"],
-            retr["t2i"]["r1"], retr["t2i"]["r5"], retr["t2i"]["r10"],
-            retr["recall_sum"],
-            det.get("accuracy", ""), det.get("auc", ""),
-        ])
+            RetrievalReport(*(retr[d][k] for d in ("i2t", "t2i") for k in ("r1", "r5", "r10"))),
+            None if det is None else DetectionReport(**det)))
     header = " ".join(f"{c:>8}" for c in CSV_COLUMNS)
     print(header)
     for row in rows:

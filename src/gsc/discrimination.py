@@ -31,32 +31,23 @@ __all__ = [
 
 @dataclass
 class SoftLabels:
-    """Per-sample label state for one network, with one epoch of history.
-
-    ``y`` is always min(y_cm, y_im). ``source`` records which network's
-    outputs the estimates came from (cross-network provenance).
-    """
+    """Per-sample label state for one network; ``y`` is always min(y_cm, y_im)."""
 
     y_cm: np.ndarray
     y_im: np.ndarray
     y: np.ndarray
-    prev_cm: np.ndarray
-    prev_im: np.ndarray
-    epoch: int = 0
-    source: str = ""
 
     @classmethod
-    def ones(cls, n: int, source: str = "") -> "SoftLabels":
-        return cls(y_cm=np.ones(n), y_im=np.ones(n), y=np.ones(n),
-                   prev_cm=np.ones(n), prev_im=np.ones(n), epoch=0, source=source)
+    def ones(cls, n: int) -> "SoftLabels":
+        return cls(y_cm=np.ones(n), y_im=np.ones(n), y=np.ones(n))
 
     @classmethod
-    def from_estimates(cls, y_cm, y_im, source: str = "") -> "SoftLabels":
-        """Raw initialization (no ensembling), e.g. right after warm-up."""
+    def from_estimates(cls, y_cm, y_im) -> "SoftLabels":
+        """Raw initialization (no ensembling); equals ``ensemble_update``
+        of a unit store with both momentum coefficients 1."""
         cm = np.asarray(y_cm, dtype=float).copy()
         im = np.asarray(y_im, dtype=float).copy()
-        return cls(y_cm=cm, y_im=im, y=combine_labels(cm, im),
-                   prev_cm=cm.copy(), prev_im=im.copy(), epoch=0, source=source)
+        return cls(y_cm=cm, y_im=im, y=combine_labels(cm, im))
 
 
 def cross_modal_indicator(s, tau1: float) -> np.ndarray:
@@ -196,8 +187,7 @@ def ensemble_update(labels: SoftLabels, new_cm, new_im,
                     beta1: float, beta2: float) -> SoftLabels:
     """Momentum blend of fresh estimates with the previous epoch, then min.
 
-    y_cm <- beta1 * new + (1 - beta1) * previous (same for y_im with beta2);
-    the previous-epoch copies rotate and the epoch index increments.
+    y_cm <- beta1 * new + (1 - beta1) * previous (same for y_im with beta2).
     """
     for name, b in (("beta1", beta1), ("beta2", beta2)):
         if not 0.0 <= b <= 1.0:
@@ -206,10 +196,6 @@ def ensemble_update(labels: SoftLabels, new_cm, new_im,
     im = np.asarray(new_im, dtype=float).ravel()
     if cm.shape != labels.y_cm.shape or im.shape != labels.y_im.shape:
         raise ValueError("estimate length mismatch with label store")
-    prev_cm = labels.y_cm.copy()
-    prev_im = labels.y_im.copy()
-    y_cm = beta1 * cm + (1.0 - beta1) * prev_cm
-    y_im = beta2 * im + (1.0 - beta2) * prev_im
-    return SoftLabels(y_cm=y_cm, y_im=y_im, y=combine_labels(y_cm, y_im),
-                      prev_cm=prev_cm, prev_im=prev_im,
-                      epoch=labels.epoch + 1, source=labels.source)
+    y_cm = beta1 * cm + (1.0 - beta1) * labels.y_cm
+    y_im = beta2 * im + (1.0 - beta2) * labels.y_im
+    return SoftLabels(y_cm=y_cm, y_im=y_im, y=combine_labels(y_cm, y_im))

@@ -2,12 +2,11 @@
 
 Recall@K in both directions (rank-based, ties broken by lower candidate
 index), detection accuracy/AUC of soft labels against the ground-truth
-noise mask, and report assembly with JSON/CSV serialization.
+noise mask, and report assembly as JSON-ready dicts and CSV rows.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "csv_row",
     "detection_metrics",
     "recall_at_k",
-    "report_from_json",
-    "report_to_json",
     "retrieval_report",
 ]
 
@@ -158,14 +155,6 @@ def assemble_report(retrieval: RetrievalReport, detection: DetectionReport | Non
             "mean_noisy": detection.mean_noisy,
         }
     return out
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def csv_row(mode: str, noise: float, retrieval: RetrievalReport,

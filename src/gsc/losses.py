@@ -169,8 +169,8 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     x_txt = as_matrix(x_txt, "text batch")
     if x_img.shape[0] != x_txt.shape[0]:
         raise ValueError("image/text batch sizes differ")
-    e_img = encode(enc_img, x_img, "img")
-    e_txt = encode(enc_txt, x_txt, "txt")
+    e_img = encode(enc_img, x_img)
+    e_txt = encode(enc_txt, x_txt)
     for stage, emb in (("image embeddings", e_img), ("text embeddings", e_txt)):
         if not np.all(np.isfinite(emb.matrix)):
             raise NumericalError(f"non-finite values in {stage}")

@@ -32,22 +32,19 @@ NORM_FLOOR = 1e-12
 class ForwardCache:
     """Intermediates retained by ``encode``: enough to rerun or backprop.
 
-    ``inputs[l]`` is the activation entering affine layer l; ``prenorm`` is
-    the last affine output before normalization; ``norms`` are its (floored)
-    row L2 norms.
+    ``inputs[l]`` is the activation entering affine layer l; ``norms`` are
+    the (floored) row L2 norms of the last affine output.
     """
 
     inputs: list
-    prenorm: np.ndarray
     norms: np.ndarray
 
 
 @dataclass
 class EmbeddingBatch:
-    """A batch of unit-norm embedding rows with its modality tag."""
+    """A batch of unit-norm embedding rows."""
 
     matrix: np.ndarray
-    modality: str = ""
     cache: ForwardCache | None = None
 
 
@@ -106,7 +103,7 @@ class Encoder:
                        adam=self.adam.copy())
 
 
-def encode(enc: Encoder, x, modality: str = "") -> EmbeddingBatch:
+def encode(enc: Encoder, x) -> EmbeddingBatch:
     """Forward pass: affine/tanh stack, then row-wise L2 normalization."""
     a = as_matrix(x, "encoder input")
     if a.shape[1] != enc.dims[0]:
@@ -120,8 +117,7 @@ def encode(enc: Encoder, x, modality: str = "") -> EmbeddingBatch:
     norms = np.maximum(np.linalg.norm(a, axis=1), NORM_FLOOR)
     with np.errstate(invalid="ignore"):  # non-finite rows are caught downstream
         matrix = a / norms[:, None]
-    return EmbeddingBatch(matrix=matrix, modality=modality,
-                          cache=ForwardCache(inputs=inputs, prenorm=a, norms=norms))
+    return EmbeddingBatch(matrix=matrix, cache=ForwardCache(inputs=inputs, norms=norms))
 
 
 def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:

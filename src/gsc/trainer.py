@@ -8,8 +8,10 @@ indicators and intra-modal structure scores accumulate over the whole epoch,
 one Gaussian mixture is fitted per network per epoch, and the label stores
 are updated by momentum before the next epoch begins.
 
-Epoch indexing: the epoch counter spans warm-up and main epochs, starting at
-0; the learning-rate decay epoch is measured on that counter.
+Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
+0, and every epoch is one ``train_epoch`` call; warm-up epochs are the first
+``warmup_epochs`` values of that counter. The learning-rate decay epoch is
+measured on the same counter. ``MODE_SPECS`` says what each mode runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .synthdata import PairDataset
 
 __all__ = [
     "MODES",
+    "MODE_SPECS",
+    "ModeSpec",
     "Network",
     "RunResult",
     "RunState",
@@ -38,10 +42,39 @@ __all__ = [
     "learning_rate",
     "run",
     "train_epoch",
-    "warmup",
 ]
 
-MODES = ("gsc", "baseline", "cm_only", "im_only", "single_net", "no_ensemble")
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """What a mode runs: how many networks and which label estimators.
+
+    A mode with neither estimator keeps its unit labels for the whole run.
+    ``beta`` and ``warmup_epochs``, when set, replace the configured momentum
+    coefficients and warm-up length.
+    """
+
+    n_nets: int = 2
+    use_cm: bool = True
+    use_im: bool = True
+    beta: float | None = None
+    warmup_epochs: int | None = None
+
+    @property
+    def estimates(self) -> bool:
+        return self.use_cm or self.use_im
+
+
+MODE_SPECS = {
+    "gsc": ModeSpec(),  # the full method, and the default mode
+    "baseline": ModeSpec(use_cm=False, use_im=False),
+    "cm_only": ModeSpec(use_im=False),
+    "im_only": ModeSpec(use_cm=False),
+    "single_net": ModeSpec(n_nets=1),  # labels from the network's own outputs
+    # raw estimates every epoch (momentum 1) after a longer warm-up
+    "no_ensemble": ModeSpec(beta=1.0, warmup_epochs=5),
+}
+MODES = tuple(MODE_SPECS)
 
 
 @dataclass(frozen=True)
@@ -65,7 +98,7 @@ class TrainConfig:
     lr_decay_epoch: int = 15
     warmup_epochs: int = 1
     seed: int = 0
-    mode: str = "gsc"
+    mode: str = MODES[0]
     embed_dim: int = 32
     hidden_dims: tuple = (64,)
     gmm_iters: int = 50
@@ -91,15 +124,15 @@ class TrainConfig:
             raise ValueError("encoder dims must be >= 1")
 
     def resolved(self) -> "TrainConfig":
-        """Apply mode-implied settings.
-
-        ``no_ensemble`` replaces temporal ensembling with a plain 5-epoch
-        warm-up: both momentum coefficients become 1 so each epoch's
-        estimates are used as-is.
-        """
-        if self.mode != "no_ensemble":
-            return self
-        return replace(self, beta1=1.0, beta2=1.0, warmup_epochs=5)
+        """Apply the overrides of the mode's ``MODE_SPECS`` entry."""
+        spec = MODE_SPECS[self.mode]
+        beta = spec.beta
+        return replace(
+            self,
+            beta1=self.beta1 if beta is None else beta,
+            beta2=self.beta2 if beta is None else beta,
+            warmup_epochs=(self.warmup_epochs if spec.warmup_epochs is None
+                           else spec.warmup_epochs))
 
 
 @dataclass
@@ -132,24 +165,24 @@ def _other(k: int, n_nets: int) -> int:
 
 
 def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
-    """Fresh networks (differing only by init stream) and all-ones labels."""
-    cfg = cfg.resolved()
+    """Fresh networks (differing only by init stream) and all-ones labels.
+
+    Validates ``cfg``, which need not be resolved: no mode override changes
+    the networks.
+    """
     cfg.validate()
-    names = ["A"] if cfg.mode == "single_net" else ["A", "B"]
     d_img = train_ds.img.shape[1]
     d_txt = train_ds.txt.shape[1]
     dims_img = [d_img, *cfg.hidden_dims, cfg.embed_dim]
     dims_txt = [d_txt, *cfg.hidden_dims, cfg.embed_dim]
     nets = []
-    for k, name in enumerate(names):
+    for k, name in enumerate("AB"[:MODE_SPECS[cfg.mode].n_nets]):
         nets.append(Network(
             name=name,
             img_enc=Encoder.init(dims_img, derive_rng(cfg.seed, "init", k, "img")),
             txt_enc=Encoder.init(dims_txt, derive_rng(cfg.seed, "init", k, "txt")),
         ))
-    labels = [SoftLabels.ones(train_ds.n, source=f"net:{names[_other(k, len(names))]}")
-              for k in range(len(names))]
-    return RunState(nets=nets, labels=labels)
+    return RunState(nets=nets, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
 
 
 def batch_schedule(n: int, batch_size: int, rng: np.random.Generator) -> list:
@@ -190,118 +223,74 @@ def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
     return cm_sum, im_sum, len(schedule)
 
 
-def _estimate_for_net(k: int, sources, labels_y, x_img, x_txt, schedule,
-                      cfg: TrainConfig):
-    """Per-sample label estimates for net k from its label-source network.
+def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
+                     cfg: TrainConfig, beta1: float, beta2: float) -> SoftLabels:
+    """Next label store from estimates on ``src``'s embeddings.
 
     The cross-modal indicator and the purified structure score are computed
     batch by batch (each sample appears in exactly one batch); the structure
-    scores for the whole split then feed a single mixture fit.
+    scores for the whole split then feed a single mixture fit. An estimator
+    the mode leaves out contributes ones.
     """
+    spec = MODE_SPECS[cfg.mode]
     n = x_img.shape[0]
     est_cm = np.ones(n)
+    y_im = np.ones(n)
     scores = np.zeros(n)
-    src = sources[_other(k, len(sources))]
     for idx in schedule:
-        e_i = encode(src.img_enc, x_img[idx], "img")
-        e_t = encode(src.txt_enc, x_txt[idx], "txt")
-        if cfg.mode != "im_only":
+        e_i = encode(src.img_enc, x_img[idx])
+        e_t = encode(src.txt_enc, x_txt[idx])
+        if spec.use_cm:
             est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
-        if cfg.mode != "cm_only":
+        if spec.use_im:
             scores[idx] = intra_structure_score(
-                sim_matrix(e_i, e_i), sim_matrix(e_t, e_t), labels_y[idx])
-    if cfg.mode == "cm_only":
-        y_im = np.ones(n)
-    else:
+                sim_matrix(e_i, e_i), sim_matrix(e_t, e_t), labels.y[idx])
+    if spec.use_im:
         gmm = gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor)
         y_im = gmm_posterior(gmm, scores)
-    return est_cm, y_im
-
-
-def _seed_labels(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> None:
-    """Initialize label stores from raw estimates (no ensembling)."""
-    x_img = train_ds.img
-    x_txt = train_ds.paired_txt()
-    sources = [net.copy() for net in state.nets]
-    names = [net.name for net in state.nets]
-    new_labels = []
-    for k in range(len(state.nets)):
-        schedule = batch_schedule(train_ds.n, cfg.batch_size,
-                                  derive_rng(cfg.seed, "est-init", k))
-        est_cm, y_im = _estimate_for_net(k, sources, state.labels[k].y,
-                                         x_img, x_txt, schedule, cfg)
-        source = f"net:{names[_other(k, len(names))]}"
-        new_labels.append(SoftLabels.from_estimates(est_cm, y_im, source=source))
-    state.labels = new_labels
-
-
-def warmup(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
-           on_epoch=None) -> list:
-    """Train both networks with unit labels for cfg.warmup_epochs epochs.
-
-    After the last warm-up epoch the label stores are seeded from raw
-    estimates (they stay all-ones when warmup_epochs == 0 or in baseline
-    mode). Returns one loss row per warm-up epoch; ``on_epoch``, if given,
-    runs after each epoch once the state for that epoch is final.
-    """
-    cfg = cfg.resolved()
-    x_img = train_ds.img
-    x_txt = train_ds.paired_txt()
-    ones = np.ones(train_ds.n)
-    rows = []
-    for w in range(cfg.warmup_epochs):
-        lr = learning_rate(cfg, state.epoch)
-        cm_sum, im_sum, n_batches = 0.0, 0.0, 0
-        for k, net in enumerate(state.nets):
-            schedule = batch_schedule(train_ds.n, cfg.batch_size,
-                                      derive_rng(cfg.seed, "batches", state.epoch, k))
-            c, i, nb = _train_net_over(net, x_img, x_txt, ones, schedule, lr,
-                                       cfg, state.epoch)
-            cm_sum += c
-            im_sum += i
-            n_batches += nb
-        state.epoch += 1
-        if w == cfg.warmup_epochs - 1 and cfg.mode != "baseline":
-            _seed_labels(state, train_ds, cfg)
-        row = {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}
-        rows.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
-    return rows
+    return ensemble_update(labels, est_cm, y_im, beta1, beta2)
 
 
 def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dict:
-    """One co-training epoch: estimate from epoch-start snapshots, train live.
+    """Run epoch ``state.epoch`` of the schedule; ``cfg`` must be resolved.
 
-    For each network k, indicators come from the other network's epoch-start
-    parameters, weighted by k's labels frozen at epoch start; after the
-    epoch's Adam steps, the accumulated estimates pass through the mixture
-    fit and the momentum update to produce the labels for the next epoch.
-    Baseline mode trains with unit labels and skips estimation entirely.
+    Every network trains on its labels as they stand at epoch start. In a
+    co-training epoch, network k's next labels come from the other network's
+    epoch-start snapshot, weighted by k's current labels, on k's own batch
+    schedule, and are smoothed by momentum. A warm-up epoch leaves the unit
+    labels alone; after the last one, each store is seeded with raw estimates
+    (momentum 1) from the trained networks on its "est-init" schedule. Modes
+    without estimators keep unit labels throughout.
     """
-    cfg = cfg.resolved()
+    spec = MODE_SPECS[cfg.mode]
     x_img = train_ds.img
     x_txt = train_ds.paired_txt()
     n = train_ds.n
-    lr = learning_rate(cfg, state.epoch)
-    estimate = cfg.mode != "baseline"
-    sources = [net.copy() for net in state.nets] if estimate else None
-    schedules = [batch_schedule(n, cfg.batch_size,
-                                derive_rng(cfg.seed, "batches", state.epoch, k))
-                 for k in range(len(state.nets))]
+    n_nets = len(state.nets)
+    epoch = state.epoch
+    lr = learning_rate(cfg, epoch)
+    co_train = spec.estimates and epoch >= cfg.warmup_epochs
+    sources = [net.copy() for net in state.nets] if co_train else None
     new_labels = list(state.labels)
     cm_sum, im_sum, n_batches = 0.0, 0.0, 0
     for k, net in enumerate(state.nets):
-        if estimate:
-            est_cm, y_im = _estimate_for_net(k, sources, state.labels[k].y,
-                                             x_img, x_txt, schedules[k], cfg)
-            new_labels[k] = ensemble_update(state.labels[k], est_cm, y_im,
-                                            cfg.beta1, cfg.beta2)
+        schedule = batch_schedule(n, cfg.batch_size,
+                                  derive_rng(cfg.seed, "batches", epoch, k))
+        if co_train:
+            new_labels[k] = _estimate_labels(state.labels[k], sources[_other(k, n_nets)],
+                                             x_img, x_txt, schedule, cfg,
+                                             cfg.beta1, cfg.beta2)
         c, i, nb = _train_net_over(net, x_img, x_txt, state.labels[k].y,
-                                   schedules[k], lr, cfg, state.epoch)
+                                   schedule, lr, cfg, epoch)
         cm_sum += c
         im_sum += i
         n_batches += nb
+    if spec.estimates and epoch == cfg.warmup_epochs - 1:
+        for k in range(n_nets):
+            schedule = batch_schedule(n, cfg.batch_size,
+                                      derive_rng(cfg.seed, "est-init", k))
+            new_labels[k] = _estimate_labels(state.labels[k], state.nets[_other(k, n_nets)],
+                                             x_img, x_txt, schedule, cfg, 1.0, 1.0)
     state.labels = new_labels
     state.epoch += 1
     return {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}
@@ -311,8 +300,8 @@ def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
     """Retrieval on a split using the mean of the networks' similarities."""
     sims = None
     for net in nets:
-        e_i = encode(net.img_enc, ds.img, "img")
-        e_t = encode(net.txt_enc, ds.txt, "txt")
+        e_i = encode(net.img_enc, ds.img)
+        e_t = encode(net.txt_enc, ds.txt)
         s = sim_matrix(e_i, e_t)
         sims = s if sims is None else sims + s
     return retrieval_report(sims / len(nets))
@@ -349,11 +338,10 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     Model selection keeps the network snapshot with the best dev recall sum.
     Identical (cfg, data) reproduce the metric history bit-exactly.
     """
-    cfg = cfg.resolved()
-    cfg.validate()
     train_ds.validate()
     dev_ds.validate()
-    state = init_state(cfg, train_ds)
+    state = init_state(cfg, train_ds)  # validates cfg
+    cfg = cfg.resolved()
     history = []
     label_history = [] if cfg.track_labels else None
     best = {"recall_sum": -1.0, "epoch": -1, "nets": [net.copy() for net in state.nets]}
@@ -386,8 +374,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
             best["epoch"] = epoch_idx
             best["nets"] = [net.copy() for net in state.nets]
 
-    warmup(state, train_ds, cfg, on_epoch=record)
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.warmup_epochs + cfg.epochs):
         record(train_epoch(state, train_ds, cfg))
     detection = detection_metrics(combined_labels(state.labels), train_ds.noise_mask)
     return RunResult(history=history, best_epoch=best["epoch"],

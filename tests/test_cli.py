@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -203,11 +204,18 @@ def test_fdcheck_passes_and_fails_on_tight_tol(capsys):
 def test_report_prints_and_merges(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("train", *FAST_TRAIN, "--rho", "0.4", "--out", str(out))
+    clean = tmp_path / "clean"  # rho 0: one class, so the AUC is undefined
+    run_cli("train", *FAST_TRAIN, "--rho", "0", "--out", str(clean))
     capsys.readouterr()
     merged = tmp_path / "merged.csv"
-    code = run_cli("report", str(out / "report.json"), "--csv", str(merged))
+    code = run_cli("report", str(out / "report.json"), str(clean / "report.json"),
+                   "--csv", str(merged))
     assert code == 0
     printed = capsys.readouterr().out
     assert "rsum" in printed and "gsc" in printed
-    lines = merged.read_text().strip().splitlines()
-    assert len(lines) == 2
+    assert "None" not in printed
+    with open(merged, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert rows[0]["det_auc"] != ""
+    assert rows[1]["noise"] == "0.0" and rows[1]["det_auc"] == ""

@@ -285,8 +285,6 @@ def test_ensemble_update_direct_substitution():
     assert out.y_cm[0] == pytest.approx(0.85, abs=1e-15)
     assert out.y_im[0] == pytest.approx(0.85, abs=1e-15)
     assert out.y[0] == pytest.approx(0.85, abs=1e-15)
-    assert out.prev_cm[0] == 0.5
-    assert out.epoch == 1
 
 
 def test_ensemble_update_beta_one_takes_new_estimates():

@@ -3,8 +3,7 @@ import pytest
 
 from gsc.evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
                              assemble_report, csv_row, detection_metrics,
-                             recall_at_k, report_from_json, report_to_json,
-                             retrieval_report)
+                             recall_at_k, retrieval_report)
 from gsc.numerics import derive_rng
 
 N_CASES = 100
@@ -191,14 +190,6 @@ def test_assemble_report_allows_empty_detection():
     retr, _ = _sample_reports()
     rep = assemble_report(retr, None, {})
     assert rep["detection"] is None
-
-
-def test_report_json_round_trip_identity():
-    retr, det = _sample_reports()
-    rep = assemble_report(retr, det, {"mode": "gsc", "rho": 0.4})
-    assert report_from_json(report_to_json(rep)) == rep
-    rep2 = assemble_report(retr, None, {})
-    assert report_from_json(report_to_json(rep2)) == rep2
 
 
 def test_csv_row_matches_columns():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from gsc.discrimination import ensemble_update, gmm_fit, gmm_posterior
+from gsc.discrimination import SoftLabels, ensemble_update, gmm_fit, gmm_posterior
 from gsc.discrimination import cross_modal_indicator, intra_structure_score
 from gsc.losses import grad_total
 from gsc.model import encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
 from gsc.trainer import (MODES, TrainConfig, batch_schedule, evaluate_retrieval,
-                         init_state, learning_rate, run, train_epoch, warmup)
+                         init_state, learning_rate, run, train_epoch)
 
 
 def small_data(seed=0, n=160, rho=0.4):
@@ -78,18 +78,22 @@ def test_init_state_networks_differ_and_labels_cross():
     assert [net.name for net in state.nets] == ["A", "B"]
     assert not np.array_equal(state.nets[0].img_enc.weights[0],
                               state.nets[1].img_enc.weights[0])
-    assert state.labels[0].source == "net:B"
-    assert state.labels[1].source == "net:A"
+    assert len(state.labels) == 2
+    assert all(np.all(lb.y == 1.0) for lb in state.labels)
     single = init_state(small_cfg(mode="single_net"), train)
-    assert len(single.nets) == 1
-    assert single.labels[0].source == "net:A"
+    assert len(single.nets) == 1 and len(single.labels) == 1
+
+
+def train_warmup_epochs(state, train_ds, cfg):
+    """The warm-up phase: the first cfg.warmup_epochs epochs of the schedule."""
+    return [train_epoch(state, train_ds, cfg) for _ in range(cfg.warmup_epochs)]
 
 
 def test_warmup_zero_epochs_leaves_unit_labels():
     train, _, _ = small_data()
     cfg = small_cfg(warmup_epochs=0)
     state = init_state(cfg, train)
-    rows = warmup(state, train, cfg)
+    rows = train_warmup_epochs(state, train, cfg)
     assert rows == []
     assert all(np.all(lb.y == 1.0) for lb in state.labels)
 
@@ -98,7 +102,7 @@ def test_warmup_populates_label_stores_in_range():
     train, _, _ = small_data()
     cfg = small_cfg()
     state = init_state(cfg, train)
-    rows = warmup(state, train, cfg)
+    rows = train_warmup_epochs(state, train, cfg)
     assert len(rows) == 1 and state.epoch == 1
     for lb in state.labels:
         assert np.all((lb.y >= 0.0) & (lb.y <= 1.0))
@@ -109,9 +113,9 @@ def test_warmup_is_deterministic():
     train, _, _ = small_data()
     cfg = small_cfg()
     s1 = init_state(cfg, train)
-    warmup(s1, train, cfg)
+    train_warmup_epochs(s1, train, cfg)
     s2 = init_state(cfg, train)
-    warmup(s2, train, cfg)
+    train_warmup_epochs(s2, train, cfg)
     assert np.array_equal(s1.nets[0].img_enc.weights[0], s2.nets[0].img_enc.weights[0])
     assert np.array_equal(s1.labels[0].y, s2.labels[0].y)
 
@@ -149,67 +153,91 @@ def test_single_net_runs_with_self_estimates():
     train, dev, _ = small_data()
     res = run(small_cfg(mode="single_net"), train, dev)
     assert len(res.final_nets) == 1
-    assert res.labels[0].source == "net:A"
+    assert len(res.labels) == 1 and not np.all(res.labels[0].y == 1.0)
 
 
 # ---------------------------------------------------------------------------
 # one full epoch against a lockstep reference implementation
 # ---------------------------------------------------------------------------
 
+REFERENCE_ESTIMATORS = {  # mode -> (networks, cross-modal, intra-modal)
+    "gsc": (2, True, True),
+    "baseline": (2, False, False),
+    "cm_only": (2, True, False),
+    "im_only": (2, False, True),
+    "single_net": (1, True, True),
+}
+
+
+def _reference_batches(rng, n, batch_size):
+    order = rng.permutation(n)
+    batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
+    if len(batches) > 1 and batches[-1].size < 2:
+        batches[-2] = np.concatenate([batches[-2], batches[-1]])
+        batches.pop()
+    return batches
+
+
+def _reference_estimate(labels, src, x_img, x_txt, batches, cfg, use_cm, use_im,
+                        beta):
+    n = x_img.shape[0]
+    est_cm = np.ones(n)
+    scores = np.zeros(n)
+    for idx in batches:
+        e_i = encode(src.img_enc, x_img[idx])
+        e_t = encode(src.txt_enc, x_txt[idx])
+        if use_cm:
+            est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
+        if use_im:
+            scores[idx] = intra_structure_score(sim_matrix(e_i, e_i),
+                                                sim_matrix(e_t, e_t), labels.y[idx])
+    y_im = np.ones(n)
+    if use_im:
+        y_im = gmm_posterior(gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor),
+                             scores)
+    if beta is None:  # raw seeding right after warm-up
+        return SoftLabels.from_estimates(est_cm, y_im)
+    return ensemble_update(labels, est_cm, y_im, *beta)
+
+
 def _reference_epoch(state, train_ds, cfg):
     """Scripted re-implementation of the documented epoch contract, built
     directly on the verified primitives."""
+    _, use_cm, use_im = REFERENCE_ESTIMATORS[cfg.mode]
+    estimate = use_cm or use_im
     x_img = train_ds.img
     x_txt = train_ds.txt[train_ds.match_perm]
     n = train_ds.n
     lr = cfg.lr * cfg.lr_decay if state.epoch >= cfg.lr_decay_epoch else cfg.lr
+    warm = state.epoch < cfg.warmup_epochs
     sources = [net.copy() for net in state.nets]
-    new_labels = []
+    new_labels = list(state.labels)
     for k, net in enumerate(state.nets):
-        order = derive_rng(cfg.seed, "batches", state.epoch, k).permutation(n)
-        batches = [order[i:i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
-        if len(batches) > 1 and batches[-1].size < 2:
-            batches[-2] = np.concatenate([batches[-2], batches[-1]])
-            batches.pop()
+        batches = _reference_batches(derive_rng(cfg.seed, "batches", state.epoch, k),
+                                     n, cfg.batch_size)
         y_frozen = state.labels[k].y
-        src = sources[(k + 1) % len(sources)]
-        est_cm = np.ones(n)
-        scores = np.zeros(n)
-        for idx in batches:
-            e_i = encode(src.img_enc, x_img[idx])
-            e_t = encode(src.txt_enc, x_txt[idx])
-            est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
-            scores[idx] = intra_structure_score(sim_matrix(e_i, e_i),
-                                                sim_matrix(e_t, e_t), y_frozen[idx])
-        y_im = gmm_posterior(gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor),
-                             scores)
-        new_labels.append(ensemble_update(state.labels[k], est_cm, y_im,
-                                          cfg.beta1, cfg.beta2))
+        if estimate and not warm:
+            new_labels[k] = _reference_estimate(
+                state.labels[k], sources[(k + 1) % len(sources)], x_img, x_txt,
+                batches, cfg, use_cm, use_im, (cfg.beta1, cfg.beta2))
         for idx in batches:
             _, grads = grad_total(net.img_enc, net.txt_enc, x_img[idx], x_txt[idx],
                                   y_frozen[idx], cfg.tau1, cfg.tau2, cfg.gamma)
             adam_step(net.img_enc.params(), grads.img, net.img_enc.adam, lr)
             adam_step(net.txt_enc.params(), grads.txt, net.txt_enc.adam, lr)
+    if estimate and state.epoch == cfg.warmup_epochs - 1:
+        new_labels = [
+            _reference_estimate(
+                state.labels[k], state.nets[(k + 1) % len(state.nets)], x_img, x_txt,
+                _reference_batches(derive_rng(cfg.seed, "est-init", k), n, cfg.batch_size),
+                cfg, use_cm, use_im, None)
+            for k in range(len(state.nets))]
     state.labels = new_labels
     state.epoch += 1
 
 
-def test_train_epoch_matches_lockstep_reference():
-    ds = generate(GenSpec(n=64, n_clusters=8, d_latent=6, d_img=10, d_txt=9, seed=3))
-    train = inject_noise(ds, 0.4, derive_rng(3, "noise"))
-    cfg = small_cfg(batch_size=16, seed=3)
-    state = init_state(cfg, train)
-    warmup(state, train, cfg)
-
-    ref_state = init_state(cfg, train)
-    warmup(ref_state, train, cfg)
-    # same starting point
-    assert np.array_equal(state.nets[0].img_enc.weights[0],
-                          ref_state.nets[0].img_enc.weights[0])
-
-    train_epoch(state, train, cfg)
-    _reference_epoch(ref_state, train, cfg)
-
+def _assert_states_match(state, ref_state):
+    assert len(state.nets) == len(ref_state.nets)
     for net, ref in zip(state.nets, ref_state.nets):
         for p, q in zip(net.img_enc.params() + net.txt_enc.params(),
                         ref.img_enc.params() + ref.txt_enc.params()):
@@ -221,11 +249,31 @@ def test_train_epoch_matches_lockstep_reference():
     assert state.epoch == ref_state.epoch
 
 
+@pytest.mark.parametrize("mode", sorted(REFERENCE_ESTIMATORS))
+def test_train_epoch_matches_lockstep_reference(mode):
+    ds = generate(GenSpec(n=64, n_clusters=8, d_latent=6, d_img=10, d_txt=9, seed=3))
+    train = inject_noise(ds, 0.4, derive_rng(3, "noise"))
+    cfg = small_cfg(batch_size=16, seed=3, mode=mode)
+    state = init_state(cfg, train)
+    ref_state = init_state(cfg, train)
+    assert len(state.nets) == REFERENCE_ESTIMATORS[mode][0]
+    # same starting point
+    assert np.array_equal(state.nets[0].img_enc.weights[0],
+                          ref_state.nets[0].img_enc.weights[0])
+
+    # the warm-up epoch with its label seeding, then one co-training epoch
+    for _ in range(cfg.warmup_epochs + 1):
+        train_epoch(state, train, cfg)
+        _reference_epoch(ref_state, train, cfg)
+        _assert_states_match(state, ref_state)
+    assert all(np.all(lb.y == 1.0) for lb in state.labels) == (mode == "baseline")
+
+
 def test_train_epoch_aborts_with_location_on_nonfinite():
     train, _, _ = small_data()
     cfg = small_cfg()
     state = init_state(cfg, train)
-    warmup(state, train, cfg)
+    train_warmup_epochs(state, train, cfg)
     state.nets[0].img_enc.weights[-1][0, 0] = np.inf
     with pytest.raises(NumericalError, match="epoch 1, net A, batch 0"):
         train_epoch(state, train, cfg)
