@@ -59,6 +59,20 @@ class DetectionReport:
     mean_noisy: float
 
 
+def _match_ranks(mat: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """0-based rank of each row's target column, ties toward lower index.
+
+    The rank is the count of candidates that outrank the target: those
+    scoring higher, plus those scoring equal at a lower column index. That is
+    the target's position in a stable descending sort of the row, without
+    the sort.
+    """
+    n = mat.shape[0]
+    target = mat[np.arange(n), gt][:, None]
+    before = np.arange(mat.shape[1])[None, :] < gt[:, None]
+    return ((mat > target) | ((mat == target) & before)).sum(axis=1)
+
+
 def recall_at_k(s, gt, k: int) -> float:
     """Percentage of queries whose true match ranks in the top k.
 
@@ -75,11 +89,7 @@ def recall_at_k(s, gt, k: int) -> float:
         raise ValueError("gt must be a permutation of range(n)")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    order = np.argsort(-mat, axis=1, kind="stable")
-    ranks = np.empty((n, n), dtype=int)
-    rows = np.arange(n)[:, None]
-    ranks[rows, order] = np.arange(n)[None, :]
-    hit = ranks[np.arange(n), gt_arr] < k
+    hit = _match_ranks(mat, gt_arr) < k
     return float(100.0 * hit.mean())
 
 
@@ -95,17 +105,9 @@ def retrieval_report(s, ks=(1, 5, 10)) -> RetrievalReport:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + 0.5 * (counts + 1))[inverse]
 
 
 def detection_metrics(y, mask) -> DetectionReport:

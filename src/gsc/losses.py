@@ -6,6 +6,15 @@ structure-agreement logits w[i, j] = sum_k y_k^2 <I_i,I_k><T_j,T_k>. Labels
 are constants throughout: estimation and optimization alternate, so no
 gradient flows into the label weights.
 
+With embeddings E_I, E_T of shape (B, d), w is a product of two Gram
+matrices of rank at most d: w = E_I M E_T^T with the d x d core
+M = E_I^T diag(y^2) E_T. ``grad_total`` computes the logits and the
+structure gradient through M, so every product costs O(B^2 d) or O(B d^2)
+instead of the O(B^3) of forming w from the B x B structure matrices, and it
+takes each logit matrix's loss and softmax from one max-shifted exp.
+``loss_cm``, ``loss_im`` and ``structure_logits`` keep the direct B x B form
+as the reference.
+
 The backward pass goes similarity matrices -> losses -> row normalization ->
 tanh/affine stack, and is validated coordinate-by-coordinate against central
 finite differences by ``fd_check``.
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Encoder, EmbeddingBatch, ForwardCache, encode
-from .numerics import NumericalError, as_matrix, require_finite, softmax_rows
+from .numerics import NumericalError, as_matrix, require_finite
 
 __all__ = [
     "FdCheckReport",
@@ -64,29 +73,39 @@ def _check_labels(y, b: int) -> np.ndarray:
     return yv
 
 
-def _log_softmax_diag(z: np.ndarray) -> np.ndarray:
-    """Per-row log-softmax of z, evaluated on the diagonal."""
+def _check_temperature(tau: float, name: str) -> None:
+    if not np.isfinite(tau) or tau <= 0:
+        raise ValueError(f"{name} must be positive and finite, got {tau}")
+
+
+def _log_softmax(z: np.ndarray):
+    """Row-wise log-softmax of z on the diagonal, and the row softmax of z.
+
+    Both come from one max-shifted exp, so the loss and its gradient see the
+    same normalizers.
+    """
     shift = z.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(z - shift).sum(axis=1))
-    return np.diag(z) - lse
+    e = z - shift
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    e /= total
+    return np.diag(z) - (shift + np.log(total))[:, 0], e
 
 
 def loss_cm(s, y, tau1: float) -> float:
     """Label-weighted InfoNCE over rows and columns at temperature tau1."""
-    if tau1 <= 0:
-        raise ValueError(f"tau1 must be positive, got {tau1}")
+    _check_temperature(tau1, "tau1")
     mat = _check_square(as_matrix(s, "similarity matrix"), "similarity matrix")
     yv = _check_labels(y, mat.shape[0])
     z = mat / tau1
-    row = _log_softmax_diag(z)
-    col = _log_softmax_diag(z.T)
+    row, _ = _log_softmax(z)
+    col, _ = _log_softmax(z.T)
     return float(-(yv @ row + yv @ col) / (2.0 * mat.shape[0]))
 
 
 def structure_logits(s_ii, s_tt, y, tau2: float) -> np.ndarray:
     """w / tau2 with w[i, j] = sum_k y_k^2 <I_i,I_k> <T_j,T_k>."""
-    if tau2 <= 0:
-        raise ValueError(f"tau2 must be positive, got {tau2}")
+    _check_temperature(tau2, "tau2")
     a = _check_square(as_matrix(s_ii, "image structure"), "image structure")
     b = _check_square(as_matrix(s_tt, "text structure"), "text structure")
     if a.shape != b.shape:
@@ -99,7 +118,8 @@ def structure_logits(s_ii, s_tt, y, tau2: float) -> np.ndarray:
 def loss_im(s_ii, s_tt, y, tau2: float) -> float:
     """Contrastive agreement of weighted structure rows; ln B when w is row-constant."""
     z = structure_logits(s_ii, s_tt, y, tau2)
-    return float(-_log_softmax_diag(z).mean())
+    diag, _ = _log_softmax(z)
+    return float(-diag.mean())
 
 
 def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
@@ -114,30 +134,48 @@ def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
 
 def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
                      tau1: float, tau2: float, gamma: float):
-    """Loss report plus gradients w.r.t. the two embedding matrices."""
+    """Loss report plus gradients w.r.t. the two embedding matrices.
+
+    The structure term goes through the d x d core M = E_I^T diag(y^2) E_T:
+    the logits are (E_I M) E_T^T / tau2, and the image-side gradient
+    (g_ii + g_ii^T) E_I of the B x B form is g_w (E_T M^T) +
+    y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric.
+    """
+    _check_temperature(tau1, "tau1")
+    _check_temperature(tau2, "tau2")
     ei = e_img.matrix
     et = e_txt.matrix
     b = ei.shape[0]
     yv = _check_labels(y, b)
-    s = ei @ et.T
-    s_ii = ei @ ei.T
-    s_tt = et @ et.T
-    report = total_loss(loss_cm(s, yv, tau1), loss_im(s_ii, s_tt, yv, tau2), gamma)
+    on_diag = np.s_[::b + 1]  # the diagonal of a flattened B x B matrix
 
-    eye = np.eye(b)
-    p = softmax_rows(s, tau1)
-    q = softmax_rows(s.T, tau1).T  # q[i, j] = column softmax of s at (i, j)
-    g_s = -(yv[:, None] * (eye - p) + (eye - q) * yv[None, :]) / (2.0 * b * tau1)
+    z = ei @ et.T
+    z /= tau1
+    row, p = _log_softmax(z)
+    col, q = _log_softmax(z.T)  # q.T[i, j] = column softmax of z at (i, j)
+    l_cm = -(yv @ row + yv @ col) / (2.0 * b)
+    # g_s = -(y_i (I - P) + (I - Q) y_j) / (2 B tau1), built in place
+    g_s = q.T * yv[None, :]
+    g_s += yv[:, None] * p
+    g_s.flat[on_diag] -= 2.0 * yv
+    g_s /= 2.0 * b * tau1
 
     w2 = yv * yv
-    r = softmax_rows((s_ii * w2[None, :]) @ s_tt.T, tau2)
-    g_w = -(gamma / (b * tau2)) * (eye - r)
-    g_ii = (g_w @ s_tt) * w2[None, :]
-    g_tt = (g_w.T @ s_ii) * w2[None, :]
+    core = ei.T @ (w2[:, None] * et)
+    ei_core = ei @ core
+    w = ei_core @ et.T
+    w /= tau2
+    w_diag, g_w = _log_softmax(w)
+    l_im = -w_diag.mean()
+    # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
+    g_w *= gamma / (b * tau2)
+    g_w.flat[on_diag] -= gamma / (b * tau2)
 
-    g_ei = g_s @ et + (g_ii + g_ii.T) @ ei
-    g_et = g_s.T @ ei + (g_tt + g_tt.T) @ et
-    return report, g_ei, g_et
+    g_ei = (g_s @ et + g_w @ (et @ core.T)
+            + w2[:, None] * (et @ (et.T @ (g_w.T @ ei))))
+    g_et = (g_s.T @ ei + g_w.T @ ei_core
+            + w2[:, None] * (ei @ (ei.T @ (g_w @ et))))
+    return total_loss(float(l_cm), float(l_im), gamma), g_ei, g_et
 
 
 def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,

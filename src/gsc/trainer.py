@@ -252,7 +252,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
 
 
 def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dict:
-    """Run epoch ``state.epoch`` of the schedule; ``cfg`` must be resolved.
+    """Run epoch ``state.epoch`` of the schedule under ``cfg.resolved()``.
 
     Every network trains on its labels as they stand at epoch start. In a
     co-training epoch, network k's next labels come from the other network's
@@ -262,6 +262,7 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
     without estimators keep unit labels throughout.
     """
+    cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]
     x_img = train_ds.img
     x_txt = train_ds.paired_txt()

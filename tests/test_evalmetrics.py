@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gsc.evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
-                             assemble_report, csv_row, detection_metrics,
-                             recall_at_k, retrieval_report)
+                             _average_ranks, assemble_report, csv_row,
+                             detection_metrics, recall_at_k, retrieval_report)
 from gsc.numerics import derive_rng
 
 N_CASES = 100
@@ -27,6 +27,32 @@ def _recall_oracle(s, gt, k):
         if ahead < k:
             hits += 1
     return 100.0 * hits / n
+
+
+def _recall_sort_oracle(s, gt, k):
+    """Rank of the target from a full stable descending sort of each row."""
+    n = s.shape[0]
+    order = np.argsort(-s, axis=1, kind="stable")
+    ranks = np.empty((n, n), dtype=int)
+    rows = np.arange(n)[:, None]
+    ranks[rows, order] = np.arange(n)[None, :]
+    hit = ranks[np.arange(n), gt] < k
+    return float(100.0 * hit.mean())
+
+
+def _average_ranks_oracle(values):
+    """1-based ranks with ties sharing their average rank, by a scan of the sort."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def _auc_oracle(y, mask):
@@ -99,6 +125,26 @@ def test_recall_monotone_in_k_and_rank_invariant():
         assert recall_at_k(transformed, gt, k) == recall_at_k(s, gt, k)
 
 
+def test_recall_equals_sort_oracle_on_ties():
+    rng = derive_rng(3, "recall-sort")
+    cases = [np.full((n, n), c) for n, c in ((1, 0.0), (5, -0.25), (12, 3.0))]
+    cases += [rng.integers(-4, 5, size=(n, n)) / 4.0
+              for n in rng.integers(2, 30, size=200)]
+    for s in cases:
+        n = s.shape[0]
+        ks = [k for k in (1, 5, 10) if k <= n]
+        if n >= 10:
+            rep = retrieval_report(s)
+            ident = np.arange(n)
+            assert [rep.r1_i2t, rep.r5_i2t, rep.r10_i2t] == \
+                [_recall_sort_oracle(s, ident, k) for k in ks]
+            assert [rep.r1_t2i, rep.r5_t2i, rep.r10_t2i] == \
+                [_recall_sort_oracle(s.T, ident, k) for k in ks]
+        gt = rng.permutation(n)
+        for k in {*ks, n, int(rng.integers(1, n + 1))}:
+            assert recall_at_k(s, gt, k) == _recall_sort_oracle(s, gt, k)
+
+
 def test_retrieval_report_directions_and_sum():
     rng = derive_rng(2, "recall-report")
     n = 12
@@ -114,6 +160,15 @@ def test_retrieval_report_directions_and_sum():
 # ---------------------------------------------------------------------------
 # detection metrics
 # ---------------------------------------------------------------------------
+
+def test_average_ranks_equal_loop_oracle_on_ties():
+    rng = derive_rng(4, "midranks")
+    cases = [np.array([0.5]), np.full(7, 2.0), np.array([0.0, -0.0, 0.0, 1.0, -0.0])]
+    cases += [rng.integers(0, int(rng.integers(1, 8)), size=int(rng.integers(1, 60))) / 4.0
+              for _ in range(200)]
+    for v in cases:
+        assert np.array_equal(_average_ranks(v), _average_ranks_oracle(v))
+
 
 def test_detection_perfect_separation():
     y = np.array([1.0, 1.0, 0.0, 0.0])

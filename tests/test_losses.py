@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gsc.losses import (fd_check, grad_total, loss_cm, loss_im, structure_logits,
-                        total_loss)
-from gsc.model import Encoder
+from gsc.losses import (_embedding_grads, fd_check, grad_total, loss_cm, loss_im,
+                        structure_logits, total_loss)
+from gsc.model import Encoder, encode
 from gsc.numerics import NumericalError, derive_rng
 
 N_CASES = 100
@@ -38,6 +38,29 @@ def _loss_im_oracle(s_ii, s_tt, y, tau):
         den = sum(math.exp(w[i, j] / tau) for j in range(n))
         total += math.log(math.exp(w[i, i] / tau) / den)
     return -total / n
+
+
+def _dense_embedding_grads(ei, et, y, tau1, tau2, gamma):
+    """Embedding gradients through the B x B structure matrices, O(B^3)."""
+    b = ei.shape[0]
+    eye = np.eye(b)
+    s = ei @ et.T
+    s_ii = ei @ ei.T
+    s_tt = et @ et.T
+
+    def softmax_rows(m):
+        e = np.exp(m - m.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    p = softmax_rows(s / tau1)
+    q = softmax_rows(s.T / tau1).T
+    g_s = -(y[:, None] * (eye - p) + (eye - q) * y[None, :]) / (2.0 * b * tau1)
+    w2 = y * y
+    r = softmax_rows((s_ii * w2[None, :]) @ s_tt.T / tau2)
+    g_w = -(gamma / (b * tau2)) * (eye - r)
+    g_ii = (g_w @ s_tt) * w2[None, :]
+    g_tt = (g_w.T @ s_ii) * w2[None, :]
+    return g_s @ et + (g_ii + g_ii.T) @ ei, g_s.T @ ei + (g_tt + g_tt.T) @ et
 
 
 def _random_instance(rng, b=None, dims_img=(8, 10, 4), dims_txt=(7, 9, 4)):
@@ -140,6 +163,30 @@ def test_total_loss_arithmetic():
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("b", [2, 8, 24])  # 2, d and 3d for embedding dim d = 8
+def test_embedding_grads_match_dense_reference(b):
+    rng = derive_rng(b, "grad-dense")
+    enc_img = Encoder.init([10, 12, 8], rng)
+    enc_txt = Encoder.init([9, 12, 8], rng)
+    x_img = rng.standard_normal((b, 10))
+    x_txt = rng.standard_normal((b, 9))
+    e_img = encode(enc_img, x_img)
+    e_txt = encode(enc_txt, x_txt)
+    ei, et = e_img.matrix, e_txt.matrix
+    labels = [rng.uniform(0.0, 1.0, size=b), np.zeros(b), np.ones(b), np.full(b, 0.3),
+              np.where(np.arange(b) % 2 == 0, 0.0, 0.7)]
+    for y in labels:
+        for gamma in (0.01, 1.0):
+            report, _ = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 0.5, gamma)
+            want = loss_cm(ei @ et.T, y, 0.07) + gamma * loss_im(ei @ ei.T, et @ et.T, y, 0.5)
+            assert abs(report.total - want) <= 1e-12
+            _, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, 0.5, gamma)
+            ref_ei, ref_et = _dense_embedding_grads(ei, et, y, 0.07, 0.5, gamma)
+            for got, ref in ((g_ei, ref_ei), (g_et, ref_et)):
+                scale = max(np.abs(ref).max(), 1e-300)
+                assert np.abs(got - ref).max() <= 1e-10 * scale
+
 
 def test_grad_total_zero_labels_give_zero_gradients():
     rng = derive_rng(6, "grad-zero")

@@ -269,6 +269,23 @@ def test_train_epoch_matches_lockstep_reference(mode):
     assert all(np.all(lb.y == 1.0) for lb in state.labels) == (mode == "baseline")
 
 
+def test_train_epoch_resolves_its_config():
+    # no_ensemble overrides warm-up length and momenta; an unresolved config
+    # must run the same schedule as the resolved one
+    train, _, _ = small_data()
+    raw = small_cfg(mode="no_ensemble")
+    cfg = raw.resolved()
+    assert (raw.warmup_epochs, raw.beta1) != (cfg.warmup_epochs, cfg.beta1)
+    state = init_state(raw, train)
+    ref_state = init_state(cfg, train)
+    for _ in range(cfg.warmup_epochs + 1):
+        assert train_epoch(state, train, raw) == train_epoch(ref_state, train, cfg)
+        for lb, ref_lb in zip(state.labels, ref_state.labels):
+            for field in ("y", "y_cm", "y_im"):
+                assert np.array_equal(getattr(lb, field), getattr(ref_lb, field))
+    assert not np.all(ref_state.labels[0].y == 1.0)  # the seeding epoch was reached
+
+
 def test_train_epoch_aborts_with_location_on_nonfinite():
     train, _, _ = small_data()
     cfg = small_cfg()
