@@ -10,7 +10,8 @@ from .numerics import AdamState, NumericalError, adam_step, cosine, derive_rng, 
 from .synthdata import GenSpec, PairDataset, generate, inject_noise, load_dataset, save_dataset, split
 from .model import EmbeddingBatch, Encoder, encode, sim_matrix
 from .discrimination import (GmmModel, SoftLabels, combine_labels, cross_modal_indicator,
-                             ensemble_update, gmm_fit, gmm_posterior, intra_structure_score)
+                             embedding_structure_score, ensemble_update, gmm_fit, gmm_posterior,
+                             intra_structure_score)
 from .losses import GradSet, LossReport, fd_check, grad_total, loss_cm, loss_im, total_loss
 from .evalmetrics import (DetectionReport, RetrievalReport, assemble_report,
                           detection_metrics, recall_at_k, retrieval_report)

@@ -23,7 +23,7 @@ from .losses import fd_check
 from .model import Encoder, encoder_to_json
 from .numerics import NumericalError, derive_rng
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
-from .trainer import MODES, TrainConfig, evaluate_retrieval, run
+from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
 GEN_KEYS = ("n", "d_latent", "d_img", "d_txt", "n_clusters",
             "sigma_cluster", "sigma_view")
@@ -112,7 +112,7 @@ def cmd_gen(args) -> int:
         "splits": {k: cfg[k] for k in SPLIT_KEYS},
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
+        fh.write(json.dumps(manifest, sort_keys=True))
     print(f"wrote {out / 'manifest.json'} "
           f"(train={train.n}, dev={dev.n}, test={test.n}, "
           f"noisy={int(train.noise_mask.sum())})")
@@ -137,6 +137,7 @@ def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
     """Train one configuration and evaluate its best checkpoint on test."""
     tc = train_config_from({**cfg, "mode": mode, "seed": seed})
     train, dev, test = splits if splits is not None else build_splits(cfg, seed, rho)
+    check_split_sizes(mode, train, dev, test)
     result = run(tc, train, dev)
     return result, evaluate_retrieval(result.best_nets, test), (train, dev, test)
 
@@ -171,23 +172,32 @@ def cmd_train(args) -> int:
     for net in result.best_nets:
         for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
             with open(out / f"ckpt_{net.name}_{modality}.json", "w", encoding="utf-8") as fh:
-                json.dump(encoder_to_json(enc), fh, sort_keys=True)
+                fh.write(json.dumps(encoder_to_json(enc), sort_keys=True))
     if args.dump_labels and result.label_history is not None:
-        mask = train.noise_mask
         with open(out / "labels.jsonl", "w", encoding="utf-8") as fh:
-            for entry in result.label_history:
-                for i in range(train.n):
-                    fh.write(json.dumps({
-                        "epoch": entry["epoch"], "idx": i,
-                        "y_cm": float(entry["y_cm"][i]),
-                        "y_im": float(entry["y_im"][i]),
-                        "y": float(entry["y"][i]),
-                        "is_noisy_gt": bool(mask[i]),
-                    }, sort_keys=True) + "\n")
+            _write_label_rows(fh, result.label_history, train.noise_mask)
     print(f"mode={mode} rho={rho} seed={seed} "
           f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
           f"-> {out / 'report.json'}")
     return 0
+
+
+def _write_label_rows(fh, label_history, noise_mask) -> None:
+    """One JSON object per (epoch, sample), keys sorted, as ``json.dumps``
+    with ``sort_keys=True`` writes it.
+
+    Floats are formatted by ``repr``, which is how ``json`` writes finite
+    floats; labels are clipped into (0, 1], so they are always finite.
+    """
+    noisy = ["true" if m else "false" for m in noise_mask.tolist()]
+    for entry in label_history:
+        epoch = int(entry["epoch"])
+        fh.writelines(
+            f'{{"epoch": {epoch}, "idx": {i}, "is_noisy_gt": {flag}, '
+            f'"y": {y!r}, "y_cm": {y_cm!r}, "y_im": {y_im!r}}}\n'
+            for i, (flag, y, y_cm, y_im) in enumerate(zip(
+                noisy, entry["y"].tolist(), entry["y_cm"].tolist(),
+                entry["y_im"].tolist())))
 
 
 def _cell_seed(master: int, rho: float, mode: str) -> int:

@@ -18,15 +18,20 @@ import numpy as np
 from .numerics import as_matrix, require_finite, softmax_rows
 
 __all__ = [
+    "GMM_MIN_SCORES",
     "GmmModel",
     "SoftLabels",
     "combine_labels",
     "cross_modal_indicator",
+    "embedding_structure_score",
     "ensemble_update",
     "gmm_fit",
     "gmm_posterior",
     "intra_structure_score",
 ]
+
+
+GMM_MIN_SCORES = 4  # fewer scores than this cannot seed two components
 
 
 @dataclass
@@ -93,6 +98,37 @@ def intra_structure_score(s_ii, s_tt, y, return_degenerate: bool = False):
     return (scores, degenerate) if return_degenerate else scores
 
 
+def embedding_structure_score(e_img, e_txt, y, return_degenerate: bool = False):
+    """``intra_structure_score(E_I E_I^T, E_T E_T^T, y)`` in O(B d^2), no B x B matrix.
+
+    With M = E_I^T diag(y^2) E_T and the weighted Grams G_I = E_I^T diag(y^2)
+    E_I, G_T = E_T^T diag(y^2) E_T, row i's numerator is the i-th row sum of
+    (E_I M) * E_T and its squared weighted norms are the row sums of
+    (E_I G_I) * E_I and (E_T G_T) * E_T. The same degenerate rule and clip
+    apply; the products are reassociated, so values agree with the B x B form
+    to rounding.
+    """
+    ei = as_matrix(e_img, "image embeddings")
+    et = as_matrix(e_txt, "text embeddings")
+    if ei.shape[0] != et.shape[0]:
+        raise ValueError(f"embedding batch sizes differ: {ei.shape[0]} vs {et.shape[0]}")
+    yv = require_finite(np.asarray(y, dtype=float).ravel(), "labels")
+    if yv.shape[0] != ei.shape[0]:
+        raise ValueError(f"label length {yv.shape[0]} != batch size {ei.shape[0]}")
+    w = (yv * yv)[:, None]
+    wi = w * ei
+    wt = w * et
+    num = ((ei @ (wi.T @ et)) * et).sum(axis=1)
+    sq_i = np.maximum(((ei @ (wi.T @ ei)) * ei).sum(axis=1), 0.0)
+    sq_t = np.maximum(((et @ (wt.T @ et)) * et).sum(axis=1), 0.0)
+    den = np.sqrt(sq_i) * np.sqrt(sq_t)
+    degenerate = den <= 0.0
+    scores = np.zeros(ei.shape[0])
+    ok = ~degenerate
+    scores[ok] = np.clip(num[ok] / den[ok], -1.0, 1.0)
+    return (scores, degenerate) if return_degenerate else scores
+
+
 @dataclass
 class GmmModel:
     """Two-component 1-D Gaussian mixture with a designated clean component.
@@ -124,8 +160,8 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
     log-likelihood improves by less than ``tol``.
     """
     x = require_finite(np.asarray(scores, dtype=float).ravel(), "scores")
-    if x.size < 4:
-        raise ValueError(f"need at least 4 scores to fit, got {x.size}")
+    if x.size < GMM_MIN_SCORES:
+        raise ValueError(f"need at least {GMM_MIN_SCORES} scores to fit, got {x.size}")
     if floor <= 0:
         raise ValueError("variance floor must be positive")
     order = np.sort(x)

@@ -16,6 +16,7 @@ from .numerics import as_matrix, require_finite
 __all__ = [
     "CSV_COLUMNS",
     "DetectionReport",
+    "RECALL_KS",
     "RetrievalReport",
     "assemble_report",
     "csv_row",
@@ -26,6 +27,7 @@ __all__ = [
 
 CSV_COLUMNS = ["mode", "noise", "r1_i2t", "r5_i2t", "r10_i2t",
                "r1_t2i", "r5_t2i", "r10_t2i", "rsum", "det_acc", "det_auc"]
+RECALL_KS = (1, 5, 10)  # the K of every RetrievalReport field
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def recall_at_k(s, gt, k: int) -> float:
     return float(100.0 * hit.mean())
 
 
-def retrieval_report(s, ks=(1, 5, 10)) -> RetrievalReport:
+def retrieval_report(s, ks=RECALL_KS) -> RetrievalReport:
     """Both-direction report from one pair-similarity matrix (identity truth)."""
     mat = as_matrix(s, "similarity matrix")
     gt = np.arange(mat.shape[0])

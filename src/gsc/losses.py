@@ -11,9 +11,14 @@ matrices of rank at most d: w = E_I M E_T^T with the d x d core
 M = E_I^T diag(y^2) E_T. ``grad_total`` computes the logits and the
 structure gradient through M, so every product costs O(B^2 d) or O(B d^2)
 instead of the O(B^3) of forming w from the B x B structure matrices, and it
-takes each logit matrix's loss and softmax from one max-shifted exp.
-``loss_cm``, ``loss_im`` and ``structure_logits`` keep the direct B x B form
-as the reference.
+takes each logit matrix's loss and softmax from one max-shifted exp. A step
+keeps two B x B buffers alive: the pair logits become the column softmax and
+then the pair-similarity gradient in place, while the row softmax's buffer is
+reused for the intra-modal logits and their gradient. ``loss_cm``,
+``loss_im`` and ``structure_logits`` keep the direct B x B form as the
+reference. Label estimation factors the structure score the same way
+(``discrimination.embedding_structure_score``, O(B d^2) with no B x B
+matrix).
 
 The backward pass goes similarity matrices -> losses -> row normalization ->
 tanh/affine stack, and is validated coordinate-by-coordinate against central
@@ -78,18 +83,20 @@ def _check_temperature(tau: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {tau}")
 
 
-def _log_softmax(z: np.ndarray):
-    """Row-wise log-softmax of z on the diagonal, and the row softmax of z.
+def _log_softmax(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Diagonal of the log-softmax of square ``z`` along ``axis``.
 
-    Both come from one max-shifted exp, so the loss and its gradient see the
-    same normalizers.
+    The softmax itself is written to ``out``, which may be ``z``. Both come
+    from one max-shifted exp, so the loss and its gradient see the same
+    normalizers.
     """
-    shift = z.max(axis=1, keepdims=True)
-    e = z - shift
-    np.exp(e, out=e)
-    total = e.sum(axis=1, keepdims=True)
-    e /= total
-    return np.diag(z) - (shift + np.log(total))[:, 0], e
+    diag = z.diagonal().copy()
+    shift = z.max(axis=axis, keepdims=True)
+    np.subtract(z, shift, out=out)
+    np.exp(out, out=out)
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return diag - (shift + np.log(total)).ravel()
 
 
 def loss_cm(s, y, tau1: float) -> float:
@@ -98,8 +105,8 @@ def loss_cm(s, y, tau1: float) -> float:
     mat = _check_square(as_matrix(s, "similarity matrix"), "similarity matrix")
     yv = _check_labels(y, mat.shape[0])
     z = mat / tau1
-    row, _ = _log_softmax(z)
-    col, _ = _log_softmax(z.T)
+    row = _log_softmax(z, 1, np.empty_like(z))
+    col = _log_softmax(z, 0, z)
     return float(-(yv @ row + yv @ col) / (2.0 * mat.shape[0]))
 
 
@@ -118,8 +125,7 @@ def structure_logits(s_ii, s_tt, y, tau2: float) -> np.ndarray:
 def loss_im(s_ii, s_tt, y, tau2: float) -> float:
     """Contrastive agreement of weighted structure rows; ln B when w is row-constant."""
     z = structure_logits(s_ii, s_tt, y, tau2)
-    diag, _ = _log_softmax(z)
-    return float(-diag.mean())
+    return float(-_log_softmax(z, 1, z).mean())
 
 
 def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
@@ -139,7 +145,8 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     The structure term goes through the d x d core M = E_I^T diag(y^2) E_T:
     the logits are (E_I M) E_T^T / tau2, and the image-side gradient
     (g_ii + g_ii^T) E_I of the B x B form is g_w (E_T M^T) +
-    y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric.
+    y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric. Every
+    B x B quantity lives in one of two buffers, overwritten in place.
     """
     _check_temperature(tau1, "tau1")
     _check_temperature(tau2, "tau2")
@@ -151,22 +158,24 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
 
     z = ei @ et.T
     z /= tau1
-    row, p = _log_softmax(z)
-    col, q = _log_softmax(z.T)  # q.T[i, j] = column softmax of z at (i, j)
+    p = np.empty_like(z)
+    row = _log_softmax(z, 1, p)  # p holds P, the row softmax of z
+    col = _log_softmax(z, 0, z)  # z now holds Q, the column softmax
     l_cm = -(yv @ row + yv @ col) / (2.0 * b)
-    # g_s = -(y_i (I - P) + (I - Q) y_j) / (2 B tau1), built in place
-    g_s = q.T * yv[None, :]
-    g_s += yv[:, None] * p
+    # g_s = -(y_i (I - P) + (I - Q) y_j) / (2 B tau1), built in z's buffer
+    g_s = z
+    g_s *= yv[None, :]
+    p *= yv[:, None]
+    g_s += p
     g_s.flat[on_diag] -= 2.0 * yv
     g_s /= 2.0 * b * tau1
 
     w2 = yv * yv
     core = ei.T @ (w2[:, None] * et)
     ei_core = ei @ core
-    w = ei_core @ et.T
-    w /= tau2
-    w_diag, g_w = _log_softmax(w)
-    l_im = -w_diag.mean()
+    g_w = np.matmul(ei_core, et.T, out=p)  # w, in P's buffer
+    g_w /= tau2
+    l_im = -_log_softmax(g_w, 1, g_w).mean()
     # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
     g_w *= gamma / (b * tau2)
     g_w.flat[on_diag] -= gamma / (b * tau2)

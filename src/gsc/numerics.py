@@ -55,10 +55,11 @@ def softmax_rows(m, tau: float) -> np.ndarray:
     """
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"temperature must be positive and finite, got {tau}")
-    z = as_matrix(m, "softmax input") / tau
+    z = as_matrix(m, "softmax input") / tau  # a fresh array; m is never written
     z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def logsumexp(v) -> float:

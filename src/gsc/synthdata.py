@@ -266,7 +266,7 @@ def dataset_from_json(obj: dict) -> PairDataset:
 
 def save_dataset(ds: PairDataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_json(ds), fh, sort_keys=True)
+        fh.write(json.dumps(dataset_to_json(ds), sort_keys=True))
 
 
 def load_dataset(path) -> PairDataset:

@@ -20,9 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrimination import (SoftLabels, cross_modal_indicator, ensemble_update,
-                             gmm_fit, gmm_posterior, intra_structure_score)
-from .evalmetrics import DetectionReport, RetrievalReport, detection_metrics, retrieval_report
+from .discrimination import (GMM_MIN_SCORES, SoftLabels, cross_modal_indicator,
+                             embedding_structure_score, ensemble_update, gmm_fit,
+                             gmm_posterior)
+from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
+                          retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, sim_matrix
 from .numerics import NumericalError, adam_step, derive_rng
@@ -37,6 +39,7 @@ __all__ = [
     "RunState",
     "TrainConfig",
     "batch_schedule",
+    "check_split_sizes",
     "evaluate_retrieval",
     "init_state",
     "learning_rate",
@@ -185,6 +188,24 @@ def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
     return RunState(nets=nets, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
 
 
+def check_split_sizes(mode: str, train_ds: PairDataset, dev_ds: PairDataset,
+                      test_ds: PairDataset | None = None) -> None:
+    """Reject, before any training, a split too small for ``mode``.
+
+    Dev and test are scored by Recall@10, so each needs 10 samples; a mode
+    that fits the structure-score mixture over the train split needs
+    ``GMM_MIN_SCORES`` train samples. The ValueError names the first split
+    that falls short and its minimum.
+    """
+    n_eval = max(RECALL_KS)
+    minimums = (("train", train_ds, GMM_MIN_SCORES if MODE_SPECS[mode].use_im else 0),
+                ("dev", dev_ds, n_eval), ("test", test_ds, n_eval))
+    for name, ds, minimum in minimums:
+        if ds is not None and ds.n < minimum:
+            raise ValueError(f"{name} split has {ds.n} samples; mode {mode!r} "
+                             f"needs at least {minimum}")
+
+
 def batch_schedule(n: int, batch_size: int, rng: np.random.Generator) -> list:
     """Shuffled index batches covering range(n) exactly once.
 
@@ -243,8 +264,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
         if spec.use_cm:
             est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
         if spec.use_im:
-            scores[idx] = intra_structure_score(
-                sim_matrix(e_i, e_i), sim_matrix(e_t, e_t), labels.y[idx])
+            scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
     if spec.use_im:
         gmm = gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor)
         y_im = gmm_posterior(gmm, scores)
@@ -342,6 +362,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     train_ds.validate()
     dev_ds.validate()
     state = init_state(cfg, train_ds)  # validates cfg
+    check_split_sizes(cfg.mode, train_ds, dev_ds)
     cfg = cfg.resolved()
     history = []
     label_history = [] if cfg.track_labels else None

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -108,6 +109,51 @@ def test_train_dump_labels(tmp_path):
     assert len(rows) == 3 * n_train
     assert {"epoch", "idx", "y_cm", "y_im", "y", "is_noisy_gt"} == set(rows[0])
     assert any(r["is_noisy_gt"] for r in rows)
+    lines = (out / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [_label_row_oracle(r["epoch"], r["idx"], r["y_cm"], r["y_im"], r["y"],
+                                       r["is_noisy_gt"]) for r in rows]
+
+
+def _label_row_oracle(epoch, i, y_cm, y_im, y, noisy):
+    """The per-row ``json.dumps`` that labels.jsonl was first written with."""
+    return json.dumps({
+        "epoch": epoch, "idx": i,
+        "y_cm": float(y_cm),
+        "y_im": float(y_im),
+        "y": float(y),
+        "is_noisy_gt": bool(noisy),
+    }, sort_keys=True) + "\n"
+
+
+def test_label_rows_format_like_json_dumps():
+    edge = np.array([5e-324, 1.0, 0.1, 1e-05, 0.30000000000000004, 2.5e-16, 0.999999])
+    rng = np.random.default_rng(3)
+    history = [{"epoch": e, "y_cm": rng.permutation(edge), "y_im": rng.permutation(edge),
+                "y": rng.permutation(edge)} for e in (0, 1, 12)]
+    mask = np.arange(edge.size) % 3 == 0
+    buf = io.StringIO()
+    cli._write_label_rows(buf, history, mask)
+    want = "".join(_label_row_oracle(h["epoch"], i, h["y_cm"][i], h["y_im"][i], h["y"][i],
+                                     mask[i])
+                   for h in history for i in range(edge.size))
+    assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("n, split_cfg, split_name, minimum", [
+    (30, {}, "dev", 10),  # 24/3/3 samples
+    (40, {"f_train": 0.4, "f_dev": 0.5, "f_test": 0.1}, "test", 10),  # 16/20/4
+    (23, {"f_train": 0.1, "f_dev": 0.45, "f_test": 0.45}, "train", 4),  # 3/10/10
+])
+def test_train_rejects_too_small_split_before_training(tmp_path, capsys, n, split_cfg,
+                                                       split_name, minimum):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_clusters": 2, **split_cfg}))
+    out = tmp_path / "run"
+    code = run_cli("train", "--n", str(n), "--config", str(cfg_path), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{split_name} split" in err and f"at least {minimum}" in err
+    assert not (out / "metrics.jsonl").exists()
 
 
 def test_train_numerical_abort_exits_3(tmp_path, monkeypatch):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gsc.discrimination import (GmmModel, SoftLabels, combine_labels,
-                                cross_modal_indicator, ensemble_update, gmm_fit,
-                                gmm_posterior, intra_structure_score)
+                                cross_modal_indicator, embedding_structure_score,
+                                ensemble_update, gmm_fit, gmm_posterior,
+                                intra_structure_score)
 from gsc.numerics import derive_rng
 
 N_CASES = 100
@@ -171,6 +172,56 @@ def test_structure_score_degenerate_flag():
     assert np.all(scores == 0.0) and degenerate.all()
     with pytest.raises(ValueError):
         intra_structure_score(a, np.ones((2, 2)), np.ones(3))
+
+
+def _unit_rows(rng, b, d):
+    e = rng.standard_normal((b, d))
+    return e / np.linalg.norm(e, axis=1, keepdims=True)
+
+
+def test_embedding_structure_score_matches_gram_form():
+    rng = derive_rng(7, "ss-rank-d")
+    for b in (2, 7, 128, 400):
+        for d_img, d_txt in ((32, 32), (8, 5)):
+            ei, et = _unit_rows(rng, b, d_img), _unit_rows(rng, b, d_txt)
+            labels = [rng.uniform(0.0, 1.0, size=b), np.ones(b), np.zeros(b),
+                      np.where(np.arange(b) % 3 == 0, 0.0, 0.8)]
+            if b <= 7:
+                labels.append(np.eye(b)[b - 1] * 0.6)
+            for y in labels:
+                want, want_deg = intra_structure_score(ei @ ei.T, et @ et.T, y,
+                                                       return_degenerate=True)
+                got, got_deg = embedding_structure_score(ei, et, y, return_degenerate=True)
+                assert np.array_equal(got_deg, want_deg)
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_embedding_structure_score_single_label_conditioning():
+    # With one nonzero label k the Gram form scores sign(<I_i,I_k> <T_i,T_k>)
+    # exactly; the reassociated products carry an absolute error of a few ulps
+    # on each inner product, so the gap grows as that product shrinks.
+    rng = derive_rng(8, "ss-single")
+    b, k = 128, 5
+    ei, et = _unit_rows(rng, b, 32), _unit_rows(rng, b, 32)
+    y = np.eye(b)[k]
+    want, want_deg = intra_structure_score(ei @ ei.T, et @ et.T, y, return_degenerate=True)
+    got, got_deg = embedding_structure_score(ei, et, y, return_degenerate=True)
+    assert np.array_equal(got_deg, want_deg)
+    assert np.array_equal(np.abs(want), np.ones(b))
+    scale = np.abs((ei @ ei[k]) * (et @ et[k]))
+    assert np.all(np.abs(got - want) <= 1e-14 / scale)
+
+
+def test_embedding_structure_score_degenerate_and_errors():
+    ei = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    scores, degenerate = embedding_structure_score(ei, ei, np.zeros(3), return_degenerate=True)
+    assert np.all(scores == 0.0) and degenerate.all()
+    with pytest.raises(ValueError):
+        embedding_structure_score(ei, ei[:2], np.ones(3))
+    with pytest.raises(ValueError):
+        embedding_structure_score(ei, ei, np.ones(2))
+    with pytest.raises(ValueError):
+        embedding_structure_score(ei, ei, np.array([1.0, np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------

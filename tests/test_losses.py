@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,46 @@ def _dense_embedding_grads(ei, et, y, tau1, tau2, gamma):
     g_ii = (g_w @ s_tt) * w2[None, :]
     g_tt = (g_w.T @ s_ii) * w2[None, :]
     return g_s @ et + (g_ii + g_ii.T) @ ei, g_s.T @ ei + (g_tt + g_tt.T) @ et
+
+
+def _row_log_softmax_allocating(z):
+    """The allocating row log-softmax of the rank-d kernel's first version."""
+    shift = z.max(axis=1, keepdims=True)
+    e = z - shift
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    e /= total
+    return np.diag(z) - (shift + np.log(total))[:, 0], e
+
+
+def _embedding_grads_allocating(ei, et, yv, tau1, tau2, gamma):
+    """The rank-d kernel as first written, with a fresh B x B array per step:
+    the in-place kernel must reproduce it bit for bit."""
+    b = ei.shape[0]
+    on_diag = np.s_[::b + 1]
+    z = ei @ et.T
+    z /= tau1
+    row, p = _row_log_softmax_allocating(z)
+    col, q = _row_log_softmax_allocating(z.T)
+    l_cm = -(yv @ row + yv @ col) / (2.0 * b)
+    g_s = q.T * yv[None, :]
+    g_s += yv[:, None] * p
+    g_s.flat[on_diag] -= 2.0 * yv
+    g_s /= 2.0 * b * tau1
+    w2 = yv * yv
+    core = ei.T @ (w2[:, None] * et)
+    ei_core = ei @ core
+    w = ei_core @ et.T
+    w /= tau2
+    w_diag, g_w = _row_log_softmax_allocating(w)
+    l_im = -w_diag.mean()
+    g_w *= gamma / (b * tau2)
+    g_w.flat[on_diag] -= gamma / (b * tau2)
+    g_ei = (g_s @ et + g_w @ (et @ core.T)
+            + w2[:, None] * (et @ (et.T @ (g_w.T @ ei))))
+    g_et = (g_s.T @ ei + g_w.T @ ei_core
+            + w2[:, None] * (ei @ (ei.T @ (g_w @ et))))
+    return float(l_cm), float(l_im), g_ei, g_et
 
 
 def _random_instance(rng, b=None, dims_img=(8, 10, 4), dims_txt=(7, 9, 4)):
@@ -186,6 +227,39 @@ def test_embedding_grads_match_dense_reference(b):
             for got, ref in ((g_ei, ref_ei), (g_et, ref_et)):
                 scale = max(np.abs(ref).max(), 1e-300)
                 assert np.abs(got - ref).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("b", [2, 7, 128, 400])
+def test_embedding_grads_bit_identical_to_allocating_kernel(b):
+    rng = derive_rng(b, "grad-inplace")
+    enc_img = Encoder.init([10, 12, 32], rng)
+    enc_txt = Encoder.init([9, 12, 32], rng)
+    e_img = encode(enc_img, rng.standard_normal((b, 10)))
+    e_txt = encode(enc_txt, rng.standard_normal((b, 9)))
+    labels = (rng.uniform(0.0, 1.0, size=b), np.zeros(b), np.ones(b))
+    for y, tau2 in itertools.product(labels, (1.0, 0.7)):
+        report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, tau2, 0.01)
+        l_cm, l_im, ref_ei, ref_et = _embedding_grads_allocating(
+            e_img.matrix, e_txt.matrix, y, 0.07, tau2, 0.01)
+        assert (report.l_cm, report.l_im) == (l_cm, l_im)
+        assert np.array_equal(g_ei, ref_ei) and np.array_equal(g_et, ref_et)
+
+
+def test_loss_values_unchanged_by_in_place_softmax():
+    rng = derive_rng(9, "loss-inplace")
+    for b in (2, 7, 128):
+        s = rng.uniform(-1.0, 1.0, size=(b, b))
+        a = rng.uniform(-1.0, 1.0, size=(b, b))
+        c = rng.uniform(-1.0, 1.0, size=(b, b))
+        y = rng.uniform(0.0, 1.0, size=b)
+        inputs = [m.copy() for m in (s, a, c)]
+        z = s / 0.07
+        row, _ = _row_log_softmax_allocating(z)
+        col, _ = _row_log_softmax_allocating(z.T)
+        assert loss_cm(s, y, 0.07) == float(-(y @ row + y @ col) / (2.0 * b))
+        w_diag, _ = _row_log_softmax_allocating(structure_logits(a, c, y, 0.5))
+        assert loss_im(a, c, y, 0.5) == float(-w_diag.mean())
+        assert all(np.array_equal(m, m0) for m, m0 in zip((s, a, c), inputs))
 
 
 def test_grad_total_zero_labels_give_zero_gradients():

@@ -63,6 +63,25 @@ def test_softmax_shift_invariance():
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _softmax_rows_allocating(m, tau):
+    """softmax_rows as first written, with a fresh array for the exp."""
+    z = np.asarray(m, dtype=float) / tau
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_softmax_rows_bit_identical_to_allocating_version():
+    rng = derive_rng(2, "softmax-inplace")
+    for b in (2, 7, 128, 400):
+        for m in (rng.uniform(-1.0, 1.0, size=(b, b)), np.zeros((b, b)),
+                  rng.uniform(-1e4, 1e4, size=(b, b)), rng.uniform(-1.0, 1.0, size=(b, b)).T):
+            before = m.copy()
+            for tau in (0.07, 1.0):
+                assert np.array_equal(softmax_rows(m, tau), _softmax_rows_allocating(m, tau))
+            assert np.array_equal(m, before)  # the input is never written
+
+
 def test_cosine_identity_orthogonal_analytic():
     u = np.array([0.6, 0.8])
     assert cosine(u, u) == pytest.approx(1.0, abs=1e-15)

@@ -7,8 +7,8 @@ from gsc.losses import grad_total
 from gsc.model import encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
-from gsc.trainer import (MODES, TrainConfig, batch_schedule, evaluate_retrieval,
-                         init_state, learning_rate, run, train_epoch)
+from gsc.trainer import (MODES, TrainConfig, batch_schedule, check_split_sizes,
+                         evaluate_retrieval, init_state, learning_rate, run, train_epoch)
 
 
 def small_data(seed=0, n=160, rho=0.4):
@@ -49,6 +49,22 @@ def test_no_ensemble_mode_maps_to_unit_momentum_and_long_warmup():
     # other modes untouched
     cfg2 = TrainConfig(mode="gsc", beta1=0.7).resolved()
     assert cfg2.beta1 == 0.7 and cfg2.warmup_epochs == 1
+
+
+def test_run_rejects_small_splits_by_mode():
+    # the mixture fit needs 4 train scores; Recall@10 needs 10 dev pairs
+    tiny = generate(GenSpec(n=3, n_clusters=2, d_latent=6, d_img=10, d_txt=9, seed=0))
+    _, dev, _ = small_data()
+    for mode in ("gsc", "im_only", "single_net", "no_ensemble"):
+        with pytest.raises(ValueError, match="train split has 3 samples.*at least 4"):
+            run(small_cfg(mode=mode), tiny, dev)
+    for mode in ("baseline", "cm_only"):
+        assert len(run(small_cfg(mode=mode, epochs=1), tiny, dev).history) == 2
+    _, small_dev, _ = small_data(n=40)
+    with pytest.raises(ValueError, match="dev split has 6 samples.*at least 10"):
+        run(small_cfg(mode="baseline"), tiny, small_dev)
+    with pytest.raises(ValueError, match="test split has 6 samples"):
+        check_split_sizes("baseline", tiny, dev, small_dev)
 
 
 def test_batch_schedule_covers_and_merges_singleton():
