@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
@@ -25,12 +25,10 @@ from .numerics import NumericalError, derive_rng
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
-GEN_KEYS = ("n", "d_latent", "d_img", "d_txt", "n_clusters",
-            "sigma_cluster", "sigma_view")
+# the dataclasses own the key sets; a dataset's seed is the run's ``seed``
+GEN_KEYS = tuple(f.name for f in fields(GenSpec) if f.name != "seed")
 SPLIT_KEYS = ("f_train", "f_dev", "f_test")
-TRAIN_KEYS = ("tau1", "tau2", "gamma", "beta1", "beta2", "batch_size", "epochs",
-              "lr", "lr_decay", "lr_decay_epoch", "warmup_epochs", "seed", "mode",
-              "embed_dim", "hidden_dims", "gmm_iters", "gmm_floor", "track_labels")
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 DEFAULTS = {
     **{k: getattr(GenSpec(), k) for k in GEN_KEYS},

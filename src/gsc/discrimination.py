@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, require_finite, softmax_rows
+from .numerics import as_matrix, as_vector, require_positive, softmax_rows
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -63,9 +63,7 @@ def cross_modal_indicator(s, tau1: float) -> np.ndarray:
     Values lie in (0, 1]; a well-matched pair approaches 1, a mismatched one
     approaches 0.
     """
-    mat = as_matrix(s, "similarity matrix")
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got {mat.shape}")
+    mat = as_matrix(s, "similarity matrix", square=True)
     rows = softmax_rows(mat, tau1)
     cols = softmax_rows(mat.T, tau1)
     out = 0.5 * (np.diag(rows) + np.diag(cols))
@@ -81,21 +79,13 @@ def intra_structure_score(s_ii, s_tt, y, return_degenerate: bool = False):
     and each denominator is the norm of the y-weighted row. Rows whose
     weighted norm vanishes score 0 and are flagged degenerate.
     """
-    a = as_matrix(s_ii, "image structure")
-    b = as_matrix(s_tt, "text structure")
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"structure matrices must be square and equal-shaped: {a.shape} vs {b.shape}")
-    yv = require_finite(np.asarray(y, dtype=float).ravel(), "labels")
-    if yv.shape[0] != a.shape[0]:
-        raise ValueError(f"label length {yv.shape[0]} != batch size {a.shape[0]}")
+    a = as_matrix(s_ii, "image structure", square=True)
+    b = as_matrix(s_tt, "text structure", square=True)
+    if a.shape != b.shape:
+        raise ValueError(f"structure shapes differ: {a.shape} vs {b.shape}")
+    yv = as_vector(y, a.shape[0], "labels")
     w = yv * yv
-    num = (a * b) @ w
-    den = np.sqrt((a * a) @ w) * np.sqrt((b * b) @ w)
-    degenerate = den <= 0.0
-    scores = np.zeros(a.shape[0])
-    ok = ~degenerate
-    scores[ok] = np.clip(num[ok] / den[ok], -1.0, 1.0)
-    return (scores, degenerate) if return_degenerate else scores
+    return _weighted_cosine((a * b) @ w, (a * a) @ w, (b * b) @ w, return_degenerate)
 
 
 def embedding_structure_score(e_img, e_txt, y, return_degenerate: bool = False):
@@ -112,18 +102,21 @@ def embedding_structure_score(e_img, e_txt, y, return_degenerate: bool = False):
     et = as_matrix(e_txt, "text embeddings")
     if ei.shape[0] != et.shape[0]:
         raise ValueError(f"embedding batch sizes differ: {ei.shape[0]} vs {et.shape[0]}")
-    yv = require_finite(np.asarray(y, dtype=float).ravel(), "labels")
-    if yv.shape[0] != ei.shape[0]:
-        raise ValueError(f"label length {yv.shape[0]} != batch size {ei.shape[0]}")
+    yv = as_vector(y, ei.shape[0], "labels")
     w = (yv * yv)[:, None]
     wi = w * ei
     wt = w * et
-    num = ((ei @ (wi.T @ et)) * et).sum(axis=1)
-    sq_i = np.maximum(((ei @ (wi.T @ ei)) * ei).sum(axis=1), 0.0)
-    sq_t = np.maximum(((et @ (wt.T @ et)) * et).sum(axis=1), 0.0)
-    den = np.sqrt(sq_i) * np.sqrt(sq_t)
+    return _weighted_cosine(((ei @ (wi.T @ et)) * et).sum(axis=1),
+                            ((ei @ (wi.T @ ei)) * ei).sum(axis=1),
+                            ((et @ (wt.T @ et)) * et).sum(axis=1), return_degenerate)
+
+
+def _weighted_cosine(num, sq_i, sq_t, return_degenerate: bool):
+    """Clipped num / (|I_i| |T_i|) from squared norms (rounded below 0 -> 0);
+    a zero-norm row scores 0 and is flagged degenerate."""
+    den = np.sqrt(np.maximum(sq_i, 0.0)) * np.sqrt(np.maximum(sq_t, 0.0))
     degenerate = den <= 0.0
-    scores = np.zeros(ei.shape[0])
+    scores = np.zeros(num.shape[0])
     ok = ~degenerate
     scores[ok] = np.clip(num[ok] / den[ok], -1.0, 1.0)
     return (scores, degenerate) if return_degenerate else scores
@@ -146,8 +139,13 @@ class GmmModel:
     trace: list | None = None
 
 
-def _log_normal(x, mean, var):
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+def _e_step(weights, means, variances, x):
+    """Log joint density (component x score) of ``x`` and its log marginal."""
+    log_joint = np.log(weights)[:, None] - 0.5 * (
+        np.log(2.0 * np.pi * variances[:, None])
+        + (x[None, :] - means[:, None]) ** 2 / variances[:, None])
+    shift = log_joint.max(axis=0)
+    return log_joint, shift + np.log(np.exp(log_joint - shift).sum(axis=0))
 
 
 def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
@@ -159,11 +157,10 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
     Variances are clamped at ``floor``; iteration stops early once the
     log-likelihood improves by less than ``tol``.
     """
-    x = require_finite(np.asarray(scores, dtype=float).ravel(), "scores")
+    x = as_vector(scores, name="scores")
     if x.size < GMM_MIN_SCORES:
         raise ValueError(f"need at least {GMM_MIN_SCORES} scores to fit, got {x.size}")
-    if floor <= 0:
-        raise ValueError("variance floor must be positive")
+    require_positive(floor, "variance floor")
     order = np.sort(x)
     half = x.size // 2
     means = np.array([order[:half].mean(), order[half:].mean()])
@@ -172,10 +169,7 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
     ll_hist: list = []
     trace: list | None = [] if keep_trace else None
     for _ in range(max(int(iters), 1)):
-        log_joint = (np.log(weights)[:, None]
-                     + _log_normal(x[None, :], means[:, None], variances[:, None]))
-        shift = log_joint.max(axis=0)
-        log_total = shift + np.log(np.exp(log_joint - shift).sum(axis=0))
+        log_joint, log_total = _e_step(weights, means, variances, x)
         ll = float(log_total.sum())
         if trace is not None:
             trace.append((weights.copy(), means.copy(), variances.copy()))
@@ -195,28 +189,20 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
 def gmm_posterior(model: GmmModel, s):
     """P(clean component | score), computed in log space.
 
-    Accepts a scalar or an array; the result stays strictly inside (0, 1)
-    even when one component's density underflows.
+    Accepts a scalar or an array (flattened); the result stays strictly
+    inside (0, 1) even when one component's density underflows.
     """
-    x = np.asarray(s, dtype=float)
-    scalar = x.ndim == 0
-    xv = require_finite(np.atleast_1d(x), "scores")
-    log_joint = (np.log(model.weights)[:, None]
-                 + _log_normal(xv[None, :], model.means[:, None], model.variances[:, None]))
-    shift = log_joint.max(axis=0)
-    log_total = shift + np.log(np.exp(log_joint - shift).sum(axis=0))
+    log_joint, log_total = _e_step(model.weights, model.means, model.variances,
+                                   as_vector(s, name="scores"))
     post = np.exp(log_joint[model.clean_component] - log_total)
     post = np.clip(post, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    return float(post[0]) if scalar else post
+    return float(post[0]) if np.ndim(s) == 0 else post
 
 
 def combine_labels(y_cm, y_im) -> np.ndarray:
     """Elementwise minimum of the two label vectors."""
-    a = np.asarray(y_cm, dtype=float).ravel()
-    b = np.asarray(y_im, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"label length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return np.minimum(a, b)
+    a = as_vector(y_cm, name="y_cm")
+    return np.minimum(a, as_vector(y_im, a.shape[0], "y_im"))
 
 
 def ensemble_update(labels: SoftLabels, new_cm, new_im,
@@ -228,10 +214,8 @@ def ensemble_update(labels: SoftLabels, new_cm, new_im,
     for name, b in (("beta1", beta1), ("beta2", beta2)):
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {b}")
-    cm = np.asarray(new_cm, dtype=float).ravel()
-    im = np.asarray(new_im, dtype=float).ravel()
-    if cm.shape != labels.y_cm.shape or im.shape != labels.y_im.shape:
-        raise ValueError("estimate length mismatch with label store")
+    cm = as_vector(new_cm, labels.y_cm.shape[0], "cross-modal estimates")
+    im = as_vector(new_im, labels.y_im.shape[0], "intra-modal estimates")
     y_cm = beta1 * cm + (1.0 - beta1) * labels.y_cm
     y_im = beta2 * im + (1.0 - beta2) * labels.y_im
     return SoftLabels(y_cm=y_cm, y_im=y_im, y=combine_labels(y_cm, y_im))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, require_finite
+from .numerics import as_matrix, as_vector
 
 __all__ = [
     "CSV_COLUMNS",
@@ -82,10 +82,8 @@ def recall_at_k(s, gt, k: int) -> float:
     Ranking is by descending similarity with ties broken toward the lower
     column index, so results are rank-based and deterministic.
     """
-    mat = as_matrix(s, "similarity matrix")
+    mat = as_matrix(s, "similarity matrix", square=True)
     n = mat.shape[0]
-    if mat.shape[1] != n:
-        raise ValueError(f"similarity matrix must be square, got {mat.shape}")
     gt_arr = np.asarray(gt, dtype=int)
     if not np.array_equal(np.sort(gt_arr), np.arange(n)):
         raise ValueError("gt must be a permutation of range(n)")
@@ -119,10 +117,8 @@ def detection_metrics(y, mask) -> DetectionReport:
     labeler assigns them higher values. AUC is the Mann-Whitney statistic
     with midrank tie handling.
     """
-    yv = require_finite(np.asarray(y, dtype=float).ravel(), "labels")
     mk = np.asarray(mask, dtype=bool).ravel()
-    if yv.shape != mk.shape:
-        raise ValueError(f"length mismatch: {yv.shape[0]} labels vs {mk.shape[0]} mask entries")
+    yv = as_vector(y, mk.shape[0], "labels")
     clean = ~mk
     accuracy = float(((yv >= 0.5) == clean).mean())
     n_clean = int(clean.sum())

@@ -11,7 +11,8 @@ matrices of rank at most d: w = E_I M E_T^T with the d x d core
 M = E_I^T diag(y^2) E_T. ``grad_total`` computes the logits and the
 structure gradient through M, so every product costs O(B^2 d) or O(B d^2)
 instead of the O(B^3) of forming w from the B x B structure matrices, and it
-takes each logit matrix's loss and softmax from one max-shifted exp. A step
+takes each logit matrix's loss and softmax from one max-shifted exp
+(``numerics.softmax_into``, the package's one softmax kernel). A step
 keeps two B x B buffers alive: the pair logits become the column softmax and
 then the pair-similarity gradient in place, while the row softmax's buffer is
 reused for the intra-modal logits and their gradient. ``loss_cm``,
@@ -23,6 +24,10 @@ matrix).
 The backward pass goes similarity matrices -> losses -> row normalization ->
 tanh/affine stack, and is validated coordinate-by-coordinate against central
 finite differences by ``fd_check``.
+
+Arguments are checked by the ``numerics`` helpers (``as_matrix``,
+``as_vector``, ``require_positive``) and raise ValueError; a non-finite
+embedding, loss or gradient raises ``NumericalError`` naming the stage.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoder, EmbeddingBatch, ForwardCache, encode
-from .numerics import NumericalError, as_matrix, require_finite
+from .model import Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair
+from .numerics import (as_matrix, as_vector, require_computed, require_finite,
+                       require_positive, softmax_into)
 
 __all__ = [
     "FdCheckReport",
@@ -65,59 +71,26 @@ class GradSet:
     txt: list
 
 
-def _check_square(mat: np.ndarray, name: str) -> np.ndarray:
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got {mat.shape}")
-    return mat
-
-
-def _check_labels(y, b: int) -> np.ndarray:
-    yv = require_finite(np.asarray(y, dtype=float).ravel(), "labels")
-    if yv.shape[0] != b:
-        raise ValueError(f"label length {yv.shape[0]} != batch size {b}")
-    return yv
-
-
-def _check_temperature(tau: float, name: str) -> None:
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {tau}")
-
-
-def _log_softmax(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Diagonal of the log-softmax of square ``z`` along ``axis``.
-
-    The softmax itself is written to ``out``, which may be ``z``. Both come
-    from one max-shifted exp, so the loss and its gradient see the same
-    normalizers.
-    """
-    diag = z.diagonal().copy()
-    shift = z.max(axis=axis, keepdims=True)
-    np.subtract(z, shift, out=out)
-    np.exp(out, out=out)
-    total = out.sum(axis=axis, keepdims=True)
-    out /= total
-    return diag - (shift + np.log(total)).ravel()
-
-
 def loss_cm(s, y, tau1: float) -> float:
     """Label-weighted InfoNCE over rows and columns at temperature tau1."""
-    _check_temperature(tau1, "tau1")
-    mat = _check_square(as_matrix(s, "similarity matrix"), "similarity matrix")
-    yv = _check_labels(y, mat.shape[0])
+    require_positive(tau1, "tau1")
+    mat = as_matrix(s, "similarity matrix", square=True)
+    yv = as_vector(y, mat.shape[0], "labels")
     z = mat / tau1
-    row = _log_softmax(z, 1, np.empty_like(z))
-    col = _log_softmax(z, 0, z)
+    diag = z.diagonal().copy()  # the log-softmax diagonals are diag - lse
+    row = diag - softmax_into(z, 1, np.empty_like(z))
+    col = diag - softmax_into(z, 0, z)
     return float(-(yv @ row + yv @ col) / (2.0 * mat.shape[0]))
 
 
 def structure_logits(s_ii, s_tt, y, tau2: float) -> np.ndarray:
     """w / tau2 with w[i, j] = sum_k y_k^2 <I_i,I_k> <T_j,T_k>."""
-    _check_temperature(tau2, "tau2")
-    a = _check_square(as_matrix(s_ii, "image structure"), "image structure")
-    b = _check_square(as_matrix(s_tt, "text structure"), "text structure")
+    require_positive(tau2, "tau2")
+    a = as_matrix(s_ii, "image structure", square=True)
+    b = as_matrix(s_tt, "text structure", square=True)
     if a.shape != b.shape:
         raise ValueError(f"structure shapes differ: {a.shape} vs {b.shape}")
-    yv = _check_labels(y, a.shape[0])
+    yv = as_vector(y, a.shape[0], "labels")
     w2 = yv * yv
     return (a * w2[None, :]) @ b.T / tau2
 
@@ -125,15 +98,14 @@ def structure_logits(s_ii, s_tt, y, tau2: float) -> np.ndarray:
 def loss_im(s_ii, s_tt, y, tau2: float) -> float:
     """Contrastive agreement of weighted structure rows; ln B when w is row-constant."""
     z = structure_logits(s_ii, s_tt, y, tau2)
-    return float(-_log_softmax(z, 1, z).mean())
+    diag = z.diagonal().copy()
+    return float(-(diag - softmax_into(z, 1, z)).mean())
 
 
 def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
     """Weighted sum; gamma balances the two objectives."""
-    if not (np.isfinite(l_cm) and np.isfinite(l_im)):
-        raise ValueError("loss terms must be finite")
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    require_finite((l_cm, l_im), "loss terms")
+    require_positive(gamma, "gamma", allow_zero=True)
     return LossReport(l_cm=float(l_cm), l_im=float(l_im), gamma=float(gamma),
                       total=float(l_cm) + float(gamma) * float(l_im))
 
@@ -148,19 +120,20 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric. Every
     B x B quantity lives in one of two buffers, overwritten in place.
     """
-    _check_temperature(tau1, "tau1")
-    _check_temperature(tau2, "tau2")
+    require_positive(tau1, "tau1")
+    require_positive(tau2, "tau2")
     ei = e_img.matrix
     et = e_txt.matrix
     b = ei.shape[0]
-    yv = _check_labels(y, b)
+    yv = as_vector(y, b, "labels")
     on_diag = np.s_[::b + 1]  # the diagonal of a flattened B x B matrix
 
     z = ei @ et.T
     z /= tau1
     p = np.empty_like(z)
-    row = _log_softmax(z, 1, p)  # p holds P, the row softmax of z
-    col = _log_softmax(z, 0, z)  # z now holds Q, the column softmax
+    diag = z.diagonal().copy()  # the log-softmax diagonals are diag - lse
+    row = diag - softmax_into(z, 1, p)  # p holds P, the row softmax of z
+    col = diag - softmax_into(z, 0, z)  # z now holds Q, the column softmax
     l_cm = -(yv @ row + yv @ col) / (2.0 * b)
     # g_s = -(y_i (I - P) + (I - Q) y_j) / (2 B tau1), built in z's buffer
     g_s = z
@@ -175,7 +148,8 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     ei_core = ei @ core
     g_w = np.matmul(ei_core, et.T, out=p)  # w, in P's buffer
     g_w /= tau2
-    l_im = -_log_softmax(g_w, 1, g_w).mean()
+    diag = g_w.diagonal().copy()
+    l_im = -(diag - softmax_into(g_w, 1, g_w)).mean()
     # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
     g_w *= gamma / (b * tau2)
     g_w.flat[on_diag] -= gamma / (b * tau2)
@@ -212,25 +186,13 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     through similarity matrices, both losses, the row normalization, and the
     MLP layers only.
     """
-    x_img = as_matrix(x_img, "image batch")
-    x_txt = as_matrix(x_txt, "text batch")
-    if x_img.shape[0] != x_txt.shape[0]:
-        raise ValueError("image/text batch sizes differ")
-    e_img = encode(enc_img, x_img)
-    e_txt = encode(enc_txt, x_txt)
-    for stage, emb in (("image embeddings", e_img), ("text embeddings", e_txt)):
-        if not np.all(np.isfinite(emb.matrix)):
-            raise NumericalError(f"non-finite values in {stage}")
+    e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma)
-    if not np.isfinite(report.total):
-        raise NumericalError("non-finite loss value")
+    require_computed("the loss", report.total)
     g_img = _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei)
     g_txt = _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et)
-    for stage, grads in (("image-encoder gradients", g_img),
-                         ("text-encoder gradients", g_txt)):
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite values in {stage}")
+    require_computed("image-encoder gradients", *g_img)
+    require_computed("text-encoder gradients", *g_txt)
     return report, GradSet(img=g_img, txt=g_txt)
 
 

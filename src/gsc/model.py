@@ -13,13 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import AdamState, as_matrix
+from .numerics import AdamState, as_matrix, require_computed
 
 __all__ = [
     "EmbeddingBatch",
     "Encoder",
     "ForwardCache",
     "encode",
+    "encode_pair",
     "encoder_from_json",
     "encoder_to_json",
     "sim_matrix",
@@ -118,6 +119,17 @@ def encode(enc: Encoder, x) -> EmbeddingBatch:
     with np.errstate(invalid="ignore"):  # non-finite rows are caught downstream
         matrix = a / norms[:, None]
     return EmbeddingBatch(matrix=matrix, cache=ForwardCache(inputs=inputs, norms=norms))
+
+
+def encode_pair(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt):
+    """Encode paired batches; NumericalError names a non-finite side."""
+    e_img = encode(enc_img, x_img)
+    e_txt = encode(enc_txt, x_txt)
+    if e_img.matrix.shape[0] != e_txt.matrix.shape[0]:
+        raise ValueError("image/text batch sizes differ")
+    require_computed("image embeddings", e_img.matrix)
+    require_computed("text embeddings", e_txt.matrix)
+    return e_img, e_txt
 
 
 def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:

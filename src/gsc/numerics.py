@@ -1,8 +1,11 @@
 """Deterministic numerical primitives shared across the package.
 
-Plain numpy throughout: stable row softmax, cosine similarity, log-sum-exp,
-an in-place Adam step, and helpers for deriving independent seeded random
-generators. No GPU, no autodiff; gradients are hand-derived in `losses`.
+Plain numpy throughout: argument checks, the softmax kernel, cosine
+similarity, log-sum-exp, an in-place Adam step, and helpers for deriving
+independent seeded random generators. No GPU, no autodiff; gradients are
+hand-derived in `losses`. Each argument condition of the package's public
+functions is checked by one function here (``as_matrix``, ``as_vector``,
+``require_positive``), and ``softmax_into`` is the one softmax kernel.
 """
 
 from __future__ import annotations
@@ -17,11 +20,15 @@ __all__ = [
     "NumericalError",
     "adam_step",
     "as_matrix",
+    "as_vector",
     "cosine",
     "derive_rng",
     "logsumexp",
     "make_rng",
+    "require_computed",
     "require_finite",
+    "require_positive",
+    "softmax_into",
     "softmax_rows",
 ]
 
@@ -33,41 +40,71 @@ class NumericalError(RuntimeError):
 def require_finite(arr, name: str = "array") -> np.ndarray:
     """Return ``arr`` as a float ndarray, raising ValueError on NaN/inf."""
     out = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate a finite 2-D float matrix."""
+def as_matrix(m, name: str = "matrix", square: bool = False) -> np.ndarray:
+    """Validate a finite 2-D float matrix, square if ``square``."""
     out = np.asarray(m, dtype=float)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
+    if square and out.shape[0] != out.shape[1]:
+        raise ValueError(f"{name} must be square, got {out.shape}")
     return require_finite(out, name)
 
 
-def softmax_rows(m, tau: float) -> np.ndarray:
-    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability.
+def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
+    """Validate a finite float vector (input flattened) of length ``n``, if given."""
+    out = require_finite(np.asarray(v, dtype=float).ravel(), name)
+    if n is not None and out.shape[0] != n:
+        raise ValueError(f"{name} has length {out.shape[0]}, expected {n}")
+    return out
 
-    Every output row sums to 1 even for entries of magnitude 1e4 and small
-    temperatures; a row-constant shift of the input leaves the result
-    unchanged up to rounding.
+
+def require_positive(x, name: str, allow_zero: bool = False) -> None:
+    """Raise ValueError unless ``x`` is finite and > 0 (>= 0 if ``allow_zero``)."""
+    if not (np.isfinite(x) and (x >= 0 if allow_zero else x > 0)):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be {bound} and finite, got {x}")
+
+
+def require_computed(stage: str, *arrays) -> None:
+    """Raise NumericalError naming ``stage`` if any array holds NaN or inf."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"non-finite values in {stage}")
+
+
+def softmax_into(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Softmax of ``z`` along ``axis`` into ``out`` (which may be ``z``).
+
+    Returns the log normalizer lse (``axis`` dropped), so a log-softmax entry
+    is z - lse; both come from one max-shifted exp, so a loss and its
+    gradient see the same normalizers, and entries of magnitude 1e4 are safe.
     """
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"temperature must be positive and finite, got {tau}")
+    shift = z.max(axis=axis, keepdims=True)
+    np.subtract(z, shift, out=out)
+    np.exp(out, out=out)
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return (shift + np.log(total)).ravel()
+
+
+def softmax_rows(m, tau: float) -> np.ndarray:
+    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability."""
+    require_positive(tau, "temperature")
     z = as_matrix(m, "softmax input") / tau  # a fresh array; m is never written
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    softmax_into(z, 1, z)
     return z
 
 
 def logsumexp(v) -> float:
     """log(sum(exp(v))) computed max-shifted; exact for a single element."""
-    arr = np.asarray(v, dtype=float).ravel()
+    arr = as_vector(v, name="logsumexp input")
     if arr.size == 0:
         raise ValueError("logsumexp of empty input")
-    require_finite(arr, "logsumexp input")
     hi = float(arr.max())
     if arr.size == 1:
         return hi
@@ -81,10 +118,8 @@ def cosine(u, v, return_degenerate: bool = False):
     error; embeddings are unit-normalized upstream, so this corner only
     arises in synthetic inputs.
     """
-    a = require_finite(np.asarray(u, dtype=float).ravel(), "u")
-    b = require_finite(np.asarray(v, dtype=float).ravel(), "v")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a = as_vector(u, name="u")
+    b = as_vector(v, a.shape[0], "v")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -122,8 +157,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     ``params`` must be the same (ordered) arrays the state was built for;
     single writer per parameter set.
     """
-    if not np.isfinite(lr) or lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    require_positive(lr, "learning rate")
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
     for p, g in zip(params, grads):

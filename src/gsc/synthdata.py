@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import derive_rng
+from .numerics import derive_rng, require_finite, require_positive
 
 __all__ = [
     "GenSpec",
@@ -48,8 +48,8 @@ class GenSpec:
             raise ValueError("all sizes and dims must be >= 1")
         if not 1 <= self.n_clusters <= self.n:
             raise ValueError(f"n_clusters must lie in [1, n], got {self.n_clusters}")
-        if self.sigma_cluster < 0 or self.sigma_view < 0:
-            raise ValueError("noise scales must be non-negative")
+        require_positive(self.sigma_cluster, "sigma_cluster", allow_zero=True)
+        require_positive(self.sigma_view, "sigma_view", allow_zero=True)
 
 
 @dataclass
@@ -103,8 +103,8 @@ class PairDataset:
             raise ValueError("match_perm is not a permutation")
         if not np.array_equal(self.noise_mask, self.match_perm != np.arange(n)):
             raise ValueError("noise_mask inconsistent with match_perm")
-        if not (np.all(np.isfinite(self.img)) and np.all(np.isfinite(self.txt))):
-            raise ValueError("features contain non-finite entries")
+        require_finite(self.img, "image features")
+        require_finite(self.txt, "text features")
 
 
 def generate(spec: GenSpec, return_latent: bool = False):
@@ -217,8 +217,8 @@ def split(ds: PairDataset, f_train: float, f_dev: float, f_test: float,
     the caller afterwards; dev/test stay clean.
     """
     fracs = (f_train, f_dev, f_test)
-    if any(not np.isfinite(f) or f < 0 for f in fracs):
-        raise ValueError(f"fractions must be non-negative, got {fracs}")
+    for name, f in zip(("f_train", "f_dev", "f_test"), fracs):
+        require_positive(f, name, allow_zero=True)
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
     if not ds.is_clean():

@@ -26,8 +26,8 @@ from .discrimination import (GMM_MIN_SCORES, SoftLabels, cross_modal_indicator,
 from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
                           retrieval_report)
 from .losses import grad_total
-from .model import Encoder, encode, sim_matrix
-from .numerics import NumericalError, adam_step, derive_rng
+from .model import Encoder, encode, encode_pair, sim_matrix
+from .numerics import NumericalError, adam_step, derive_rng, require_positive
 from .synthdata import PairDataset
 
 __all__ = [
@@ -109,18 +109,15 @@ class TrainConfig:
     track_labels: bool = False
 
     def validate(self) -> None:
-        if self.tau1 <= 0 or self.tau2 <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        for name in ("tau1", "tau2", "lr", "lr_decay", "gmm_floor"):
+            require_positive(getattr(self, name), name)
+        require_positive(self.gamma, "gamma", allow_zero=True)
         if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
             raise ValueError("momentum coefficients must lie in [0, 1]")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if self.lr <= 0 or self.lr_decay <= 0:
-            raise ValueError("learning rate and decay factor must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.embed_dim < 1 or any(int(h) < 1 for h in self.hidden_dims):
@@ -245,22 +242,27 @@ def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
 
 
 def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
-                     cfg: TrainConfig, beta1: float, beta2: float) -> SoftLabels:
+                     cfg: TrainConfig, beta1: float, beta2: float,
+                     epoch: int) -> SoftLabels:
     """Next label store from estimates on ``src``'s embeddings.
 
     The cross-modal indicator and the purified structure score are computed
     batch by batch (each sample appears in exactly one batch); the structure
     scores for the whole split then feed a single mixture fit. An estimator
-    the mode leaves out contributes ones.
+    the mode leaves out contributes ones. Non-finite embeddings of ``src``
+    raise NumericalError naming the epoch, ``src``, the batch and this stage.
     """
     spec = MODE_SPECS[cfg.mode]
     n = x_img.shape[0]
     est_cm = np.ones(n)
     y_im = np.ones(n)
     scores = np.zeros(n)
-    for idx in schedule:
-        e_i = encode(src.img_enc, x_img[idx])
-        e_t = encode(src.txt_enc, x_txt[idx])
+    for b_i, idx in enumerate(schedule):
+        try:
+            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, x_img[idx], x_txt[idx])
+        except NumericalError as err:
+            raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
+                                 f"label estimation: {err}") from err
         if spec.use_cm:
             est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
         if spec.use_im:
@@ -300,7 +302,7 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
         if co_train:
             new_labels[k] = _estimate_labels(state.labels[k], sources[_other(k, n_nets)],
                                              x_img, x_txt, schedule, cfg,
-                                             cfg.beta1, cfg.beta2)
+                                             cfg.beta1, cfg.beta2, epoch)
         c, i, nb = _train_net_over(net, x_img, x_txt, state.labels[k].y,
                                    schedule, lr, cfg, epoch)
         cm_sum += c
@@ -311,7 +313,8 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
             schedule = batch_schedule(n, cfg.batch_size,
                                       derive_rng(cfg.seed, "est-init", k))
             new_labels[k] = _estimate_labels(state.labels[k], state.nets[_other(k, n_nets)],
-                                             x_img, x_txt, schedule, cfg, 1.0, 1.0)
+                                             x_img, x_txt, schedule, cfg, 1.0, 1.0,
+                                             epoch)
     state.labels = new_labels
     state.epoch += 1
     return {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}

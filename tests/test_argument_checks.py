@@ -1,0 +1,95 @@
+"""Every public entry point that uses a shared argument check rejects bad input.
+
+One row per (entry point, bad argument): a NaN temperature, rate, weight,
+floor or scale, a non-square matrix, or a label vector of the wrong length.
+Each must raise ValueError before any computation.
+"""
+
+import numpy as np
+import pytest
+
+from gsc.discrimination import (SoftLabels, combine_labels, cross_modal_indicator,
+                                embedding_structure_score, ensemble_update, gmm_fit,
+                                intra_structure_score)
+from gsc.evalmetrics import detection_metrics, recall_at_k
+from gsc.losses import grad_total, loss_cm, loss_im, structure_logits, total_loss
+from gsc.model import Encoder
+from gsc.numerics import (AdamState, adam_step, as_matrix, as_vector, derive_rng,
+                          require_positive, softmax_rows)
+from gsc.synthdata import GenSpec, generate, split
+from gsc.trainer import TrainConfig
+
+NAN = float("nan")
+SQ = np.eye(3)
+RECT = np.ones((3, 4))
+Y = np.ones(3)
+Y_SHORT = np.ones(2)
+
+
+def _grad_total(**kw):
+    rng = derive_rng(0, "argument-checks")
+    args = dict(y=Y, tau1=0.1, tau2=1.0, gamma=0.01)
+    args.update(kw)
+    return grad_total(Encoder.init([4, 3], rng), Encoder.init([5, 3], rng),
+                      rng.standard_normal((3, 4)), rng.standard_normal((3, 5)), **args)
+
+
+def _adam(lr):
+    p = [np.zeros(2)]
+    return adam_step(p, [np.ones(2)], AdamState.for_params(p), lr)
+
+
+CASES = {
+    "as_matrix-non-square": lambda: as_matrix(RECT, square=True),
+    "as_vector-length": lambda: as_vector(Y_SHORT, 3),
+    "require_positive-nan": lambda: require_positive(NAN, "x"),
+    "require_positive-zero": lambda: require_positive(0.0, "x"),
+    "require_positive-inf-allow-zero": lambda: require_positive(np.inf, "x", allow_zero=True),
+    "softmax_rows-nan-tau": lambda: softmax_rows(SQ, NAN),
+    "adam_step-nan-lr": lambda: _adam(NAN),
+    "loss_cm-nan-tau1": lambda: loss_cm(SQ, Y, NAN),
+    "loss_cm-non-square": lambda: loss_cm(RECT, Y, 0.1),
+    "loss_cm-label-length": lambda: loss_cm(SQ, Y_SHORT, 0.1),
+    "structure_logits-nan-tau2": lambda: structure_logits(SQ, SQ, Y, NAN),
+    "structure_logits-non-square": lambda: structure_logits(RECT, RECT, Y, 1.0),
+    "structure_logits-label-length": lambda: structure_logits(SQ, SQ, Y_SHORT, 1.0),
+    "loss_im-nan-tau2": lambda: loss_im(SQ, SQ, Y, NAN),
+    "loss_im-non-square": lambda: loss_im(RECT, RECT, Y, 1.0),
+    "loss_im-label-length": lambda: loss_im(SQ, SQ, Y_SHORT, 1.0),
+    "total_loss-nan-gamma": lambda: total_loss(1.0, 1.0, NAN),
+    "grad_total-nan-tau1": lambda: _grad_total(tau1=NAN),
+    "grad_total-nan-tau2": lambda: _grad_total(tau2=NAN),
+    "grad_total-nan-gamma": lambda: _grad_total(gamma=NAN),
+    "grad_total-label-length": lambda: _grad_total(y=Y_SHORT),
+    "cross_modal_indicator-nan-tau1": lambda: cross_modal_indicator(SQ, NAN),
+    "cross_modal_indicator-non-square": lambda: cross_modal_indicator(RECT, 0.1),
+    "intra_structure_score-non-square": lambda: intra_structure_score(RECT, RECT, Y),
+    "intra_structure_score-label-length": lambda: intra_structure_score(SQ, SQ, Y_SHORT),
+    "embedding_structure_score-label-length":
+        lambda: embedding_structure_score(RECT, RECT, Y_SHORT),
+    "combine_labels-label-length": lambda: combine_labels(Y, Y_SHORT),
+    "ensemble_update-label-length":
+        lambda: ensemble_update(SoftLabels.ones(3), Y_SHORT, Y, 0.7, 0.7),
+    "gmm_fit-nan-floor": lambda: gmm_fit(np.linspace(0.0, 1.0, 8), floor=NAN),
+    "recall_at_k-non-square": lambda: recall_at_k(RECT, np.arange(3), 1),
+    "detection_metrics-label-length":
+        lambda: detection_metrics(Y_SHORT, np.zeros(3, dtype=bool)),
+    **{f"TrainConfig-nan-{key}": (lambda key=key: TrainConfig(**{key: NAN}).validate())
+       for key in ("tau1", "tau2", "gamma", "lr", "lr_decay", "gmm_floor")},
+    **{f"GenSpec-nan-{key}": (lambda key=key: GenSpec(**{key: NAN}).validate())
+       for key in ("sigma_cluster", "sigma_view")},
+    "split-nan-fraction": lambda: split(generate(GenSpec(n=20, n_clusters=2)),
+                                        NAN, 0.5, 0.5, derive_rng(0, "split")),
+}
+
+
+@pytest.mark.parametrize("call", list(CASES.values()), ids=list(CASES))
+def test_shared_checks_reject_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_require_positive_allows_zero_only_when_asked():
+    require_positive(0.0, "gamma", allow_zero=True)
+    require_positive(1e-300, "tau")
+    assert as_vector(2.5, 1).tolist() == [2.5]  # a scalar is a length-1 vector

@@ -164,6 +164,16 @@ def test_train_numerical_abort_exits_3(tmp_path, monkeypatch):
     assert run_cli("train", *FAST_TRAIN, "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("key", ["gmm_floor", "lr_decay"])
+def test_train_rejects_nonfinite_config_value_before_training(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: float("nan")}))  # written as NaN
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--config", str(cfg_path), "--out", str(out)) == 2
+    assert f"{key} must be positive and finite" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", "--bogus-flag")

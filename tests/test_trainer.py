@@ -40,6 +40,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="nope").validate()
     TrainConfig().validate()
+    # NaN or inf in a rate, temperature, weight or floor fails before training
+    for key in ("tau1", "tau2", "gamma", "lr", "lr_decay", "gmm_floor"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: bad}).validate()
+    with pytest.raises(ValueError, match="gmm_floor"):
+        TrainConfig(gmm_floor=0.0).validate()
+    TrainConfig(gamma=0.0).validate()
 
 
 def test_no_ensemble_mode_maps_to_unit_momentum_and_long_warmup():
@@ -309,6 +317,18 @@ def test_train_epoch_aborts_with_location_on_nonfinite():
     train_warmup_epochs(state, train, cfg)
     state.nets[0].img_enc.weights[-1][0, 0] = np.inf
     with pytest.raises(NumericalError, match="epoch 1, net A, batch 0"):
+        train_epoch(state, train, cfg)
+
+
+def test_label_estimation_aborts_with_location_on_nonfinite_source():
+    # net A's labels are estimated from net B before A trains
+    train, _, _ = small_data()
+    cfg = small_cfg()
+    state = init_state(cfg, train)
+    train_warmup_epochs(state, train, cfg)
+    state.nets[1].img_enc.weights[-1][0, 0] = np.inf
+    with pytest.raises(NumericalError, match="epoch 1, net B, batch 0, label estimation: "
+                                             "non-finite values in image embeddings"):
         train_epoch(state, train, cfg)
 
 

@@ -1,0 +1,85 @@
+"""Digest of every output file of a fixed set of ``gsc`` runs.
+
+    python3 tools/output_digest.py SRC OUT
+
+imports the ``gsc`` package from the directory ``SRC`` (the ``src`` directory
+of a checkout), runs the cells below with their outputs under ``OUT`` (which
+must not exist yet), and prints one ``<sha256>  <path>`` line per output
+file, paths relative to ``OUT``. A pure refactor leaves every byte of every
+output unchanged, so the digests of two checkouts diff empty:
+
+    python3 tools/output_digest.py old/src /tmp/old > old.txt
+    python3 tools/output_digest.py src /tmp/new > new.txt
+    diff old.txt new.txt
+
+The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
+``gsc train --dump-labels`` run, one ``gsc gen`` of the benchmark's dataset
+size, and the benchmark's three workload command lines on that dataset. BLAS
+is pinned to one thread before numpy loads, so the float results do not
+depend on the machine's thread count.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "32",
+               "--seed", "7", "--dump-labels"]
+WORKLOAD_TRAIN = {
+    "gsc_desk": ["--mode", "gsc", "--batch-size", "128", "--dump-labels"],
+    "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
+    "gsc_bigbatch": ["--mode", "gsc", "--batch-size", "400"],
+}
+
+
+def cells(out: Path) -> list:
+    """(argv) of every cell, outputs under ``out``; ``gen`` precedes its users."""
+    from gsc.trainer import MODES
+
+    argvs = [["train", "--mode", mode, "--warmup", str(warmup), *SMALL_TRAIN,
+              "--out", str(out / f"train_{mode}_w{warmup}")]
+             for mode in MODES for warmup in (0, 1, 2)]
+    data = out / "data"
+    argvs.append(["gen", "--n", "2500", "--rho", "0.4", "--seed", "11", "--out", str(data)])
+    argvs += [["train", "--data", str(data), *extra, "--seed", "11", "--epochs", "20",
+               "--warmup", "1", "--out", str(out / name)]
+              for name, extra in WORKLOAD_TRAIN.items()]
+    return argvs
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/output_digest.py SRC OUT", file=sys.stderr)
+        return 2
+    src, out = Path(args[0]).resolve(), Path(args[1])
+    if out.exists():
+        print(f"{out} exists; give a fresh output directory", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(src))
+    import gsc.cli
+
+    if Path(gsc.cli.__file__).resolve().parents[1] != src:
+        print(f"gsc was imported from {gsc.cli.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    for cell in cells(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gsc.cli.main(cell)
+        if code != 0:
+            print(f"exit {code}: gsc {' '.join(cell)}", file=sys.stderr)
+            return 1
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
