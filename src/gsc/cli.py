@@ -21,7 +21,7 @@ from .evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
                           assemble_report, csv_row)
 from .losses import fd_check
 from .model import Encoder, encoder_to_json
-from .numerics import NumericalError, derive_rng
+from .numerics import NumericalError, derive_rng, require_unit_interval
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
@@ -80,8 +80,7 @@ def build_splits(cfg: dict, seed: int, rho: float):
     ds = generate(gen_spec_from(cfg, seed))
     train, dev, test = split(ds, cfg["f_train"], cfg["f_dev"], cfg["f_test"],
                              derive_rng(seed, "split"))
-    if rho > 0:
-        train = inject_noise(train, rho, derive_rng(seed, "noise"))
+    train = inject_noise(train, rho, derive_rng(seed, "noise"))
     return train, dev, test
 
 
@@ -208,6 +207,8 @@ def _cell_seed(master: int, rho: float, mode: str) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, {"epochs": args.epochs, "n": args.n})
     rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
+    for rho in rhos:
+        require_unit_interval(rho, "rho")
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
     for mode in modes:
         if mode not in MODES:

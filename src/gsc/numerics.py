@@ -5,7 +5,8 @@ similarity, log-sum-exp, an in-place Adam step, and helpers for deriving
 independent seeded random generators. No GPU, no autodiff; gradients are
 hand-derived in `losses`. Each argument condition of the package's public
 functions is checked by one function here (``as_matrix``, ``as_vector``,
-``require_positive``), and ``softmax_into`` is the one softmax kernel.
+``require_positive``, ``require_unit_interval``), and ``softmax_into`` is
+the one softmax kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "require_computed",
     "require_finite",
     "require_positive",
+    "require_unit_interval",
     "softmax_into",
     "softmax_rows",
 ]
@@ -68,6 +70,12 @@ def require_positive(x, name: str, allow_zero: bool = False) -> None:
     if not (np.isfinite(x) and (x >= 0 if allow_zero else x > 0)):
         bound = "non-negative" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound} and finite, got {x}")
+
+
+def require_unit_interval(x, name: str) -> None:
+    """Raise ValueError unless ``x`` lies in [0, 1]; NaN does not."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
 def require_computed(stage: str, *arrays) -> None:

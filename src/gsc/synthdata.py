@@ -5,16 +5,26 @@ observes a latent point through its own fixed random linear map plus view
 noise. Mismatches are injected by permuting which text is presented with
 which image (features stay untouched, so marginals are preserved), and the
 permutation restricted to the selected pairs has no fixed points.
+
+A split file is one JSON object (``dataset_to_json``). ``load_dataset``
+reads its text whole and walks it with the stdlib JSON scanner at offsets,
+decoding the two feature matrices row by row and converting each block of
+rows to float64 at once. ``json.load`` would hold one Python float per
+feature value (about 176k for a 2,000-row split, several times the
+matrices' own bytes) until the arrays are built, and that transient would
+set the process's peak memory. The floats parse exactly as ``json.load``
+parses them, so the arrays are identical.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import derive_rng, require_finite, require_positive
+from .numerics import derive_rng, require_finite, require_positive, require_unit_interval
 
 __all__ = [
     "GenSpec",
@@ -165,8 +175,7 @@ def inject_noise(ds: PairDataset, rho: float, rng: np.random.Generator) -> PairD
     count of 1 is bumped to 2 because a single-element derangement does not
     exist.
     """
-    if not np.isfinite(rho) or not 0.0 <= rho <= 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1], got {rho}")
+    require_unit_interval(rho, "rho")
     if not ds.is_clean():
         raise ValueError("noise injection expects a clean dataset")
     n = ds.n
@@ -269,6 +278,91 @@ def save_dataset(ds: PairDataset, path) -> None:
         fh.write(json.dumps(dataset_to_json(ds), sort_keys=True))
 
 
+_DECODER = json.JSONDecoder()
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DELIMITERS = {close: re.compile(r"[ \t\n\r]*(?:(,)|" + re.escape(close) + r")[ \t\n\r]*")
+               for close in "]}"}
+_MATRIX_KEYS = ("img", "txt")
+_BLOCK_ROWS = 64
+
+
+def _delimiter(text: str, i: int, close: str) -> tuple:
+    """Skip the ``,`` or ``close`` at the first non-blank position from ``i``
+    and the blanks after it; return the new index and whether it closed."""
+    m = _DELIMITERS[close].match(text, i)
+    if m is None:
+        raise json.JSONDecodeError(
+            "Expecting ',' delimiter", text, _WHITESPACE.match(text, i).end())
+    return m.end(), m.group(1) is None
+
+
+def _decode_matrix(text: str, i: int, key: str) -> tuple:
+    """(float64 matrix, end index) of the list of number rows at ``text[i]``.
+
+    The stdlib scanner decodes one row at a time and every ``_BLOCK_ROWS``
+    rows become one float64 block, so no Python float outlives its block.
+    """
+    if not text.startswith("[", i):
+        raise json.JSONDecodeError(f"Expecting a list of rows for {key!r}", text, i)
+    i = _WHITESPACE.match(text, i + 1).end()
+    if text.startswith("]", i):
+        return np.asarray([], dtype=float), i + 1
+    blocks, rows, n, width, closed = [], [], 0, None, False
+    while not closed:
+        row, end = _DECODER.raw_decode(text, i)
+        if not isinstance(row, list):
+            raise json.JSONDecodeError(f"{key} row {n} is not a list", text, i)
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise json.JSONDecodeError(
+                f"{key} row {n} has {len(row)} values, row 0 has {width}", text, i)
+        rows.append(row)
+        n += 1
+        i, closed = _delimiter(text, end, "]")
+        if closed or len(rows) == _BLOCK_ROWS:
+            blocks.append(np.array(rows, dtype=float))
+            rows = []
+    if blocks[0].ndim != 2:  # equal-length rows of lists
+        raise ValueError(f"{key} rows must hold numbers, not lists")
+    return np.concatenate(blocks), i
+
+
+def _decode_split(text: str) -> dict:
+    """``json.loads(text)`` for a split file, with ``img`` and ``txt`` as
+    float64 matrices: the top-level object is walked with the same scanner
+    at offsets, and every other value is decoded whole."""
+    i = _WHITESPACE.match(text).end()
+    if not text.startswith("{", i):
+        raise json.JSONDecodeError("Expecting '{'", text, i)
+    i = _WHITESPACE.match(text, i + 1).end()
+    obj, closed = {}, False
+    while not closed:
+        key, end = _DECODER.raw_decode(text, i)
+        if not isinstance(key, str):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, i)
+        i = _WHITESPACE.match(text, end).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        i = _WHITESPACE.match(text, i + 1).end()
+        if key in _MATRIX_KEYS:
+            obj[key], i = _decode_matrix(text, i, key)
+        else:
+            obj[key], i = _DECODER.raw_decode(text, i)
+        i, closed = _delimiter(text, i, "}")
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return obj
+
+
 def load_dataset(path) -> PairDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_json(json.load(fh))
+    """Read a ``save_dataset`` file; a malformed one raises ValueError naming
+    ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return dataset_from_json(_decode_split(text))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -1,7 +1,8 @@
 """Every public entry point that uses a shared argument check rejects bad input.
 
 One row per (entry point, bad argument): a NaN temperature, rate, weight,
-floor or scale, a non-square matrix, or a label vector of the wrong length.
+floor or scale, a noise rate outside [0, 1], a non-square matrix, or a label
+vector of the wrong length.
 Each must raise ValueError before any computation.
 """
 
@@ -15,8 +16,8 @@ from gsc.evalmetrics import detection_metrics, recall_at_k
 from gsc.losses import grad_total, loss_cm, loss_im, structure_logits, total_loss
 from gsc.model import Encoder
 from gsc.numerics import (AdamState, adam_step, as_matrix, as_vector, derive_rng,
-                          require_positive, softmax_rows)
-from gsc.synthdata import GenSpec, generate, split
+                          require_positive, require_unit_interval, softmax_rows)
+from gsc.synthdata import GenSpec, generate, inject_noise, split
 from gsc.trainer import TrainConfig
 
 NAN = float("nan")
@@ -80,6 +81,10 @@ CASES = {
        for key in ("sigma_cluster", "sigma_view")},
     "split-nan-fraction": lambda: split(generate(GenSpec(n=20, n_clusters=2)),
                                         NAN, 0.5, 0.5, derive_rng(0, "split")),
+    "require_unit_interval-nan": lambda: require_unit_interval(NAN, "rho"),
+    "require_unit_interval-above-one": lambda: require_unit_interval(1.5, "rho"),
+    "inject_noise-nan-rho": lambda: inject_noise(generate(GenSpec(n=20, n_clusters=2)),
+                                                 NAN, derive_rng(0, "noise")),
 }
 
 
@@ -92,4 +97,6 @@ def test_shared_checks_reject_bad_arguments(call):
 def test_require_positive_allows_zero_only_when_asked():
     require_positive(0.0, "gamma", allow_zero=True)
     require_positive(1e-300, "tau")
+    require_unit_interval(0.0, "rho")
+    require_unit_interval(1.0, "rho")
     assert as_vector(2.5, 1).tolist() == [2.5]  # a scalar is a length-1 vector

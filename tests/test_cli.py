@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gsc import cli
+from gsc import cli, trainer
+from gsc.losses import grad_total
 from gsc.numerics import NumericalError
 
 
@@ -73,6 +74,57 @@ def test_train_on_generated_dataset(tmp_path):
     assert {"epoch", "mode", "loss_cm", "loss_im", "dev_r1_i2t", "dev_r1_t2i",
             "recall_sum", "det_acc", "det_auc"} == set(rows[0])
     assert (out / "ckpt_A_img.json").exists() and (out / "ckpt_B_txt.json").exists()
+
+
+def _ragged_row(obj):
+    obj["img"][3].pop()
+
+
+def _string_in_row(obj):
+    obj["txt"][5][2] = "x"
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", _ragged_row, _string_in_row],
+                         ids=["truncated", "ragged-row", "string-in-row"])
+def test_train_on_malformed_split_exits_2_naming_the_file(tmp_path, capsys, corrupt):
+    data = tmp_path / "d"
+    run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(data))
+    path = data / "train.json"
+    text = path.read_text()
+    if corrupt == "truncated":
+        text = text[:len(text) // 2]
+    else:
+        obj = json.loads(text)
+        corrupt(obj)
+        text = json.dumps(obj)
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run")) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_train_with_every_pair_noisy_has_undefined_auc(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--rho", "1.0", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["meta"]["rho"] == 1.0
+    assert report["detection"]["auc"] is None
+
+
+@pytest.mark.parametrize("batch_size", [128, 1000])  # the train split has 128 pairs
+def test_batch_at_least_the_train_split_is_one_batch(tmp_path, monkeypatch, batch_size):
+    sizes = []
+
+    def counting(enc_img, enc_txt, x_img, *args):
+        sizes.append(x_img.shape[0])
+        return grad_total(enc_img, enc_txt, x_img, *args)
+
+    monkeypatch.setattr(trainer, "grad_total", counting)
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--batch-size", str(batch_size),
+                   "--rho", "0.4", "--out", str(out)) == 0
+    assert sizes == [128] * 2 * 3  # 2 networks x (1 warm-up + 2 epochs)
+    assert len(read_jsonl(out / "metrics.jsonl")) == 3
 
 
 def test_train_zero_epochs_reports_warmup_state(tmp_path):
@@ -154,6 +206,22 @@ def test_train_rejects_too_small_split_before_training(tmp_path, capsys, n, spli
     err = capsys.readouterr().err
     assert f"{split_name} split" in err and f"at least {minimum}" in err
     assert not (out / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("rho", ["nan", "-0.5", "1.5"])
+@pytest.mark.parametrize("argv, output", [
+    (["gen", "--n", "100"], "manifest.json"),
+    (["train", *FAST_TRAIN], "metrics.jsonl"),
+    (["sweep", "--n", "120", "--epochs", "1", "--rhos", "0,{rho}"], "summary.csv"),
+], ids=["gen", "train", "sweep"])
+def test_noise_rate_outside_unit_interval_exits_2(tmp_path, capsys, rho, argv, output):
+    argv = [arg.format(rho=rho) for arg in argv]
+    if argv[0] != "sweep":
+        argv += ["--rho", rho]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert f"rho must lie in [0, 1], got {float(rho)}" in capsys.readouterr().err
+    assert not (out / output).exists()
 
 
 def test_train_numerical_abort_exits_3(tmp_path, monkeypatch):

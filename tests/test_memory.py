@@ -1,4 +1,5 @@
-"""Peak allocation of the per-step kernels, in B x B float64 arrays.
+"""Peak allocation of the per-step kernels, in B x B float64 arrays, and of
+loading a dataset split.
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call,
 with its inputs allocated beforehand, counts the temporaries the call makes.
@@ -12,12 +13,13 @@ from gsc.discrimination import embedding_structure_score
 from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
 from gsc.numerics import derive_rng, softmax_rows
+from gsc.synthdata import GenSpec, _decode_split, generate, load_dataset, save_dataset
 
 B, D = 256, 32
 
 
-def _peak_bxb(fn, *args):
-    """Peak traced bytes of ``fn(*args)`` in units of one B x B float64 array."""
+def _peak(fn, *args):
+    """Peak traced bytes of ``fn(*args)``."""
     fn(*args)  # first-call set-up is not a per-step cost
     tracemalloc.start()
     try:
@@ -25,7 +27,12 @@ def _peak_bxb(fn, *args):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (B * B * 8)
+    return peak
+
+
+def _peak_bxb(fn, *args):
+    """Peak traced bytes of ``fn(*args)`` in units of one B x B float64 array."""
+    return _peak(fn, *args) / (B * B * 8)
 
 
 def _unit_rows(rng):
@@ -51,3 +58,20 @@ def test_embedding_structure_score_builds_no_bxb_matrix():
     ei, et = _unit_rows(rng), _unit_rows(rng)
     y = rng.uniform(0.0, 1.0, size=B)
     assert _peak_bxb(embedding_structure_score, ei, et, y) < 1.0
+
+
+def test_loading_a_split_holds_no_python_float_per_value(tmp_path):
+    # a train split of the benchmark's size: 2,000 rows of 48 + 40 features
+    ds = generate(GenSpec(n=2000, seed=3))
+    path = tmp_path / "train.json"
+    save_dataset(ds, path)
+    file_bytes = path.stat().st_size
+    matrix_bytes = ds.img.nbytes + ds.txt.nbytes
+    # Reading holds the file's bytes and its text at once, 2 file_bytes, and
+    # the file has about 2.6 bytes per matrix byte; decoding holds the text,
+    # one block of rows and the matrices. json.load's Python floats and lists
+    # took the peak to file_bytes + 4.3 matrix_bytes.
+    assert _peak(load_dataset, path) < file_bytes + 3.5 * matrix_bytes
+    # with the text already read, decoding holds the matrices, their blocks
+    # while they are stacked, and one block of Python floats
+    assert _peak(_decode_split, path.read_text()) < 2 * matrix_bytes

@@ -176,3 +176,83 @@ def test_dataset_json_container_keys():
     for key in ("N", "dims", "seed", "rho"):
         assert key in obj["meta"]
     assert dataset_from_json(json.loads(json.dumps(obj))).n == 5
+
+
+def _load_oracle(path):
+    """The loader before row-by-row decoding: the whole object, then arrays."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return dataset_from_json(json.load(fh))
+
+
+def _assert_same_dataset(got, want):
+    for name in ("img", "txt", "match_perm", "noise_mask", "cluster_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got.split_tag == want.split_tag
+    assert got.meta == want.meta
+
+
+# 0 dev rows (an empty matrix), 39 test rows (one partial block) and 200
+# noisy train rows (three full blocks and a partial one)
+SPLITS = split(generate(GenSpec(n=239, n_clusters=8, seed=16)), 200 / 239, 0.0,
+               39 / 239, derive_rng(16, "split"))
+
+
+@pytest.mark.parametrize("dump_kw", [None, {"indent": 2}, {"indent": "\t", "sort_keys": True},
+                                     {"separators": (",", ":")}],
+                         ids=["save_dataset", "indent", "tabs-sorted", "compact"])
+@pytest.mark.parametrize("tag", ["train", "dev", "test"])
+def test_load_dataset_equals_json_load(tmp_path, tag, dump_kw):
+    ds = SPLITS[("train", "dev", "test").index(tag)]
+    if tag == "train":
+        ds = inject_noise(ds, 0.4, derive_rng(16, "noise"))
+    path = tmp_path / "split.json"
+    save_dataset(ds, path)
+    if dump_kw is not None:
+        path.write_text(json.dumps(json.loads(path.read_text()), **dump_kw))
+    back = load_dataset(path)
+    _assert_same_dataset(back, _load_oracle(path))
+    assert back.n == ds.n
+
+
+def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path):
+    ds = inject_noise(SPLITS[0], 0.4, derive_rng(17, "noise"))
+    obj = dataset_to_json(ds)
+    obj["img"][5] = [int(v) if i % 3 == 0 else v for i, v in enumerate(obj["img"][5])]
+    path = tmp_path / "split.json"
+    text = json.dumps(dict(reversed(list(obj.items()))))
+    text = text.replace(", ", " ,\t ").replace(": ", " :\n ").replace("[[", "[\r\n[")
+    path.write_text(" \n" + text + "\r\n")
+    _assert_same_dataset(load_dataset(path), _load_oracle(path))
+
+
+def _edited(edit):
+    """A corruption of the file text that applies ``edit`` to its object."""
+    def corrupt(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return corrupt
+
+
+LOADER_ERRORS = {
+    "truncated": (lambda text: text[:len(text) // 2], "Expecting"),
+    "trailing-data": (lambda text: text + "{}", "Extra data"),
+    "ragged-row": (_edited(lambda o: o["img"][3].pop()), "img row 3 has 47 values, row 0 has 48"),
+    "string-in-row": (_edited(lambda o: o["txt"][30].__setitem__(2, "x")), "could not convert"),
+    "scalar-row": (_edited(lambda o: o["txt"].__setitem__(0, 7.0)), "txt row 0 is not a list"),
+    "nested-rows": (_edited(lambda o: o.__setitem__("img", [[r] for r in o["img"]])), "not lists"),
+    "missing-key": (_edited(lambda o: o.pop("perm")), "missing key 'perm'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+def test_load_dataset_errors_name_the_file(tmp_path, case):
+    corrupt, message = LOADER_ERRORS[case]
+    path = tmp_path / "bad.json"
+    save_dataset(SPLITS[2], path)
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)

@@ -5,8 +5,11 @@
 imports the ``gsc`` package from the directory ``SRC`` (the ``src`` directory
 of a checkout), runs the cells below with their outputs under ``OUT`` (which
 must not exist yet), and prints one ``<sha256>  <path>`` line per output
-file, paths relative to ``OUT``. A pure refactor leaves every byte of every
-output unchanged, so the digests of two checkouts diff empty:
+file, paths relative to ``OUT``, then one ``<sha256>  <split file>:<field>``
+line per array that ``gsc.synthdata.load_dataset`` returns for each split
+the ``gen`` cell wrote (the digest covers the array's dtype, shape and
+bytes). A pure refactor leaves every byte of every output and every loaded
+array unchanged, so the digests of two checkouts diff empty:
 
     python3 tools/output_digest.py old/src /tmp/old > old.txt
     python3 tools/output_digest.py src /tmp/new > new.txt
@@ -30,6 +33,8 @@ from pathlib import Path
 
 SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "32",
                "--seed", "7", "--dump-labels"]
+DATA = "data"
+SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
 WORKLOAD_TRAIN = {
     "gsc_desk": ["--mode", "gsc", "--batch-size", "128", "--dump-labels"],
     "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
@@ -44,12 +49,18 @@ def cells(out: Path) -> list:
     argvs = [["train", "--mode", mode, "--warmup", str(warmup), *SMALL_TRAIN,
               "--out", str(out / f"train_{mode}_w{warmup}")]
              for mode in MODES for warmup in (0, 1, 2)]
-    data = out / "data"
+    data = out / DATA
     argvs.append(["gen", "--n", "2500", "--rho", "0.4", "--seed", "11", "--out", str(data)])
     argvs += [["train", "--data", str(data), *extra, "--seed", "11", "--epochs", "20",
                "--warmup", "1", "--out", str(out / name)]
               for name, extra in WORKLOAD_TRAIN.items()]
     return argvs
+
+
+def array_digest(arr) -> str:
+    """sha256 of an array's dtype, shape and C-order bytes."""
+    head = f"{arr.dtype.str} {arr.shape}\n".encode("ascii")
+    return hashlib.sha256(head + arr.tobytes(order="C")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -78,6 +89,12 @@ def main(argv=None) -> int:
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
+    from gsc.synthdata import load_dataset
+
+    for tag in ("train", "dev", "test"):
+        ds = load_dataset(out / DATA / f"{tag}.json")
+        for name in SPLIT_ARRAYS:
+            print(f"{array_digest(getattr(ds, name))}  {DATA}/{tag}.json:{name}")
     return 0
 
 
