@@ -55,18 +55,22 @@ class SoftLabels:
         return cls(y_cm=cm, y_im=im, y=combine_labels(cm, im))
 
 
-def cross_modal_indicator(s, tau1: float) -> np.ndarray:
+def cross_modal_indicator(s, tau1: float, work: np.ndarray | None = None) -> np.ndarray:
     """Bidirectional diagonal softmax mass of a square pair-similarity matrix.
 
     Entry i averages the probability that row i's softmax puts on column i
     and that column i's softmax puts on row i, both at temperature ``tau1``.
     Values lie in (0, 1]; a well-matched pair approaches 1, a mismatched one
-    approaches 0.
+    approaches 0. Both softmaxes are written into ``work``, an array shaped
+    like ``s`` (allocated when None); the column softmax goes into its
+    transpose, so it is laid out, and summed, as a softmax of ``s.T``.
     """
     mat = as_matrix(s, "similarity matrix", square=True)
-    rows = softmax_rows(mat, tau1)
-    cols = softmax_rows(mat.T, tau1)
-    out = 0.5 * (np.diag(rows) + np.diag(cols))
+    if work is None:
+        work = np.empty_like(mat)
+    rows = softmax_rows(mat, tau1, out=work).diagonal().copy()
+    cols = softmax_rows(mat.T, tau1, out=work.T)
+    out = 0.5 * (rows + np.diag(cols))
     # keep the open lower bound when the diagonal term underflows
     return np.clip(out, np.nextafter(0.0, 1.0), 1.0)
 
@@ -156,6 +160,13 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
     from the two halves, equal weights), so labeling never depends on a seed.
     Variances are clamped at ``floor``; iteration stops early once the
     log-likelihood improves by less than ``tol``.
+
+    If every score is equal, the two components are identical (equal means,
+    variances at ``floor``, equal weights), the log-likelihood does not move,
+    and the fit stops after its second iteration; ``gmm_posterior`` then
+    gives every sample the same value, 0.5 up to the rounding of log 2. That
+    rounding can leave it one ulp below 0.5 (0.49999999999999994), which a
+    0.5 threshold reads as noisy.
     """
     x = as_vector(scores, name="scores")
     if x.size < GMM_MIN_SCORES:

@@ -51,14 +51,14 @@ class RetrievalReport:
 class DetectionReport:
     """Noise-detection quality of soft labels at threshold 0.5.
 
-    ``auc`` is None when the mask has a single class; the per-class means
-    are NaN for an empty class.
+    ``auc`` is None when the mask has a single class, and so is the mean
+    label of an empty class (``report.json`` writes them as ``null``).
     """
 
     accuracy: float
     auc: float | None
-    mean_clean: float
-    mean_noisy: float
+    mean_clean: float | None
+    mean_noisy: float | None
 
 
 def _match_ranks(mat: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -129,8 +129,8 @@ def detection_metrics(y, mask) -> DetectionReport:
         ranks = _average_ranks(yv)
         auc = float((ranks[clean].sum() - n_clean * (n_clean + 1) / 2.0)
                     / (n_clean * n_noisy))
-    mean_clean = float(yv[clean].mean()) if n_clean else float("nan")
-    mean_noisy = float(yv[mk].mean()) if n_noisy else float("nan")
+    mean_clean = float(yv[clean].mean()) if n_clean else None
+    mean_noisy = float(yv[mk].mean()) if n_noisy else None
     return DetectionReport(accuracy=accuracy, auc=auc,
                            mean_clean=mean_clean, mean_noisy=mean_noisy)
 

@@ -13,11 +13,18 @@ structure gradient through M, so every product costs O(B^2 d) or O(B d^2)
 instead of the O(B^3) of forming w from the B x B structure matrices, and it
 takes each logit matrix's loss and softmax from one max-shifted exp
 (``numerics.softmax_into``, the package's one softmax kernel). A step
-keeps two B x B buffers alive: the pair logits become the column softmax and
-then the pair-similarity gradient in place, while the row softmax's buffer is
-reused for the intra-modal logits and their gradient. ``loss_cm``,
-``loss_im`` and ``structure_logits`` keep the direct B x B form as the
-reference. Label estimation factors the structure score the same way
+uses two B x B buffers: the pair logits become the column softmax and then
+the pair-similarity gradient in place, while the row softmax's buffer is
+reused for the intra-modal logits and their gradient. The buffers belong to
+the run (``trainer.run`` allocates them once and every step and label
+estimate reuses them), not to the step: glibc serves an allocation above its
+mmap threshold (128 KiB at start; a B x B float64 array at B = 400 is 1.28
+MB) with a fresh mapping whose pages fault in on first touch, and whether a
+freed one is reused or returned to the system depends on a dynamic threshold
+that earlier, unrelated frees raise, so per-step allocation would make the
+step's speed depend on that history. ``loss_cm``, ``loss_im`` and
+``structure_logits`` keep the direct B x B form as the reference. Label
+estimation factors the structure score the same way
 (``discrimination.embedding_structure_score``, O(B d^2) with no B x B
 matrix).
 
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair
-from .numerics import (as_matrix, as_vector, require_computed, require_finite,
+from .numerics import (as_matrix, as_vector, bxb_views, require_computed, require_finite,
                        require_positive, softmax_into)
 
 __all__ = [
@@ -111,14 +118,16 @@ def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
 
 
 def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
-                     tau1: float, tau2: float, gamma: float):
+                     tau1: float, tau2: float, gamma: float,
+                     work: np.ndarray | None = None):
     """Loss report plus gradients w.r.t. the two embedding matrices.
 
     The structure term goes through the d x d core M = E_I^T diag(y^2) E_T:
     the logits are (E_I M) E_T^T / tau2, and the image-side gradient
     (g_ii + g_ii^T) E_I of the B x B form is g_w (E_T M^T) +
     y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric. Every
-    B x B quantity lives in one of two buffers, overwritten in place.
+    B x B quantity lives in one of the two ``bxb_views`` of the flat
+    ``work`` array (allocated when None), overwritten in place.
     """
     require_positive(tau1, "tau1")
     require_positive(tau2, "tau2")
@@ -128,9 +137,9 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     yv = as_vector(y, b, "labels")
     on_diag = np.s_[::b + 1]  # the diagonal of a flattened B x B matrix
 
-    z = ei @ et.T
+    z, p = bxb_views(work, b)
+    np.matmul(ei, et.T, out=z)
     z /= tau1
-    p = np.empty_like(z)
     diag = z.diagonal().copy()  # the log-softmax diagonals are diag - lse
     row = diag - softmax_into(z, 1, p)  # p holds P, the row softmax of z
     col = diag - softmax_into(z, 0, z)  # z now holds Q, the column softmax
@@ -154,10 +163,23 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     g_w *= gamma / (b * tau2)
     g_w.flat[on_diag] -= gamma / (b * tau2)
 
-    g_ei = (g_s @ et + g_w @ (et @ core.T)
-            + w2[:, None] * (et @ (et.T @ (g_w.T @ ei))))
-    g_et = (g_s.T @ ei + g_w.T @ ei_core
-            + w2[:, None] * (ei @ (ei.T @ (g_w @ et))))
+    # g_ei = g_s E_T + g_w (E_T M^T) + y^2 * (E_T (E_T^T (g_w^T E_I))) and
+    # g_et = g_s^T E_I + g_w^T (E_I M) + y^2 * (E_I (E_I^T (g_w E_T))), summed
+    # in place in that order (the first sum is formed as b + a, which is the
+    # same float), so at most three B x d arrays are alive at once
+    g_et = g_s.T @ ei
+    g_et += g_w.T @ ei_core
+    del ei_core
+    g_ei = g_w @ (et @ core.T)
+    g_ei += g_s @ et
+    tail = g_w.T @ ei
+    np.matmul(et, et.T @ tail, out=tail)
+    tail *= w2[:, None]
+    g_ei += tail
+    np.matmul(g_w, et, out=tail)
+    np.matmul(ei, ei.T @ tail, out=tail)
+    tail *= w2[:, None]
+    g_et += tail
     return total_loss(float(l_cm), float(l_im), gamma), g_ei, g_et
 
 
@@ -179,15 +201,16 @@ def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
 
 
 def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
-               tau1: float, tau2: float, gamma: float):
+               tau1: float, tau2: float, gamma: float, work: np.ndarray | None = None):
     """Analytic gradient of the total loss w.r.t. every encoder parameter.
 
     Returns (LossReport, GradSet). Labels are constants; gradients flow
     through similarity matrices, both losses, the row normalization, and the
-    MLP layers only.
+    MLP layers only. ``work`` is the flat array of at least 2 B^2 float64
+    entries the B x B intermediates are written into (allocated when None).
     """
     e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
-    report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma)
+    report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)
     require_computed("the loss", report.total)
     g_img = _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei)
     g_txt = _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et)

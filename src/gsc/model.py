@@ -132,11 +132,15 @@ def encode_pair(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt):
     return e_img, e_txt
 
 
-def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:
-    """Pairwise dot products; cosines when both batches are unit-norm."""
+def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise dot products; cosines when both batches are unit-norm.
+
+    Written into ``out`` if given, else into a fresh array.
+    """
     if a.matrix.shape[1] != b.matrix.shape[1]:
         raise ValueError(f"embedding dims differ: {a.matrix.shape[1]} vs {b.matrix.shape[1]}")
-    return a.matrix @ b.matrix.T
+    return np.matmul(a.matrix, b.matrix.T, out=out)
 
 
 def encoder_to_json(enc: Encoder) -> dict:

@@ -5,8 +5,9 @@ similarity, log-sum-exp, an in-place Adam step, and helpers for deriving
 independent seeded random generators. No GPU, no autodiff; gradients are
 hand-derived in `losses`. Each argument condition of the package's public
 functions is checked by one function here (``as_matrix``, ``as_vector``,
-``require_positive``, ``require_unit_interval``), and ``softmax_into`` is
-the one softmax kernel.
+``require_positive``, ``require_unit_interval``), ``softmax_into`` is the
+one softmax kernel, and ``bxb_views`` cuts a run's flat work array into the
+two B x B buffers of a batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "adam_step",
     "as_matrix",
     "as_vector",
+    "bxb_views",
     "cosine",
     "derive_rng",
     "logsumexp",
@@ -100,12 +102,26 @@ def softmax_into(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return (shift + np.log(total)).ravel()
 
 
-def softmax_rows(m, tau: float) -> np.ndarray:
-    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability."""
+def softmax_rows(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability.
+
+    The result is written into ``out`` (shaped like ``m``) if given, else
+    into a fresh array laid out like ``m``; ``m`` is never written.
+    """
     require_positive(tau, "temperature")
-    z = as_matrix(m, "softmax input") / tau  # a fresh array; m is never written
+    z = np.divide(as_matrix(m, "softmax input"), tau, out=out)
     softmax_into(z, 1, z)
     return z
+
+
+def bxb_views(work: np.ndarray | None, b: int) -> tuple:
+    """Two C-contiguous (b, b) float64 views of the first 2 b^2 entries of
+    the flat array ``work``, which is allocated here when None."""
+    if work is None:
+        work = np.empty(2 * b * b)
+    if work.size < 2 * b * b:
+        raise ValueError(f"work buffer has {work.size} entries, a batch of {b} needs {2 * b * b}")
+    return work[:b * b].reshape(b, b), work[b * b:2 * b * b].reshape(b, b)
 
 
 def logsumexp(v) -> float:

@@ -7,13 +7,16 @@ which image (features stay untouched, so marginals are preserved), and the
 permutation restricted to the selected pairs has no fixed points.
 
 A split file is one JSON object (``dataset_to_json``). ``load_dataset``
-reads its text whole and walks it with the stdlib JSON scanner at offsets,
-decoding the two feature matrices row by row and converting each block of
-rows to float64 at once. ``json.load`` would hold one Python float per
-feature value (about 176k for a 2,000-row split, several times the
-matrices' own bytes) until the arrays are built, and that transient would
-set the process's peak memory. The floats parse exactly as ``json.load``
-parses them, so the arrays are identical.
+reads it ``_CHUNK`` (64 KiB) characters at a time and walks it with the
+stdlib JSON scanner, decoding the two feature matrices row by row and
+converting each block of rows to float64 at once; a value cut by a chunk
+boundary is decoded again after the next read. ``json.load`` would hold one
+Python float per feature value (about 176k for a 2,000-row split, several
+times the matrices' own bytes) until the arrays are built, and reading the
+text whole would hold the file's bytes and its text at once (2 x 3.7 MB for
+that split); either transient would set the process's peak memory. The
+floats parse exactly as ``json.load`` parses them, so the arrays are
+identical.
 """
 
 from __future__ import annotations
@@ -258,11 +261,17 @@ def dataset_to_json(ds: PairDataset) -> dict:
     }
 
 
+def _features(rows, meta: dict, key: str) -> np.ndarray:
+    """Float64 feature matrix; an empty split takes its width from ``meta["dims"]``."""
+    arr = np.asarray(rows, dtype=float)
+    return arr.reshape(0, meta["dims"][key]) if arr.shape == (0,) else arr
+
+
 def dataset_from_json(obj: dict) -> PairDataset:
     meta = dict(obj["meta"])
     ds = PairDataset(
-        img=np.asarray(obj["img"], dtype=float),
-        txt=np.asarray(obj["txt"], dtype=float),
+        img=_features(obj["img"], meta, "img"),
+        txt=_features(obj["txt"], meta, "txt"),
         match_perm=np.asarray(obj["perm"], dtype=int),
         noise_mask=np.asarray(obj["mask"], dtype=bool),
         cluster_ids=np.asarray(obj["clusters"], dtype=int),
@@ -279,79 +288,157 @@ def save_dataset(ds: PairDataset, path) -> None:
 
 
 _DECODER = json.JSONDecoder()
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
-_DELIMITERS = {close: re.compile(r"[ \t\n\r]*(?:(,)|" + re.escape(close) + r")[ \t\n\r]*")
+_BLANKS = r"[ \t\n\r]*"
+_WHITESPACE = re.compile(_BLANKS)
+_DELIMITERS = {close: re.compile(_BLANKS + r"(?:(,)|" + re.escape(close) + ")" + _BLANKS)
                for close in "]}"}
+_TOKENS = {token: re.compile(_BLANKS + re.escape(token) + _BLANKS) for token in "{:["}
+_EMPTY_ROWS = re.compile(r"\]")
 _MATRIX_KEYS = ("img", "txt")
 _BLOCK_ROWS = 64
+_CHUNK = 1 << 16  # characters read from the file per refill
+_NUMBER_TAIL = 2  # a number cut after '1e' or '1e-' decodes as 1, 2 characters short
 
 
-def _delimiter(text: str, i: int, close: str) -> tuple:
-    """Skip the ``,`` or ``close`` at the first non-blank position from ``i``
-    and the blanks after it; return the new index and whether it closed."""
-    m = _DELIMITERS[close].match(text, i)
+class _Source:
+    """The text of an open file from ``pos`` on, read ``_CHUNK`` characters
+    at a time.
+
+    Each step matches a pattern or decodes a value at ``pos`` and moves
+    ``pos`` past it. A step whose result reaches the end of the buffer (for
+    a decoded value: stops within ``_NUMBER_TAIL`` of it, or fails) may have
+    been cut by a chunk boundary, so it is repeated after a refill until the
+    file is exhausted. A refill drops the text before ``pos`` and reads at
+    least as many characters as are left, so a value longer than a chunk is
+    decoded in a number of attempts logarithmic in its length. Errors carry
+    ``json.JSONDecodeError``'s message, placed in the whole file.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.text = ""
+        self.pos = 0
+        self.base = 0        # file offset of text[0]
+        self.lines = 0       # newlines before text[0]
+        self.line_start = 0  # file offset of the line holding text[0]
+        self.eof = False
+
+    @property
+    def offset(self) -> int:
+        return self.base + self.pos
+
+    def refill(self) -> None:
+        """Drop the text before ``pos`` and append the next chunk."""
+        newline = self.text.rfind("\n", 0, self.pos)  # count only lines that exist
+        if newline >= 0:
+            self.lines += self.text.count("\n", 0, newline + 1)
+            self.line_start = self.base + newline + 1
+        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
+        self.base += self.pos
+        self.text = self.text[self.pos:] + chunk
+        self.pos = 0
+        self.eof = not chunk
+
+    def match(self, pattern: re.Pattern):
+        """Match of ``pattern`` (blanks and one-character tokens) at ``pos``,
+        or None; a failure is final once a non-blank character is buffered."""
+        while True:
+            m = pattern.match(self.text, self.pos)
+            end = _WHITESPACE.match(self.text, self.pos).end() if m is None else m.end()
+            if self.eof or end < len(self.text):
+                break
+            self.refill()
+        if m is not None:
+            self.pos = m.end()
+        return m
+
+    def decode(self):
+        """The JSON value at ``pos``."""
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as err:
+                if self.eof:
+                    raise self.error(err.msg, self.base + err.pos) from None
+            else:
+                if self.eof or end + _NUMBER_TAIL < len(self.text):
+                    self.pos = end
+                    return value
+            self.refill()
+
+    def error(self, msg: str, at: int) -> ValueError:
+        """``json.JSONDecodeError``'s message for ``msg`` at file offset ``at``,
+        which must lie in the buffer."""
+        i = at - self.base
+        newline = self.text.rfind("\n", 0, i)
+        line = self.lines + self.text.count("\n", 0, i) + 1
+        column = i - newline if newline >= 0 else at - self.line_start + 1
+        return ValueError(f"{msg}: line {line} column {column} (char {at})")
+
+
+def _expect(src: _Source, token: str, msg: str) -> None:
+    """Skip ``token`` and the blanks around it, or raise ``msg`` where it should be."""
+    if src.match(_TOKENS[token]) is None:
+        src.match(_WHITESPACE)
+        raise src.error(msg, src.offset)
+
+
+def _delimiter(src: _Source, close: str) -> bool:
+    """Skip the ``,`` or ``close`` at the first non-blank position and the
+    blanks after it; return whether it closed."""
+    m = src.match(_DELIMITERS[close])
     if m is None:
-        raise json.JSONDecodeError(
-            "Expecting ',' delimiter", text, _WHITESPACE.match(text, i).end())
-    return m.end(), m.group(1) is None
+        src.match(_WHITESPACE)
+        raise src.error("Expecting ',' delimiter", src.offset)
+    return m.group(1) is None
 
 
-def _decode_matrix(text: str, i: int, key: str) -> tuple:
-    """(float64 matrix, end index) of the list of number rows at ``text[i]``.
+def _decode_matrix(src: _Source, key: str) -> np.ndarray:
+    """The list of number rows at ``pos`` as a float64 matrix.
 
     The stdlib scanner decodes one row at a time and every ``_BLOCK_ROWS``
     rows become one float64 block, so no Python float outlives its block.
     """
-    if not text.startswith("[", i):
-        raise json.JSONDecodeError(f"Expecting a list of rows for {key!r}", text, i)
-    i = _WHITESPACE.match(text, i + 1).end()
-    if text.startswith("]", i):
-        return np.asarray([], dtype=float), i + 1
+    _expect(src, "[", f"Expecting a list of rows for {key!r}")
+    if src.match(_EMPTY_ROWS) is not None:
+        return np.asarray([], dtype=float)  # dataset_from_json gives it its width
     blocks, rows, n, width, closed = [], [], 0, None, False
     while not closed:
-        row, end = _DECODER.raw_decode(text, i)
+        at = src.offset
+        row = src.decode()
         if not isinstance(row, list):
-            raise json.JSONDecodeError(f"{key} row {n} is not a list", text, i)
+            raise src.error(f"{key} row {n} is not a list", at)
         width = len(row) if width is None else width
         if len(row) != width:
-            raise json.JSONDecodeError(
-                f"{key} row {n} has {len(row)} values, row 0 has {width}", text, i)
+            raise src.error(f"{key} row {n} has {len(row)} values, row 0 has {width}", at)
         rows.append(row)
         n += 1
-        i, closed = _delimiter(text, end, "]")
+        closed = _delimiter(src, "]")
         if closed or len(rows) == _BLOCK_ROWS:
             blocks.append(np.array(rows, dtype=float))
             rows = []
     if blocks[0].ndim != 2:  # equal-length rows of lists
         raise ValueError(f"{key} rows must hold numbers, not lists")
-    return np.concatenate(blocks), i
+    return np.concatenate(blocks)
 
 
-def _decode_split(text: str) -> dict:
-    """``json.loads(text)`` for a split file, with ``img`` and ``txt`` as
-    float64 matrices: the top-level object is walked with the same scanner
-    at offsets, and every other value is decoded whole."""
-    i = _WHITESPACE.match(text).end()
-    if not text.startswith("{", i):
-        raise json.JSONDecodeError("Expecting '{'", text, i)
-    i = _WHITESPACE.match(text, i + 1).end()
+def _decode_split(fh) -> dict:
+    """``json.load(fh)`` for a split file, with ``img`` and ``txt`` as
+    float64 matrices: the top-level object is walked with the same scanner,
+    and every other value is decoded whole."""
+    src = _Source(fh)
+    _expect(src, "{", "Expecting '{'")
     obj, closed = {}, False
     while not closed:
-        key, end = _DECODER.raw_decode(text, i)
+        at = src.offset
+        key = src.decode()
         if not isinstance(key, str):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", text, i)
-        i = _WHITESPACE.match(text, end).end()
-        if not text.startswith(":", i):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-        i = _WHITESPACE.match(text, i + 1).end()
-        if key in _MATRIX_KEYS:
-            obj[key], i = _decode_matrix(text, i, key)
-        else:
-            obj[key], i = _DECODER.raw_decode(text, i)
-        i, closed = _delimiter(text, i, "}")
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+            raise src.error("Expecting property name enclosed in double quotes", at)
+        _expect(src, ":", "Expecting ':' delimiter")
+        obj[key] = _decode_matrix(src, key) if key in _MATRIX_KEYS else src.decode()
+        closed = _delimiter(src, "}")
+    if src.pos != len(src.text):
+        raise src.error("Extra data", src.offset)
     return obj
 
 
@@ -360,8 +447,8 @@ def load_dataset(path) -> PairDataset:
     ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return dataset_from_json(_decode_split(text))
+            obj = _decode_split(fh)
+        return dataset_from_json(obj)
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
     except ValueError as err:

@@ -12,6 +12,16 @@ Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 0, and every epoch is one ``train_epoch`` call; warm-up epochs are the first
 ``warmup_epochs`` values of that counter. The learning-rate decay epoch is
 measured on the same counter. ``MODE_SPECS`` says what each mode runs.
+
+``run`` owns the two B x B work buffers of the run, as one flat float64
+array of 2 B^2 entries (B the largest batch of the schedule): every training
+step and every cross-modal indicator writes its B x B intermediates into
+views of it instead of allocating them. A fresh 1.28 MB array per step (at
+B = 400) would lie above glibc's mmap threshold, so it would be mapped and
+page-faulted anew unless an earlier large free had happened to raise that
+dynamic threshold (see `losses`); with the run's buffers the step's speed
+does not depend on what was freed before it. ``train_epoch`` called without
+them allocates its own per call.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
                           retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import NumericalError, adam_step, derive_rng, require_positive
+from .numerics import NumericalError, adam_step, bxb_views, derive_rng, require_positive
 from .synthdata import PairDataset
 
 __all__ = [
@@ -217,20 +227,27 @@ def batch_schedule(n: int, batch_size: int, rng: np.random.Generator) -> list:
     return chunks
 
 
+def _largest_batch(n: int, batch_size: int) -> int:
+    """Rows in the largest batch ``batch_schedule`` cuts from ``n`` samples."""
+    if n <= batch_size:
+        return n
+    return batch_size + (n % batch_size == 1)  # a merged trailing singleton
+
+
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     """Step schedule: exactly lr * lr_decay from the decay epoch onward."""
     return cfg.lr * cfg.lr_decay if epoch >= cfg.lr_decay_epoch else cfg.lr
 
 
 def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
-                    epoch: int):
+                    epoch: int, work):
     """Adam-train one network across a batch schedule; returns loss sums."""
     cm_sum, im_sum = 0.0, 0.0
     for b_i, idx in enumerate(schedule):
         try:
             report, grads = grad_total(net.img_enc, net.txt_enc,
                                        x_img[idx], x_txt[idx], y_full[idx],
-                                       cfg.tau1, cfg.tau2, cfg.gamma)
+                                       cfg.tau1, cfg.tau2, cfg.gamma, work)
         except NumericalError as err:
             raise NumericalError(
                 f"epoch {epoch}, net {net.name}, batch {b_i}: {err}") from err
@@ -243,7 +260,7 @@ def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
 
 def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
                      cfg: TrainConfig, beta1: float, beta2: float,
-                     epoch: int) -> SoftLabels:
+                     epoch: int, work) -> SoftLabels:
     """Next label store from estimates on ``src``'s embeddings.
 
     The cross-modal indicator and the purified structure score are computed
@@ -264,7 +281,8 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
         if spec.use_cm:
-            est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
+            s, p = bxb_views(work, idx.size)
+            est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t, out=s), cfg.tau1, p)
         if spec.use_im:
             scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
     if spec.use_im:
@@ -273,7 +291,8 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
     return ensemble_update(labels, est_cm, y_im, beta1, beta2)
 
 
-def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dict:
+def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
+                work: np.ndarray | None = None) -> dict:
     """Run epoch ``state.epoch`` of the schedule under ``cfg.resolved()``.
 
     Every network trains on its labels as they stand at epoch start. In a
@@ -282,7 +301,9 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
     schedule, and are smoothed by momentum. A warm-up epoch leaves the unit
     labels alone; after the last one, each store is seeded with raw estimates
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
-    without estimators keep unit labels throughout.
+    without estimators keep unit labels throughout. ``work`` is the run's
+    flat work array of at least 2 B^2 float64 entries for the largest batch
+    B; without it each step and estimate allocates its own buffers.
     """
     cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]
@@ -302,9 +323,9 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
         if co_train:
             new_labels[k] = _estimate_labels(state.labels[k], sources[_other(k, n_nets)],
                                              x_img, x_txt, schedule, cfg,
-                                             cfg.beta1, cfg.beta2, epoch)
+                                             cfg.beta1, cfg.beta2, epoch, work)
         c, i, nb = _train_net_over(net, x_img, x_txt, state.labels[k].y,
-                                   schedule, lr, cfg, epoch)
+                                   schedule, lr, cfg, epoch, work)
         cm_sum += c
         im_sum += i
         n_batches += nb
@@ -314,7 +335,7 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
                                       derive_rng(cfg.seed, "est-init", k))
             new_labels[k] = _estimate_labels(state.labels[k], state.nets[_other(k, n_nets)],
                                              x_img, x_txt, schedule, cfg, 1.0, 1.0,
-                                             epoch)
+                                             epoch, work)
     state.labels = new_labels
     state.epoch += 1
     return {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}
@@ -324,11 +345,13 @@ def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
     """Retrieval on a split using the mean of the networks' similarities."""
     sims = None
     for net in nets:
-        e_i = encode(net.img_enc, ds.img)
-        e_t = encode(net.txt_enc, ds.txt)
-        s = sim_matrix(e_i, e_t)
-        sims = s if sims is None else sims + s
-    return retrieval_report(sims / len(nets))
+        s = sim_matrix(encode(net.img_enc, ds.img), encode(net.txt_enc, ds.txt))
+        if sims is None:
+            sims = s
+        else:
+            sims += s
+    sims /= len(nets)
+    return retrieval_report(sims)
 
 
 def combined_labels(labels) -> np.ndarray:
@@ -369,6 +392,8 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     cfg = cfg.resolved()
     history = []
     label_history = [] if cfg.track_labels else None
+    largest = _largest_batch(train_ds.n, cfg.batch_size)
+    work = np.empty(2 * largest * largest)
     best = {"recall_sum": -1.0, "epoch": -1, "nets": [net.copy() for net in state.nets]}
 
     def record(loss_row):
@@ -400,7 +425,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
             best["nets"] = [net.copy() for net in state.nets]
 
     for _ in range(cfg.warmup_epochs + cfg.epochs):
-        record(train_epoch(state, train_ds, cfg))
+        record(train_epoch(state, train_ds, cfg, work))
     detection = detection_metrics(combined_labels(state.labels), train_ds.noise_mask)
     return RunResult(history=history, best_epoch=best["epoch"],
                      best_recall_sum=best["recall_sum"], best_nets=best["nets"],

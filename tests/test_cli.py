@@ -111,6 +111,20 @@ def test_train_with_every_pair_noisy_has_undefined_auc(tmp_path):
     assert report["detection"]["auc"] is None
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("rho, empty", [(1.0, "mean_clean"), (0.0, "mean_noisy")])
+def test_train_with_one_class_of_pairs_writes_valid_json(tmp_path, rho, empty):
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--rho", str(rho), "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["detection"][empty] is None  # no pair of that class to average
+    for line in (out / "metrics.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("batch_size", [128, 1000])  # the train split has 128 pairs
 def test_batch_at_least_the_train_split_is_one_batch(tmp_path, monkeypatch, batch_size):
     sizes = []

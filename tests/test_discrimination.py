@@ -7,7 +7,7 @@ from gsc.discrimination import (GmmModel, SoftLabels, combine_labels,
                                 cross_modal_indicator, embedding_structure_score,
                                 ensemble_update, gmm_fit, gmm_posterior,
                                 intra_structure_score)
-from gsc.numerics import derive_rng
+from gsc.numerics import bxb_views, derive_rng, softmax_rows
 
 N_CASES = 100
 
@@ -98,6 +98,19 @@ def test_indicator_range_and_shape_errors():
         assert np.all(out > 0.0) and np.all(out <= 1.0)
     with pytest.raises(ValueError):
         cross_modal_indicator(np.ones((2, 3)), 0.07)
+
+
+def test_indicator_bits_do_not_depend_on_the_work_buffer():
+    rng = derive_rng(3, "ind-work")
+    work = np.full(2 * 401 * 401, np.nan)  # larger than any batch here, and stale
+    for b in (2, 9, 128, 400):
+        s, p = bxb_views(work, b)
+        s[...] = rng.uniform(-1, 1, size=(b, b))
+        got = cross_modal_indicator(s, 0.07, p)
+        # the softmaxes of s and s.T each in a fresh array, as before the buffer
+        fresh = 0.5 * (np.diag(softmax_rows(s, 0.07)) + np.diag(softmax_rows(s.T, 0.07)))
+        assert np.array_equal(got, np.clip(fresh, np.nextafter(0.0, 1.0), 1.0))
+        assert np.array_equal(cross_modal_indicator(s, 0.07), got)
 
 
 def test_indicator_diagonal_monotonicity():
@@ -245,6 +258,17 @@ def test_gmm_fit_identical_scores_degenerates_to_half_posterior():
     assert model.means[0] == pytest.approx(0.42) and model.means[1] == pytest.approx(0.42)
     assert np.all(model.variances == 1e-4)
     assert gmm_posterior(model, 0.42) == pytest.approx(0.5, abs=1e-12)
+    # every structure score equal, including the clip bounds and the fewest
+    # scores a fit takes: equal means, a stop after the second iteration
+    # (the log-likelihood does not move), and one posterior for every sample,
+    # 0.5 up to the rounding of log 2
+    for value, n in ((0.42, 4), (0.42, 2000), (-1.0, 7), (0.0, 7), (1.0, 7)):
+        scores = np.full(n, value)
+        model = gmm_fit(scores)
+        assert model.means[0] == model.means[1] == pytest.approx(value)
+        assert len(model.loglik) == 2 and model.loglik[0] == model.loglik[1]
+        post = gmm_posterior(model, scores)
+        assert np.all(post == post[0]) and abs(post[0] - 0.5) <= 2.0 ** -53
 
 
 def test_gmm_fit_loglik_nondecreasing_over_seeds():

@@ -218,7 +218,7 @@ def test_detection_single_class_mask():
     rep = detection_metrics(np.array([0.9, 0.8]), np.array([False, False]))
     assert rep.auc is None
     assert rep.accuracy == 1.0
-    assert np.isnan(rep.mean_noisy)
+    assert rep.mean_noisy is None  # no noisy sample to average
     with pytest.raises(ValueError):
         detection_metrics(np.ones(3), np.zeros(2, dtype=bool))
 

@@ -9,10 +9,10 @@ import tracemalloc
 
 import numpy as np
 
-from gsc.discrimination import embedding_structure_score
+from gsc.discrimination import cross_modal_indicator, embedding_structure_score
 from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
-from gsc.numerics import derive_rng, softmax_rows
+from gsc.numerics import bxb_views, derive_rng, softmax_rows
 from gsc.synthdata import GenSpec, _decode_split, generate, load_dataset, save_dataset
 
 B, D = 256, 32
@@ -48,6 +48,19 @@ def test_loss_kernel_keeps_two_bxb_buffers():
     assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01) < 3.0
 
 
+def test_kernels_allocate_no_bxb_array_with_the_runs_buffers():
+    rng = derive_rng(4, "mem-work")
+    e_img = EmbeddingBatch(_unit_rows(rng))
+    e_txt = EmbeddingBatch(_unit_rows(rng))
+    y = rng.uniform(0.0, 1.0, size=B)
+    work = np.empty(2 * B * B)
+    results = 2 * B * D / (B * B)  # the two B x d embedding gradients
+    assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01, work) < results + 0.5
+    s, p = bxb_views(work, B)
+    np.matmul(e_img.matrix, e_txt.matrix.T, out=s)
+    assert _peak_bxb(cross_modal_indicator, s, 0.07, p) < 0.5
+
+
 def test_softmax_rows_allocates_only_its_result():
     m = derive_rng(1, "mem-softmax").uniform(-1.0, 1.0, size=(B, B))
     assert _peak_bxb(softmax_rows, m, 0.07) < 1.5
@@ -60,6 +73,11 @@ def test_embedding_structure_score_builds_no_bxb_matrix():
     assert _peak_bxb(embedding_structure_score, ei, et, y) < 1.0
 
 
+def _decode_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _decode_split(fh)
+
+
 def test_loading_a_split_holds_no_python_float_per_value(tmp_path):
     # a train split of the benchmark's size: 2,000 rows of 48 + 40 features
     ds = generate(GenSpec(n=2000, seed=3))
@@ -67,11 +85,11 @@ def test_loading_a_split_holds_no_python_float_per_value(tmp_path):
     save_dataset(ds, path)
     file_bytes = path.stat().st_size
     matrix_bytes = ds.img.nbytes + ds.txt.nbytes
-    # Reading holds the file's bytes and its text at once, 2 file_bytes, and
-    # the file has about 2.6 bytes per matrix byte; decoding holds the text,
-    # one block of rows and the matrices. json.load's Python floats and lists
-    # took the peak to file_bytes + 4.3 matrix_bytes.
-    assert _peak(load_dataset, path) < file_bytes + 3.5 * matrix_bytes
-    # with the text already read, decoding holds the matrices, their blocks
-    # while they are stacked, and one block of Python floats
-    assert _peak(_decode_split, path.read_text()) < 2 * matrix_bytes
+    # The file has about 2.6 bytes per matrix byte. Reading it in chunks holds
+    # one chunk of text, one block of Python floats and the matrices, with
+    # their blocks while they are stacked. json.load's Python floats and lists
+    # took the peak to file_bytes + 4.3 matrix_bytes, and reading the text
+    # whole, which holds the file's bytes and its text at once, to
+    # file_bytes + 2.6 matrix_bytes.
+    assert _peak(load_dataset, path) < 2 * matrix_bytes
+    assert _peak(_decode_file, path) < 2 * matrix_bytes

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gsc import synthdata
 from gsc.numerics import derive_rng
 from gsc.synthdata import (GenSpec, dataset_from_json, dataset_to_json, generate,
                            inject_noise, load_dataset, save_dataset, split)
@@ -199,11 +200,21 @@ SPLITS = split(generate(GenSpec(n=239, n_clusters=8, seed=16)), 200 / 239, 0.0,
                39 / 239, derive_rng(16, "split"))
 
 
-@pytest.mark.parametrize("dump_kw", [None, {"indent": 2}, {"indent": "\t", "sort_keys": True},
-                                     {"separators": (",", ":")}],
-                         ids=["save_dataset", "indent", "tabs-sorted", "compact"])
+LAYOUTS = {"save_dataset": None, "indent": {"indent": 2},
+           "tabs-sorted": {"indent": "\t", "sort_keys": True},
+           "compact": {"separators": (",", ":")}}
+# the file read in 64 KiB chunks (all of it at once here), then with chunk
+# boundaries after every character, inside most numbers, and between rows
+CHUNKS = [None, 1, 7, 4096]
+
+
+@pytest.mark.parametrize("dump_kw, chunk", [
+    pytest.param(kw, chunk, id=name if chunk is None else f"{name}-chunk{chunk}")
+    for chunk in CHUNKS for name, kw in LAYOUTS.items()])
 @pytest.mark.parametrize("tag", ["train", "dev", "test"])
-def test_load_dataset_equals_json_load(tmp_path, tag, dump_kw):
+def test_load_dataset_equals_json_load(tmp_path, monkeypatch, tag, dump_kw, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(synthdata, "_CHUNK", chunk)
     ds = SPLITS[("train", "dev", "test").index(tag)]
     if tag == "train":
         ds = inject_noise(ds, 0.4, derive_rng(16, "noise"))
@@ -214,17 +225,24 @@ def test_load_dataset_equals_json_load(tmp_path, tag, dump_kw):
     back = load_dataset(path)
     _assert_same_dataset(back, _load_oracle(path))
     assert back.n == ds.n
+    # the 0-row dev split keeps its width: (0, 48) and (0, 40)
+    assert back.img.shape == ds.img.shape and back.txt.shape == ds.txt.shape
 
 
-def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path):
+def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path, monkeypatch):
     ds = inject_noise(SPLITS[0], 0.4, derive_rng(17, "noise"))
     obj = dataset_to_json(ds)
     obj["img"][5] = [int(v) if i % 3 == 0 else v for i, v in enumerate(obj["img"][5])]
+    # unknown keys are skipped; a number cut after its "e" or "e-" must not
+    # decode as its shorter prefix
+    obj.update(scale=1.5e-07, offset=-2.25e+300)
     path = tmp_path / "split.json"
     text = json.dumps(dict(reversed(list(obj.items()))))
     text = text.replace(", ", " ,\t ").replace(": ", " :\n ").replace("[[", "[\r\n[")
     path.write_text(" \n" + text + "\r\n")
-    _assert_same_dataset(load_dataset(path), _load_oracle(path))
+    for chunk in (synthdata._CHUNK, 1, 7):
+        monkeypatch.setattr(synthdata, "_CHUNK", chunk)
+        _assert_same_dataset(load_dataset(path), _load_oracle(path))
 
 
 def _edited(edit):
@@ -245,6 +263,26 @@ LOADER_ERRORS = {
     "nested-rows": (_edited(lambda o: o.__setitem__("img", [[r] for r in o["img"]])), "not lists"),
     "missing-key": (_edited(lambda o: o.pop("perm")), "missing key 'perm'"),
 }
+
+
+@pytest.mark.parametrize("layout", ["save_dataset", "indent"])
+def test_load_dataset_error_positions_do_not_depend_on_the_chunk(tmp_path, monkeypatch, layout):
+    path = tmp_path / "bad.json"
+    save_dataset(SPLITS[2], path)
+    text = path.read_text()
+    if LAYOUTS[layout] is not None:
+        text = json.dumps(json.loads(text), **LAYOUTS[layout])
+    text = "\n" + text  # so no line starts at the beginning of the file
+    for cut in (2, len(text) // 3, len(text) - 2):
+        path.write_text(text[:cut] + "]" + text[cut:])
+        messages = []
+        for chunk in (len(text) + 1, 1, 7, 4096):  # the whole file first
+            monkeypatch.setattr(synthdata, "_CHUNK", chunk)
+            with pytest.raises(ValueError) as exc:
+                load_dataset(path)
+            messages.append(str(exc.value))
+        # the message and its line, column and character in the file
+        assert len(set(messages)) == 1 and "line " in messages[0]
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))

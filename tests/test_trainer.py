@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from gsc.losses import grad_total
 from gsc.model import encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
-from gsc.trainer import (MODES, TrainConfig, batch_schedule, check_split_sizes,
-                         evaluate_retrieval, init_state, learning_rate, run, train_epoch)
+from gsc.trainer import (MODES, TrainConfig, _largest_batch, batch_schedule,
+                         check_split_sizes, evaluate_retrieval, init_state, learning_rate,
+                         run, train_epoch)
 
 
 def small_data(seed=0, n=160, rho=0.4):
@@ -83,6 +86,10 @@ def test_batch_schedule_covers_and_merges_singleton():
     assert np.array_equal(np.sort(seen), np.arange(33))
     again = batch_schedule(33, 16, derive_rng(0, "sched"))
     assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
+    # the run's work buffers are sized for the largest batch
+    for n, size in itertools.product((2, 3, 16, 17, 33, 48, 2000, 2001), (2, 16, 128, 400)):
+        largest = max(c.size for c in batch_schedule(n, size, rng))
+        assert _largest_batch(n, size) == largest
 
 
 def test_learning_rate_decay_is_exact():

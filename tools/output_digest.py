@@ -8,16 +8,20 @@ must not exist yet), and prints one ``<sha256>  <path>`` line per output
 file, paths relative to ``OUT``, then one ``<sha256>  <split file>:<field>``
 line per array that ``gsc.synthdata.load_dataset`` returns for each split
 the ``gen`` cell wrote (the digest covers the array's dtype, shape and
-bytes). A pure refactor leaves every byte of every output and every loaded
-array unchanged, so the digests of two checkouts diff empty:
+bytes). It exits 1, naming the file, if a ``.json`` or ``.jsonl`` output
+holds a ``NaN`` or ``Infinity`` token, which ``json.dumps`` writes but JSON
+does not allow. A pure refactor leaves every byte of every output and every
+loaded array unchanged, so the digests of two checkouts diff empty:
 
     python3 tools/output_digest.py old/src /tmp/old > old.txt
     python3 tools/output_digest.py src /tmp/new > new.txt
     diff old.txt new.txt
 
 The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
-``gsc train --dump-labels`` run, one ``gsc gen`` of the benchmark's dataset
-size, and the benchmark's three workload command lines on that dataset. BLAS
+``gsc train --dump-labels`` run, the same gsc run with every train pair
+mismatched (``--rho 1.0``, so one detection class is empty), one ``gsc gen``
+of the benchmark's dataset size, and the benchmark's three workload command
+lines on that dataset. BLAS
 is pinned to one thread before numpy loads, so the float results do not
 depend on the machine's thread count.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -49,6 +54,8 @@ def cells(out: Path) -> list:
     argvs = [["train", "--mode", mode, "--warmup", str(warmup), *SMALL_TRAIN,
               "--out", str(out / f"train_{mode}_w{warmup}")]
              for mode in MODES for warmup in (0, 1, 2)]
+    argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--rho", "1.0",
+                  "--out", str(out / "train_gsc_rho1")])
     data = out / DATA
     argvs.append(["gen", "--n", "2500", "--rho", "0.4", "--seed", "11", "--out", str(data)])
     argvs += [["train", "--data", str(data), *extra, "--seed", "11", "--epochs", "20",
@@ -61,6 +68,24 @@ def array_digest(arr) -> str:
     """sha256 of an array's dtype, shape and C-order bytes."""
     head = f"{arr.dtype.str} {arr.shape}\n".encode("ascii")
     return hashlib.sha256(head + arr.tobytes(order="C")).hexdigest()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def non_json_outputs(out: Path) -> list:
+    """``<file>: <error>`` for every ``.json``/``.jsonl`` output under ``out``
+    that does not parse as strict JSON (one document per ``.jsonl`` line)."""
+    problems = []
+    for path in sorted(p for p in out.rglob("*") if p.suffix in (".json", ".jsonl")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=_reject_constant)
+        except ValueError as err:
+            problems.append(f"{path.relative_to(out).as_posix()}: {err}")
+    return problems
 
 
 def main(argv=None) -> int:
@@ -86,6 +111,11 @@ def main(argv=None) -> int:
         if code != 0:
             print(f"exit {code}: gsc {' '.join(cell)}", file=sys.stderr)
             return 1
+    problems = non_json_outputs(out)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
