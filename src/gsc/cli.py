@@ -21,7 +21,8 @@ from .evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
                           assemble_report, csv_row)
 from .losses import fd_check
 from .model import Encoder, encoder_to_json
-from .numerics import NumericalError, derive_rng, require_unit_interval
+from .numerics import (NumericalError, derive_rng, require_int, require_positive,
+                       require_unit_interval)
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
@@ -59,7 +60,7 @@ def train_config_from(cfg: dict) -> TrainConfig:
     if isinstance(hidden, str):
         hidden = [int(tok) for tok in hidden.split(",") if tok.strip()]
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
-                     hidden_dims=tuple(int(h) for h in hidden))
+                     hidden_dims=tuple(hidden))
     tc.validate()
     return tc
 
@@ -231,6 +232,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fdcheck(args) -> int:
+    # one pair is its own only negative, so a batch of one has a constant loss
+    require_int(args.seeds, "--seeds", 1)
+    require_int(args.batch, "--batch", 2)
+    require_positive(args.h, "--h")
+    require_positive(args.tol, "--tol")
     dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     worst = None
     all_pass = True

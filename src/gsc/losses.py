@@ -29,8 +29,9 @@ estimation factors the structure score the same way
 matrix).
 
 The backward pass goes similarity matrices -> losses -> row normalization ->
-tanh/affine stack, and is validated coordinate-by-coordinate against central
-finite differences by ``fd_check``.
+tanh/affine stack into one flat gradient per encoder, laid out like its
+``theta`` (`model`'s ``param_layout``), and ``fd_check`` validates it against
+central finite differences coordinate by coordinate of ``theta``.
 
 Arguments are checked by the ``numerics`` helpers (``as_matrix``,
 ``as_vector``, ``require_positive``) and raise ValueError; a non-finite
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair
+from .model import (Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair, param_layout,
+                    param_views)
 from .numerics import (as_matrix, as_vector, bxb_views, require_computed, require_finite,
                        require_positive, softmax_into)
 
@@ -72,10 +74,10 @@ class LossReport:
 
 @dataclass
 class GradSet:
-    """Gradient buffers in encoder parameter order (W0, b0, W1, b1, ...)."""
+    """Flat gradients laid out like each encoder's ``theta``."""
 
-    img: list
-    txt: list
+    img: np.ndarray
+    txt: np.ndarray
 
 
 def loss_cm(s, y, tau1: float) -> float:
@@ -184,20 +186,20 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
 
 
 def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
-                      g_emb: np.ndarray) -> list:
-    """Chain rule through L2 normalization and the tanh/affine stack."""
+                      g_emb: np.ndarray) -> np.ndarray:
+    """Chain rule through L2 normalization and the tanh/affine stack, into a flat gradient."""
+    grad = np.empty_like(enc.theta)
+    views = param_views(grad, enc.dims)
     inner = (g_emb * emb).sum(axis=1, keepdims=True)
     dz = (g_emb - inner * emb) / cache.norms[:, None]
-    grads: list = []
     for l in range(len(enc.weights) - 1, -1, -1):
         a = cache.inputs[l]
-        grads.append(dz.sum(axis=0))  # bias
-        grads.append(a.T @ dz)        # weight
+        dz.sum(axis=0, out=views[2 * l + 1])  # bias
+        np.matmul(a.T, dz, out=views[2 * l])  # weight
         if l > 0:
             da = dz @ enc.weights[l].T
             dz = da * (1.0 - a * a)   # a is tanh output entering layer l
-    grads.reverse()
-    return grads
+    return grad
 
 
 def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
@@ -214,8 +216,8 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     require_computed("the loss", report.total)
     g_img = _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei)
     g_txt = _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et)
-    require_computed("image-encoder gradients", *g_img)
-    require_computed("text-encoder gradients", *g_txt)
+    require_computed("image-encoder gradients", g_img)
+    require_computed("text-encoder gradients", g_txt)
     return report, GradSet(img=g_img, txt=g_txt)
 
 
@@ -258,27 +260,23 @@ def fd_check(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     worst_err = 0.0
     worst_name = ""
     n_coords = 0
-    sides = (("img", enc_img, grads.img), ("txt", enc_txt, grads.txt))
-    for side, enc, glist in sides:
-        params = enc.params()
-        names = enc.param_names()
-        for p, g, name in zip(params, glist, names):
-            flat_p = p.reshape(-1)
-            flat_g = np.asarray(g).reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
+    for side, enc, grad in (("img", enc_img, grads.img), ("txt", enc_txt, grads.txt)):
+        theta = enc.theta
+        for name, part, shape in param_layout(enc.dims):
+            for i in range(part.start, part.stop):
+                orig = theta[i]
+                theta[i] = orig + h
                 up = _total_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
-                flat_p[i] = orig - h
+                theta[i] = orig - h
                 down = _total_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
-                flat_p[i] = orig
+                theta[i] = orig
                 fd = (up - down) / (2.0 * h)
-                a = flat_g[i]
+                a = grad[i]
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
                 n_coords += 1
                 if rel > worst_err:
                     worst_err = rel
-                    idx = tuple(int(d) for d in np.unravel_index(i, p.shape))
+                    idx = tuple(int(d) for d in np.unravel_index(i - part.start, shape))
                     worst_name = f"{side}.{name}{list(idx)}"
     return FdCheckReport(max_rel_err=worst_err, worst_param=worst_name,
                          n_coords=n_coords, tol=tol, passed=worst_err < tol)

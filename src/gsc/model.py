@@ -4,16 +4,21 @@ An encoder is a stack of affine layers with tanh between them and a final
 row-wise L2 normalization, so all similarities are cosines. ``encode`` keeps
 the intermediate activations needed for the hand-derived backward pass in
 `losses`.
+
+An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
+b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
+``biases`` are C-contiguous views of it. The flat gradient of `losses` and
+both Adam moments share the layout, so one Adam step covers an encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import AdamState, as_matrix, require_computed
+from .numerics import AdamState, as_matrix, require_computed, require_int
 
 __all__ = [
     "EmbeddingBatch",
@@ -23,6 +28,8 @@ __all__ = [
     "encode_pair",
     "encoder_from_json",
     "encoder_to_json",
+    "param_layout",
+    "param_views",
     "sim_matrix",
 ]
 
@@ -49,59 +56,62 @@ class EmbeddingBatch:
     cache: ForwardCache | None = None
 
 
-def _interleave(weights, biases):
-    params = []
-    for w, b in zip(weights, biases):
-        params.append(w)
-        params.append(b)
-    return params
+def param_layout(dims: Sequence[int]) -> list:
+    """(name, slice, shape) of W0, b0, W1, b1, ... in the flat vector of an
+    encoder with layer widths ``dims``."""
+    layout, offset = [], 0
+    for l, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        w_end = offset + d_in * d_out
+        layout += [(f"W{l}", slice(offset, w_end), (d_in, d_out)),
+                   (f"b{l}", slice(w_end, w_end + d_out), (d_out,))]
+        offset = w_end + d_out
+    return layout
+
+
+def param_views(flat: np.ndarray, dims: Sequence[int]) -> list:
+    """Views W0, b0, W1, b1, ... of ``flat``, laid out by ``param_layout``."""
+    return [flat[part].reshape(shape) for _, part, shape in param_layout(dims)]
 
 
 @dataclass
 class Encoder:
-    """MLP parameters plus the Adam state that trains them.
+    """MLP parameters ``theta`` plus the Adam state that trains them.
 
-    Weight matrices are (d_in, d_out); ``params()`` returns the live arrays
-    in the fixed order W0, b0, W1, b1, ... that gradient lists follow.
+    ``weights[l]`` and ``biases[l]`` are views of ``theta``. A missing
+    ``theta`` is zeros, and missing Adam moments are zeros of its size.
     """
 
-    weights: list
-    biases: list
-    adam: AdamState
+    dims: list
+    theta: np.ndarray | None = None
+    adam: AdamState | None = None
+
+    def __post_init__(self):
+        if len(self.dims) < 2:
+            raise ValueError("encoder needs at least input and output dims")
+        for d in self.dims:
+            require_int(d, "encoder dim", 1)
+        self.dims = [int(d) for d in self.dims]
+        size = param_layout(self.dims)[-1][1].stop
+        self.theta = np.zeros(size) if self.theta is None else self.theta
+        if self.theta.shape != (size,):
+            raise ValueError(f"theta has shape {self.theta.shape}, dims {self.dims} need ({size},)")
+        views = param_views(self.theta, self.dims)
+        self.weights, self.biases = views[0::2], views[1::2]
+        if self.adam is None:
+            self.adam = AdamState(m=np.zeros(size), v=np.zeros(size))
 
     @classmethod
     def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "Encoder":
         """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init for every layer."""
-        if len(dims) < 2:
-            raise ValueError("encoder needs at least input and output dims")
-        if any(int(d) < 1 for d in dims):
-            raise ValueError(f"all dims must be >= 1, got {list(dims)}")
-        weights, biases = [], []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(d_in)
-            weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-            biases.append(rng.uniform(-bound, bound, size=d_out))
-        return cls(weights=weights, biases=biases,
-                   adam=AdamState.for_params(_interleave(weights, biases)))
-
-    @property
-    def dims(self) -> list:
-        return [int(self.weights[0].shape[0])] + [int(w.shape[1]) for w in self.weights]
-
-    def params(self) -> list:
-        return _interleave(self.weights, self.biases)
-
-    def param_names(self) -> list:
-        names = []
-        for l in range(len(self.weights)):
-            names.append(f"W{l}")
-            names.append(f"b{l}")
-        return names
+        enc = cls(dims)
+        for w, b in zip(enc.weights, enc.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        return enc
 
     def copy(self) -> "Encoder":
-        return Encoder(weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases],
-                       adam=self.adam.copy())
+        return Encoder(self.dims, self.theta.copy(), self.adam.copy())
 
 
 def encode(enc: Encoder, x) -> EmbeddingBatch:
@@ -144,14 +154,15 @@ def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch,
 
 
 def encoder_to_json(enc: Encoder) -> dict:
-    """Checkpoint container: {dims, weights, biases, adam_state, step}."""
+    """Checkpoint container: {dims, weights, biases, adam_state, step}; each
+    per-layer list holds the ``param_views`` of one flat vector."""
     return {
         "dims": enc.dims,
         "weights": [w.tolist() for w in enc.weights],
         "biases": [b.tolist() for b in enc.biases],
         "adam_state": {
-            "m": [m.tolist() for m in enc.adam.m],
-            "v": [v.tolist() for v in enc.adam.v],
+            "m": [a.tolist() for a in param_views(enc.adam.m, enc.dims)],
+            "v": [a.tolist() for a in param_views(enc.adam.v, enc.dims)],
             "beta1": enc.adam.beta1,
             "beta2": enc.adam.beta2,
             "eps": enc.adam.eps,
@@ -161,18 +172,15 @@ def encoder_to_json(enc: Encoder) -> dict:
 
 
 def encoder_from_json(obj: dict) -> Encoder:
-    weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
     st = obj["adam_state"]
-    adam = AdamState(
-        m=[np.asarray(m, dtype=float) for m in st["m"]],
-        v=[np.asarray(v, dtype=float) for v in st["v"]],
-        step=int(obj["step"]),
-        beta1=float(st["beta1"]),
-        beta2=float(st["beta2"]),
-        eps=float(st["eps"]),
-    )
-    enc = Encoder(weights=weights, biases=biases, adam=adam)
-    if enc.dims != list(obj["dims"]):
-        raise ValueError("checkpoint dims inconsistent with stored weights")
+    enc = Encoder(obj["dims"])
+    enc.adam = replace(enc.adam, step=int(obj["step"]), beta1=float(st["beta1"]),
+                       beta2=float(st["beta2"]), eps=float(st["eps"]))
+    for views, stored in ((enc.weights, obj["weights"]), (enc.biases, obj["biases"]),
+                          (param_views(enc.adam.m, enc.dims), st["m"]),
+                          (param_views(enc.adam.v, enc.dims), st["v"])):
+        if [np.shape(a) for a in stored] != [view.shape for view in views]:
+            raise ValueError("checkpoint dims inconsistent with stored weights")
+        for view, a in zip(views, stored):
+            view[...] = a
     return enc

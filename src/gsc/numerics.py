@@ -1,19 +1,20 @@
 """Deterministic numerical primitives shared across the package.
 
 Plain numpy throughout: argument checks, the softmax kernel, cosine
-similarity, log-sum-exp, an in-place Adam step, and helpers for deriving
+similarity, log-sum-exp, an in-place Adam step over one flat parameter
+vector (the layout of `model`'s ``theta``), and helpers for deriving
 independent seeded random generators. No GPU, no autodiff; gradients are
 hand-derived in `losses`. Each argument condition of the package's public
 functions is checked by one function here (``as_matrix``, ``as_vector``,
-``require_positive``, ``require_unit_interval``), ``softmax_into`` is the
-one softmax kernel, and ``bxb_views`` cuts a run's flat work array into the
-two B x B buffers of a batch.
+``require_int``, ``require_positive``, ``require_unit_interval``),
+``softmax_into`` is the one softmax kernel, and ``bxb_views`` cuts a run's
+flat work array into the two B x B buffers of a batch.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "make_rng",
     "require_computed",
     "require_finite",
+    "require_int",
     "require_positive",
     "require_unit_interval",
     "softmax_into",
@@ -72,6 +74,12 @@ def require_positive(x, name: str, allow_zero: bool = False) -> None:
     if not (np.isfinite(x) and (x >= 0 if allow_zero else x > 0)):
         bound = "non-negative" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound} and finite, got {x}")
+
+
+def require_int(x, name: str, minimum: int) -> None:
+    """Raise ValueError unless ``x`` is an integer, not a bool, and >= ``minimum``."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)) or x < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
 
 
 def require_unit_interval(x, name: str) -> None:
@@ -156,46 +164,37 @@ def cosine(u, v, return_degenerate: bool = False):
 
 @dataclass
 class AdamState:
-    """Adam moment buffers and step counter for one ordered parameter list."""
+    """Adam moment vectors and step counter for one flat parameter vector."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
-    @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
-
     def copy(self) -> "AdamState":
-        return AdamState(m=[b.copy() for b in self.m], v=[b.copy() for b in self.v],
-                         step=self.step, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place.
+def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    ``params`` must be the same (ordered) arrays the state was built for;
-    single writer per parameter set.
+    ``theta``, ``grad`` and the state's moments share one flat layout;
+    single writer per parameter vector.
     """
     require_positive(lr, "learning rate")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != np.shape(g):
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {np.shape(g)}")
+    if not theta.shape == np.shape(grad) == state.m.shape:
+        raise ValueError(f"shape mismatch: theta {theta.shape}, grad {np.shape(grad)}, "
+                         f"moments {state.m.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grad * grad)
+    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
 def make_rng(seed: int) -> np.random.Generator:

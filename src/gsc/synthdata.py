@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import derive_rng, require_finite, require_positive, require_unit_interval
+from .numerics import (derive_rng, require_finite, require_int, require_positive,
+                       require_unit_interval)
 
 __all__ = [
     "GenSpec",
@@ -57,9 +58,9 @@ class GenSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n < 1 or min(self.d_latent, self.d_img, self.d_txt) < 1:
-            raise ValueError("all sizes and dims must be >= 1")
-        if not 1 <= self.n_clusters <= self.n:
+        for name in ("n", "d_latent", "d_img", "d_txt", "n_clusters"):
+            require_int(getattr(self, name), name, 1)
+        if self.n_clusters > self.n:
             raise ValueError(f"n_clusters must lie in [1, n], got {self.n_clusters}")
         require_positive(self.sigma_cluster, "sigma_cluster", allow_zero=True)
         require_positive(self.sigma_view, "sigma_view", allow_zero=True)

@@ -37,7 +37,8 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
                           retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import NumericalError, adam_step, bxb_views, derive_rng, require_positive
+from .numerics import (NumericalError, adam_step, bxb_views, derive_rng, require_int,
+                       require_positive)
 from .synthdata import PairDataset
 
 __all__ = [
@@ -124,14 +125,17 @@ class TrainConfig:
         require_positive(self.gamma, "gamma", allow_zero=True)
         if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
             raise ValueError("momentum coefficients must lie in [0, 1]")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be at least 2")
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ValueError("epoch counts must be non-negative")
+        for name, minimum in (("batch_size", 2), ("epochs", 0), ("warmup_epochs", 0),
+                              ("lr_decay_epoch", 0), ("embed_dim", 1), ("gmm_iters", 1)):
+            require_int(getattr(self, name), name, minimum)
+        for h in self.hidden_dims:
+            require_int(h, "hidden_dims entry", 1)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.embed_dim < 1 or any(int(h) < 1 for h in self.hidden_dims):
-            raise ValueError("encoder dims must be >= 1")
+        resolved = self.resolved()
+        if resolved.warmup_epochs + resolved.epochs < 1:
+            raise ValueError("warmup_epochs + epochs must be at least 1: a run of no epoch "
+                             "has no dev evaluation to pick a checkpoint by")
 
     def resolved(self) -> "TrainConfig":
         """Apply the overrides of the mode's ``MODE_SPECS`` entry."""
@@ -253,8 +257,8 @@ def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
                 f"epoch {epoch}, net {net.name}, batch {b_i}: {err}") from err
         cm_sum += report.l_cm
         im_sum += report.l_im
-        adam_step(net.img_enc.params(), grads.img, net.img_enc.adam, lr)
-        adam_step(net.txt_enc.params(), grads.txt, net.txt_enc.adam, lr)
+        adam_step(net.img_enc.theta, grads.img, net.img_enc.adam, lr)
+        adam_step(net.txt_enc.theta, grads.txt, net.txt_enc.adam, lr)
     return cm_sum, im_sum, len(schedule)
 
 

@@ -36,8 +36,7 @@ def _grad_total(**kw):
 
 
 def _adam(lr):
-    p = [np.zeros(2)]
-    return adam_step(p, [np.ones(2)], AdamState.for_params(p), lr)
+    return adam_step(np.zeros(2), np.ones(2), AdamState(m=np.zeros(2), v=np.zeros(2)), lr)
 
 
 CASES = {

@@ -7,6 +7,7 @@ import pytest
 
 from gsc import cli, trainer
 from gsc.losses import grad_total
+from gsc.model import encoder_from_json
 from gsc.numerics import NumericalError
 
 
@@ -74,6 +75,23 @@ def test_train_on_generated_dataset(tmp_path):
     assert {"epoch", "mode", "loss_cm", "loss_im", "dev_r1_i2t", "dev_r1_t2i",
             "recall_sum", "det_acc", "det_auc"} == set(rows[0])
     assert (out / "ckpt_A_img.json").exists() and (out / "ckpt_B_txt.json").exists()
+
+
+def test_checkpoints_load_back_to_the_reported_test_retrieval(tmp_path):
+    data = tmp_path / "d"
+    assert run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(data)) == 0
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", str(data), "--out", str(out), "--epochs", "2",
+                   "--batch-size", "32", "--seed", "5") == 0
+    nets = []
+    for name in "AB":
+        img, txt = (encoder_from_json(json.loads((out / f"ckpt_{name}_{m}.json").read_text()))
+                    for m in ("img", "txt"))
+        nets.append(trainer.Network(name, img, txt))
+    retr = trainer.evaluate_retrieval(nets, cli.load_splits(str(data))[2])
+    reported = json.loads((out / "report.json").read_text())["retrieval"]
+    assert [getattr(retr, f"r{k}_{d}") for d in ("i2t", "t2i") for k in (1, 5, 10)] == [
+        reported[d][f"r{k}"] for d in ("i2t", "t2i") for k in (1, 5, 10)]
 
 
 def _ragged_row(obj):
@@ -149,6 +167,18 @@ def test_train_zero_epochs_reports_warmup_state(tmp_path):
     rows = read_jsonl(out / "metrics.jsonl")
     assert len(rows) == 1
     assert (out / "report.json").exists()
+
+
+def test_train_with_no_epoch_at_all_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--epochs", "0", "--warmup", "0",
+                   "--out", str(out)) == 2
+    assert "warmup_epochs + epochs" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists() and not (out / "report.json").exists()
+    # no_ensemble resolves to a 5-epoch warm-up, so the same flags still train
+    assert run_cli("train", *FAST_TRAIN, "--mode", "no_ensemble", "--epochs", "0",
+                   "--warmup", "0", "--out", str(out)) == 0
+    assert len(read_jsonl(out / "metrics.jsonl")) == 5
 
 
 def test_train_missing_dataset_exits_2(tmp_path):
@@ -256,6 +286,22 @@ def test_train_rejects_nonfinite_config_value_before_training(tmp_path, capsys, 
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("gen", "n", 300.5), ("gen", "n_clusters", 4.5), ("gen", "d_img", "48"),
+    ("train", "batch_size", 64.5), ("train", "epochs", 1.5), ("train", "embed_dim", "8"),
+    ("train", "hidden_dims", [16.7]), ("train", "epochs", True),
+])
+def test_non_integer_config_field_exits_2_naming_it(tmp_path, capsys, command, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    extra = ["--n", "160"] if command == "train" and key != "n" else []
+    assert run_cli(command, *extra, "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and key in err
+    assert not any(out.glob("*.json*"))
+
+
 def test_usage_error_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", "--bogus-flag")
@@ -337,6 +383,17 @@ def test_fdcheck_passes_and_fails_on_tight_tol(capsys):
     assert "fdcheck passed" in out
     assert run_cli("fdcheck", "--seeds", "1", "--batch", "4", "--dims", "6,5,3",
                    "--tol", "1e-12") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "0"), ("--seeds", "-2"), ("--batch", "1"), ("--h", "0"), ("--tol", "nan"),
+])
+def test_fdcheck_rejects_arguments_that_check_nothing(capsys, flag, value):
+    assert run_cli("fdcheck", "--seeds", "1", "--batch", "3", "--dims", "4,3",
+                   flag, value) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "fdcheck passed" not in captured.out
 
 
 def test_report_prints_and_merges(tmp_path, capsys):

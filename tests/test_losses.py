@@ -6,7 +6,7 @@ import pytest
 
 from gsc.losses import (_embedding_grads, fd_check, grad_total, loss_cm, loss_im,
                         structure_logits, total_loss)
-from gsc.model import Encoder, encode
+from gsc.model import Encoder, encode, param_layout
 from gsc.numerics import NumericalError, derive_rng
 
 N_CASES = 100
@@ -268,7 +268,7 @@ def test_grad_total_zero_labels_give_zero_gradients():
     enc_img, enc_txt, x_img, x_txt, _ = _random_instance(rng)
     _, grads = grad_total(enc_img, enc_txt, x_img, x_txt,
                           np.zeros(x_img.shape[0]), 0.07, 1.0, 0.01)
-    for g in grads.img + grads.txt:
+    for g in (grads.img, grads.txt):
         assert np.all(g == 0.0)
 
 
@@ -278,7 +278,7 @@ def test_grad_total_im_part_scales_linearly_with_gamma():
     _, g0 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.0)
     _, g1 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.5)
     _, g2 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 1.0)
-    for a, b, c in zip(g0.img + g0.txt, g1.img + g1.txt, g2.img + g2.txt):
+    for a, b, c in zip((g0.img, g0.txt), (g1.img, g1.txt), (g2.img, g2.txt)):
         assert np.allclose(c - a, 2.0 * (b - a), atol=1e-12)
 
 
@@ -308,11 +308,30 @@ def test_fd_check_detects_perturbed_gradient():
     enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=4)
     _, grads = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
     # scale the largest-magnitude weight gradient by 1%
-    flat = grads.img[0].reshape(-1)
-    flat[np.argmax(np.abs(flat))] *= 1.01
+    flat = grads.img[:enc_img.weights[0].size]  # W0's coordinates
+    worst = int(np.argmax(np.abs(flat)))
+    flat[worst] *= 1.01
     report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grads=grads)
     assert not report.passed
     assert report.max_rel_err > 1e-3
+    row, col = divmod(worst, enc_img.weights[0].shape[1])
+    assert report.worst_param == f"img.W0[{row}, {col}]"
+
+
+@pytest.mark.parametrize("side, name", [("img", "W1"), ("txt", "b0"), ("txt", "b1")])
+def test_fd_check_names_the_perturbed_coordinate(side, name):
+    rng = derive_rng(4, "grad-perturb")
+    enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=4)
+    _, grads = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
+    enc = enc_img if side == "img" else enc_txt
+    layout = {n: (part, shape) for n, part, shape in param_layout(enc.dims)}
+    part, shape = layout[name]
+    flat = getattr(grads, side)[part]
+    worst = int(np.argmax(np.abs(flat)))
+    flat[worst] *= 1.01
+    report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grads=grads)
+    idx = [int(d) for d in np.unravel_index(worst, shape)]
+    assert report.worst_param == f"{side}.{name}{idx}"
 
 
 def test_fd_check_infinite_tolerance_always_passes():

@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from gsc.model import EmbeddingBatch, Encoder, encode, encoder_from_json, encoder_to_json, sim_matrix
-from gsc.numerics import AdamState, derive_rng
+from gsc.model import (EmbeddingBatch, Encoder, encode, encoder_from_json, encoder_to_json,
+                       param_layout, param_views, sim_matrix)
+from gsc.numerics import derive_rng
 
 N_CASES = 100
 
 
 def _identity_encoder(d):
-    w = [np.eye(d)]
-    b = [np.zeros(d)]
-    return Encoder(weights=w, biases=b, adam=AdamState.for_params([w[0], b[0]]))
+    return Encoder([d, d], np.concatenate([np.eye(d).ravel(), np.zeros(d)]))
 
 
 def test_encode_identity_layer_preserves_unit_norm_input():
@@ -120,7 +119,7 @@ def test_encoder_checkpoint_round_trip():
     enc = Encoder.init([4, 6, 3], rng)
     # touch the adam state so it is non-trivial
     enc.adam.step = 7
-    enc.adam.m[0][0, 0] = 0.25
+    enc.adam.m[0] = 0.25  # W0[0, 0]
     obj = json.loads(json.dumps(encoder_to_json(enc)))
     back = encoder_from_json(obj)
     assert back.dims == enc.dims
@@ -129,7 +128,7 @@ def test_encoder_checkpoint_round_trip():
     for b1, b2 in zip(back.biases, enc.biases):
         assert np.array_equal(b1, b2)
     assert back.adam.step == 7
-    assert back.adam.m[0][0, 0] == 0.25
+    assert back.adam.m[0] == 0.25
 
 
 def test_encoder_init_bounds_and_validation():
@@ -138,3 +137,49 @@ def test_encoder_init_bounds_and_validation():
     assert np.max(np.abs(enc.weights[0])) <= 1.0 / 3.0
     with pytest.raises(ValueError):
         Encoder.init([5], rng)
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    dims = [4, 6, 3]
+    enc = Encoder.init(dims, derive_rng(7, "model-flat"))
+    assert enc.theta.shape == (4 * 6 + 6 + 6 * 3 + 3,)
+    assert param_layout(dims) == [("W0", slice(0, 24), (4, 6)), ("b0", slice(24, 30), (6,)),
+                                  ("W1", slice(30, 48), (6, 3)), ("b1", slice(48, 51), (3,))]
+    views = [enc.weights[0], enc.biases[0], enc.weights[1], enc.biases[1]]
+    assert all(v.flags.c_contiguous and np.shares_memory(v, enc.theta) for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), enc.theta)
+    for flat in (enc.adam.m, enc.adam.v):
+        assert [v.shape for v in param_views(flat, dims)] == [v.shape for v in views]
+    enc.theta[24] = 5.0
+    assert enc.biases[0][0] == 5.0
+
+
+def test_encoder_copy_owns_its_arrays():
+    enc = Encoder.init([4, 6, 3], derive_rng(8, "model-copy"))
+    enc.adam.step = 3
+    dup = enc.copy()
+    assert dup.dims == enc.dims and dup.adam.step == 3
+    dup.weights[1][0, 0] += 1.0
+    dup.adam.m += 1.0
+    dup.adam.v += 1.0
+    assert np.shares_memory(dup.weights[1], dup.theta)
+    assert not np.shares_memory(dup.theta, enc.theta)
+    assert dup.theta[30] == enc.theta[30] + 1.0
+    assert np.all(enc.adam.m == 0.0) and np.all(enc.adam.v == 0.0)
+
+
+def test_checkpoint_lists_are_per_layer_slices():
+    dims = [3, 5, 2]
+    rng = derive_rng(9, "model-ckpt-layout")
+    enc = Encoder.init(dims, rng)
+    enc.adam.m[:] = rng.standard_normal(enc.theta.size)
+    obj = encoder_to_json(enc)
+    shapes = [(3, 5), (5,), (5, 2), (2,)]
+    assert [np.shape(a) for a in obj["adam_state"]["m"]] == shapes
+    assert [np.shape(w) for w in obj["weights"]] == shapes[0::2]
+    assert obj["adam_state"]["m"][2] == enc.adam.m[20:30].reshape(5, 2).tolist()
+    obj["weights"][1] = obj["weights"][1][:4]
+    with pytest.raises(ValueError, match="inconsistent"):
+        encoder_from_json(obj)
+    with pytest.raises(ValueError):
+        Encoder(dims, np.zeros(3 * 5 + 5 + 5 * 2 + 2 + 1))

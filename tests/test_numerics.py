@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gsc.model import Encoder, param_views
 from gsc.numerics import (AdamState, adam_step, cosine, derive_rng, logsumexp,
                           make_rng, softmax_rows)
 
@@ -124,50 +125,82 @@ def test_logsumexp_basics():
         logsumexp([])
 
 
+def _zero_state(p):
+    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
+
+
 def test_adam_first_step_moves_by_lr():
-    p = [np.array([1.0])]
-    state = AdamState.for_params(p)
-    adam_step(p, [np.array([0.3])], state, lr=0.01)
+    p = np.array([1.0])
+    state = _zero_state(p)
+    adam_step(p, np.array([0.3]), state, lr=0.01)
     # bias-corrected first step is lr * g / (|g| + eps) ~= lr * sign(g)
-    assert p[0][0] == pytest.approx(1.0 - 0.01, rel=1e-6)
+    assert p[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
     assert state.step == 1
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
-    p = [np.array([2.0, -1.0]), np.ones((2, 2))]
-    state = AdamState.for_params(p)
-    before = [x.copy() for x in p]
+    p = np.array([2.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+    state = _zero_state(p)
+    before = p.copy()
     for _ in range(5):
-        adam_step(p, [np.zeros_like(x) for x in p], state, lr=0.1)
-    for x, b in zip(p, before):
-        assert np.array_equal(x, b)
+        adam_step(p, np.zeros_like(p), state, lr=0.1)
+    assert np.array_equal(p, before)
     assert state.step == 5
 
 
 def test_adam_deterministic_and_shape_preserving():
-    shapes = [(3, 4), (4,), (2, 2)]
+    size = 3 * 4 + 4 + 2 * 2
 
     def run_once():
         r = derive_rng(3, "adam-data")
-        p = [r.standard_normal(s) for s in shapes]
-        state = AdamState.for_params(p)
+        p = r.standard_normal(size)
+        state = _zero_state(p)
         for _ in range(10):
-            adam_step(p, [r.standard_normal(s) for s in shapes], state, lr=1e-3)
+            adam_step(p, r.standard_normal(size), state, lr=1e-3)
         return p
 
     a, b = run_once(), run_once()
-    for x, y, shape in zip(a, b, shapes):
-        assert np.array_equal(x, y)
-        assert x.shape == shape
+    assert np.array_equal(a, b)
+    assert a.shape == (size,)
 
 
 def test_adam_shape_mismatch_error():
-    p = [np.zeros((2, 2))]
-    state = AdamState.for_params(p)
+    p = np.zeros(4)
+    state = _zero_state(p)
     with pytest.raises(ValueError):
-        adam_step(p, [np.zeros(3)], state, lr=0.1)
+        adam_step(p, np.zeros(3), state, lr=0.1)
     with pytest.raises(ValueError):
-        adam_step(p, [np.zeros((2, 2))], state, lr=0.0)
+        adam_step(p, np.zeros(4), _zero_state(np.zeros(3)), lr=0.1)
+    with pytest.raises(ValueError):
+        adam_step(p, np.zeros(4), state, lr=0.0)
+
+
+def _adam_per_parameter(params, grads, ms, vs, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop over lists of arrays that the flat update replaced."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_flat_adam_bit_identical_to_per_parameter_loop():
+    dims = [48, 64, 32]
+    rng = derive_rng(9, "adam-oracle")
+    enc = Encoder.init(dims, rng)
+    params = [view.copy() for view in param_views(enc.theta, dims)]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for step in range(1, 51):
+        grad = rng.standard_normal(enc.theta.size)
+        adam_step(enc.theta, grad, enc.adam, lr=5e-3)
+        _adam_per_parameter(params, param_views(grad, dims), ms, vs, step, lr=5e-3)
+    assert enc.adam.step == 50
+    for flat, per_param in ((enc.theta, params), (enc.adam.m, ms), (enc.adam.v, vs)):
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in per_param]))
 
 
 def test_derived_rng_streams_are_stable_and_independent():

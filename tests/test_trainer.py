@@ -254,8 +254,8 @@ def _reference_epoch(state, train_ds, cfg):
         for idx in batches:
             _, grads = grad_total(net.img_enc, net.txt_enc, x_img[idx], x_txt[idx],
                                   y_frozen[idx], cfg.tau1, cfg.tau2, cfg.gamma)
-            adam_step(net.img_enc.params(), grads.img, net.img_enc.adam, lr)
-            adam_step(net.txt_enc.params(), grads.txt, net.txt_enc.adam, lr)
+            adam_step(net.img_enc.theta, grads.img, net.img_enc.adam, lr)
+            adam_step(net.txt_enc.theta, grads.txt, net.txt_enc.adam, lr)
     if estimate and state.epoch == cfg.warmup_epochs - 1:
         new_labels = [
             _reference_estimate(
@@ -270,9 +270,8 @@ def _reference_epoch(state, train_ds, cfg):
 def _assert_states_match(state, ref_state):
     assert len(state.nets) == len(ref_state.nets)
     for net, ref in zip(state.nets, ref_state.nets):
-        for p, q in zip(net.img_enc.params() + net.txt_enc.params(),
-                        ref.img_enc.params() + ref.txt_enc.params()):
-            assert np.max(np.abs(p - q)) < 1e-10
+        for enc, ref_enc in ((net.img_enc, ref.img_enc), (net.txt_enc, ref.txt_enc)):
+            assert np.max(np.abs(enc.theta - ref_enc.theta)) < 1e-10
     for lb, ref_lb in zip(state.labels, ref_state.labels):
         assert np.max(np.abs(lb.y - ref_lb.y)) < 1e-10
         assert np.max(np.abs(lb.y_cm - ref_lb.y_cm)) < 1e-10

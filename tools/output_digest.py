@@ -20,10 +20,12 @@ loaded array unchanged, so the digests of two checkouts diff empty:
 The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 ``gsc train --dump-labels`` run, the same gsc run with every train pair
 mismatched (``--rho 1.0``, so one detection class is empty), one ``gsc gen``
-of the benchmark's dataset size, and the benchmark's three workload command
-lines on that dataset. BLAS
-is pinned to one thread before numpy loads, so the float results do not
-depend on the machine's thread count.
+of the benchmark's dataset size, the benchmark's three workload command
+lines on that dataset, and ``gsc fdcheck --seeds 3``, whose stdout (each
+seed's worst finite-difference error and its coordinate) is written to
+``OUT/fdcheck.txt``, so a change to the backward pass shows those errors
+equal to the last bit or not. BLAS is pinned to one thread before numpy
+loads, so the float results do not depend on the machine's thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ WORKLOAD_TRAIN = {
     "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
     "gsc_bigbatch": ["--mode", "gsc", "--batch-size", "400"],
 }
+STDOUT_FILES = {"fdcheck": "fdcheck.txt"}  # subcommand -> file under OUT holding its stdout
 
 
 def cells(out: Path) -> list:
@@ -61,6 +64,7 @@ def cells(out: Path) -> list:
     argvs += [["train", "--data", str(data), *extra, "--seed", "11", "--epochs", "20",
                "--warmup", "1", "--out", str(out / name)]
               for name, extra in WORKLOAD_TRAIN.items()]
+    argvs.append(["fdcheck", "--seeds", "3"])
     return argvs
 
 
@@ -106,11 +110,14 @@ def main(argv=None) -> int:
         print(f"gsc was imported from {gsc.cli.__file__}, not from {src}", file=sys.stderr)
         return 2
     for cell in cells(out):
-        with contextlib.redirect_stdout(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
             code = gsc.cli.main(cell)
         if code != 0:
             print(f"exit {code}: gsc {' '.join(cell)}", file=sys.stderr)
             return 1
+        if cell[0] in STDOUT_FILES:
+            (out / STDOUT_FILES[cell[0]]).write_text(stdout.getvalue(), encoding="utf-8")
     problems = non_json_outputs(out)
     for problem in problems:
         print(problem, file=sys.stderr)
