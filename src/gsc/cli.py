@@ -47,6 +47,8 @@ def load_config(path, overrides: dict) -> dict:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, got {file_cfg!r}")
         unknown = sorted(set(file_cfg) - set(DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
@@ -59,6 +61,9 @@ def train_config_from(cfg: dict) -> TrainConfig:
     hidden = cfg["hidden_dims"]
     if isinstance(hidden, str):
         hidden = [int(tok) for tok in hidden.split(",") if tok.strip()]
+    elif not isinstance(hidden, (list, tuple)):
+        raise ValueError(f"hidden_dims must be a list of integers or a comma-separated "
+                         f"string, got {hidden!r}")
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
                      hidden_dims=tuple(hidden))
     tc.validate()
@@ -126,9 +131,11 @@ def load_splits(data_path: str):
         raise FileNotFoundError(f"dataset manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    base = path.parent
-    return tuple(load_dataset(base / manifest["files"][tag])
-                 for tag in ("train", "dev", "test"))
+    try:
+        names = [manifest["files"][tag] for tag in ("train", "dev", "test")]
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    return tuple(load_dataset(path.parent / name) for name in names)
 
 
 def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):

@@ -14,6 +14,7 @@ flat work array into the two B x B buffers of a batch.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,8 +70,17 @@ def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
     return out
 
 
+def _require_real(x, name: str) -> None:
+    """Raise ValueError unless ``x`` is a real number; a bool, None or a
+    string is not."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+
+
 def require_positive(x, name: str, allow_zero: bool = False) -> None:
-    """Raise ValueError unless ``x`` is finite and > 0 (>= 0 if ``allow_zero``)."""
+    """Raise ValueError unless ``x`` is a real number, finite and > 0 (>= 0
+    if ``allow_zero``)."""
+    _require_real(x, name)
     if not (np.isfinite(x) and (x >= 0 if allow_zero else x > 0)):
         bound = "non-negative" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound} and finite, got {x}")
@@ -83,7 +93,8 @@ def require_int(x, name: str, minimum: int) -> None:
 
 
 def require_unit_interval(x, name: str) -> None:
-    """Raise ValueError unless ``x`` lies in [0, 1]; NaN does not."""
+    """Raise ValueError unless ``x`` is a real number in [0, 1]; NaN is not."""
+    _require_real(x, name)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 

@@ -6,23 +6,17 @@ noise. Mismatches are injected by permuting which text is presented with
 which image (features stay untouched, so marginals are preserved), and the
 permutation restricted to the selected pairs has no fixed points.
 
-A split file is one JSON object (``dataset_to_json``). ``load_dataset``
-reads it ``_CHUNK`` (64 KiB) characters at a time and walks it with the
-stdlib JSON scanner, decoding the two feature matrices row by row and
-converting each block of rows to float64 at once; a value cut by a chunk
-boundary is decoded again after the next read. ``json.load`` would hold one
-Python float per feature value (about 176k for a 2,000-row split, several
-times the matrices' own bytes) until the arrays are built, and reading the
-text whole would hold the file's bytes and its text at once (2 x 3.7 MB for
-that split); either transient would set the process's peak memory. The
-floats parse exactly as ``json.load`` parses them, so the arrays are
-identical.
+A split file is ``dataset_to_json``'s object as JSON with one matrix row per
+line: line 1 holds the other keys, sorted, and opens ``"img"``; then come the
+image rows, a line that closes them and opens ``"txt"``, the text rows and a
+closing line. ``load_dataset`` reads it a line at a time into preallocated
+float64 matrices, so it holds the text and the Python floats of one row at a
+time, never of the whole file, and it rejects any other layout.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +241,11 @@ def split(ds: PairDataset, f_train: float, f_dev: float, f_test: float,
     return train, dev, test
 
 
+_MATRIX_KEYS = ("img", "txt")
+_HEAD_END = ', "img": [\n'  # line 1: json.dumps of the other keys, this in place of "}"
+_CLOSE = {"img": '], "txt": [\n', "txt": "]}\n"}  # the line after each matrix's rows
+
+
 def dataset_to_json(ds: PairDataset) -> dict:
     """JSON-ready container: {meta, img, txt, perm, mask, clusters}."""
     meta = dict(ds.meta)
@@ -284,173 +283,65 @@ def dataset_from_json(obj: dict) -> PairDataset:
 
 
 def save_dataset(ds: PairDataset, path) -> None:
+    """Write ``dataset_to_json(ds)`` as JSON with one matrix row per line."""
+    obj = dataset_to_json(ds)
+    head = json.dumps({k: v for k, v in obj.items() if k not in _MATRIX_KEYS}, sort_keys=True)
+    n = ds.n
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(dataset_to_json(ds), sort_keys=True))
+        fh.write(head[:-1] + _HEAD_END)
+        for key in _MATRIX_KEYS:
+            fh.writelines(json.dumps(row) + (",\n" if i + 1 < n else "\n")
+                          for i, row in enumerate(obj[key]))
+            fh.write(_CLOSE[key])
 
 
-_DECODER = json.JSONDecoder()
-_BLANKS = r"[ \t\n\r]*"
-_WHITESPACE = re.compile(_BLANKS)
-_DELIMITERS = {close: re.compile(_BLANKS + r"(?:(,)|" + re.escape(close) + ")" + _BLANKS)
-               for close in "]}"}
-_TOKENS = {token: re.compile(_BLANKS + re.escape(token) + _BLANKS) for token in "{:["}
-_EMPTY_ROWS = re.compile(r"\]")
-_MATRIX_KEYS = ("img", "txt")
-_BLOCK_ROWS = 64
-_CHUNK = 1 << 16  # characters read from the file per refill
-_NUMBER_TAIL = 2  # a number cut after '1e' or '1e-' decodes as 1, 2 characters short
+def _read_rows(fh, key: str, out: np.ndarray, line: int) -> None:
+    """Fill ``out`` from the next row lines of ``fh``, the first of them line
+    ``line`` of the file, and read the closing line of ``key`` after them."""
+    n, width = out.shape
+    for i in range(n):
+        end = ",\n" if i + 1 < n else "\n"
+        text = fh.readline()
+        try:
+            if not text.endswith(end):
+                raise ValueError(f"the line does not end in {end!r}")
+            row = json.loads(text[:-len(end)])
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(f"expected a list of {width} numbers")
+            out[i] = row
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"line {line + i}: {key} row {i}: {err}") from None
+    if fh.readline() != _CLOSE[key]:
+        raise ValueError(f"line {line + n}: expected {_CLOSE[key]!r} after the {key} rows")
 
 
-class _Source:
-    """The text of an open file from ``pos`` on, read ``_CHUNK`` characters
-    at a time.
-
-    Each step matches a pattern or decodes a value at ``pos`` and moves
-    ``pos`` past it. A step whose result reaches the end of the buffer (for
-    a decoded value: stops within ``_NUMBER_TAIL`` of it, or fails) may have
-    been cut by a chunk boundary, so it is repeated after a refill until the
-    file is exhausted. A refill drops the text before ``pos`` and reads at
-    least as many characters as are left, so a value longer than a chunk is
-    decoded in a number of attempts logarithmic in its length. Errors carry
-    ``json.JSONDecodeError``'s message, placed in the whole file.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.text = ""
-        self.pos = 0
-        self.base = 0        # file offset of text[0]
-        self.lines = 0       # newlines before text[0]
-        self.line_start = 0  # file offset of the line holding text[0]
-        self.eof = False
-
-    @property
-    def offset(self) -> int:
-        return self.base + self.pos
-
-    def refill(self) -> None:
-        """Drop the text before ``pos`` and append the next chunk."""
-        newline = self.text.rfind("\n", 0, self.pos)  # count only lines that exist
-        if newline >= 0:
-            self.lines += self.text.count("\n", 0, newline + 1)
-            self.line_start = self.base + newline + 1
-        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
-        self.base += self.pos
-        self.text = self.text[self.pos:] + chunk
-        self.pos = 0
-        self.eof = not chunk
-
-    def match(self, pattern: re.Pattern):
-        """Match of ``pattern`` (blanks and one-character tokens) at ``pos``,
-        or None; a failure is final once a non-blank character is buffered."""
-        while True:
-            m = pattern.match(self.text, self.pos)
-            end = _WHITESPACE.match(self.text, self.pos).end() if m is None else m.end()
-            if self.eof or end < len(self.text):
-                break
-            self.refill()
-        if m is not None:
-            self.pos = m.end()
-        return m
-
-    def decode(self):
-        """The JSON value at ``pos``."""
-        while True:
-            try:
-                value, end = _DECODER.raw_decode(self.text, self.pos)
-            except json.JSONDecodeError as err:
-                if self.eof:
-                    raise self.error(err.msg, self.base + err.pos) from None
-            else:
-                if self.eof or end + _NUMBER_TAIL < len(self.text):
-                    self.pos = end
-                    return value
-            self.refill()
-
-    def error(self, msg: str, at: int) -> ValueError:
-        """``json.JSONDecodeError``'s message for ``msg`` at file offset ``at``,
-        which must lie in the buffer."""
-        i = at - self.base
-        newline = self.text.rfind("\n", 0, i)
-        line = self.lines + self.text.count("\n", 0, i) + 1
-        column = i - newline if newline >= 0 else at - self.line_start + 1
-        return ValueError(f"{msg}: line {line} column {column} (char {at})")
-
-
-def _expect(src: _Source, token: str, msg: str) -> None:
-    """Skip ``token`` and the blanks around it, or raise ``msg`` where it should be."""
-    if src.match(_TOKENS[token]) is None:
-        src.match(_WHITESPACE)
-        raise src.error(msg, src.offset)
-
-
-def _delimiter(src: _Source, close: str) -> bool:
-    """Skip the ``,`` or ``close`` at the first non-blank position and the
-    blanks after it; return whether it closed."""
-    m = src.match(_DELIMITERS[close])
-    if m is None:
-        src.match(_WHITESPACE)
-        raise src.error("Expecting ',' delimiter", src.offset)
-    return m.group(1) is None
-
-
-def _decode_matrix(src: _Source, key: str) -> np.ndarray:
-    """The list of number rows at ``pos`` as a float64 matrix.
-
-    The stdlib scanner decodes one row at a time and every ``_BLOCK_ROWS``
-    rows become one float64 block, so no Python float outlives its block.
-    """
-    _expect(src, "[", f"Expecting a list of rows for {key!r}")
-    if src.match(_EMPTY_ROWS) is not None:
-        return np.asarray([], dtype=float)  # dataset_from_json gives it its width
-    blocks, rows, n, width, closed = [], [], 0, None, False
-    while not closed:
-        at = src.offset
-        row = src.decode()
-        if not isinstance(row, list):
-            raise src.error(f"{key} row {n} is not a list", at)
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise src.error(f"{key} row {n} has {len(row)} values, row 0 has {width}", at)
-        rows.append(row)
-        n += 1
-        closed = _delimiter(src, "]")
-        if closed or len(rows) == _BLOCK_ROWS:
-            blocks.append(np.array(rows, dtype=float))
-            rows = []
-    if blocks[0].ndim != 2:  # equal-length rows of lists
-        raise ValueError(f"{key} rows must hold numbers, not lists")
-    return np.concatenate(blocks)
-
-
-def _decode_split(fh) -> dict:
-    """``json.load(fh)`` for a split file, with ``img`` and ``txt`` as
-    float64 matrices: the top-level object is walked with the same scanner,
-    and every other value is decoded whole."""
-    src = _Source(fh)
-    _expect(src, "{", "Expecting '{'")
-    obj, closed = {}, False
-    while not closed:
-        at = src.offset
-        key = src.decode()
-        if not isinstance(key, str):
-            raise src.error("Expecting property name enclosed in double quotes", at)
-        _expect(src, ":", "Expecting ':' delimiter")
-        obj[key] = _decode_matrix(src, key) if key in _MATRIX_KEYS else src.decode()
-        closed = _delimiter(src, "}")
-    if src.pos != len(src.text):
-        raise src.error("Extra data", src.offset)
+def _read_split(fh) -> dict:
+    """The object of a ``save_dataset`` file, ``img`` and ``txt`` as float64
+    matrices of ``len(perm)`` rows and ``meta["dims"]`` columns."""
+    head = fh.readline()
+    if not head.endswith(_HEAD_END):
+        raise ValueError("not in the layout of `gsc gen` (one matrix row per line); "
+                         "regenerate it with `gsc gen`")
+    obj = json.loads(head[:-len(_HEAD_END)] + "}")
+    n, line = len(obj["perm"]), 2
+    for key in _MATRIX_KEYS:
+        width = obj["meta"]["dims"][key]
+        require_int(width, f"meta.dims.{key}", 1)
+        obj[key] = np.empty((n, width))
+        _read_rows(fh, key, obj[key], line)
+        line += n + 1
+    if fh.read(1):
+        raise ValueError(f"line {line}: extra data after the closing line")
     return obj
 
 
 def load_dataset(path) -> PairDataset:
-    """Read a ``save_dataset`` file; a malformed one raises ValueError naming
-    ``path``."""
+    """Read a ``save_dataset`` file; a malformed one, or one in another
+    layout, raises ValueError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = _decode_split(fh)
-        return dataset_from_json(obj)
+            return dataset_from_json(_read_split(fh))
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None

@@ -38,7 +38,7 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
 from .numerics import (NumericalError, adam_step, bxb_views, derive_rng, require_int,
-                       require_positive)
+                       require_positive, require_unit_interval)
 from .synthdata import PairDataset
 
 __all__ = [
@@ -123,8 +123,8 @@ class TrainConfig:
         for name in ("tau1", "tau2", "lr", "lr_decay", "gmm_floor"):
             require_positive(getattr(self, name), name)
         require_positive(self.gamma, "gamma", allow_zero=True)
-        if not (0.0 <= self.beta1 <= 1.0 and 0.0 <= self.beta2 <= 1.0):
-            raise ValueError("momentum coefficients must lie in [0, 1]")
+        require_unit_interval(self.beta1, "beta1")
+        require_unit_interval(self.beta2, "beta2")
         for name, minimum in (("batch_size", 2), ("epochs", 0), ("warmup_epochs", 0),
                               ("lr_decay_epoch", 0), ("embed_dim", 1), ("gmm_iters", 1)):
             require_int(getattr(self, name), name, minimum)

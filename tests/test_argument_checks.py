@@ -1,8 +1,8 @@
 """Every public entry point that uses a shared argument check rejects bad input.
 
 One row per (entry point, bad argument): a NaN temperature, rate, weight,
-floor or scale, a noise rate outside [0, 1], a non-square matrix, or a label
-vector of the wrong length.
+floor or scale, a bool, None or string in place of a number, a noise rate
+outside [0, 1], a non-square matrix, or a label vector of the wrong length.
 Each must raise ValueError before any computation.
 """
 
@@ -45,6 +45,9 @@ CASES = {
     "require_positive-nan": lambda: require_positive(NAN, "x"),
     "require_positive-zero": lambda: require_positive(0.0, "x"),
     "require_positive-inf-allow-zero": lambda: require_positive(np.inf, "x", allow_zero=True),
+    "require_positive-bool": lambda: require_positive(True, "x"),
+    "require_positive-string": lambda: require_positive("0.1", "x"),
+    "require_unit_interval-none": lambda: require_unit_interval(None, "rho"),
     "softmax_rows-nan-tau": lambda: softmax_rows(SQ, NAN),
     "adam_step-nan-lr": lambda: _adam(NAN),
     "loss_cm-nan-tau1": lambda: loss_cm(SQ, Y, NAN),

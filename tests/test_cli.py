@@ -94,31 +94,54 @@ def test_checkpoints_load_back_to_the_reported_test_retrieval(tmp_path):
         reported[d][f"r{k}"] for d in ("i2t", "t2i") for k in (1, 5, 10)]
 
 
-def _ragged_row(obj):
-    obj["img"][3].pop()
+def _edit_line(k, edit):
+    """A corruption of the split text that applies ``edit`` to its line k."""
+    def corrupt(text):
+        lines = text.split("\n")
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return corrupt
 
 
-def _string_in_row(obj):
-    obj["txt"][5][2] = "x"
+# a split holds one matrix row per line after line 0; line 4 is img row 3
+MALFORMED_SPLITS = {
+    "truncated": (lambda text: text[:len(text) // 2], "does not end in"),
+    "ragged-row": (_edit_line(4, lambda line: line.rsplit(", ", 1)[0] + "],"),
+                   "img row 3: expected a list of 10 numbers"),
+    "string-in-row": (_edit_line(6, lambda line: '["x", ' + line.split(", ", 1)[1]),
+                      "could not convert string to float: 'x'"),
+    "single-line-layout": (lambda text: json.dumps(json.loads(text), sort_keys=True),
+                           "regenerate it with `gsc gen`"),
+}
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", _ragged_row, _string_in_row],
-                         ids=["truncated", "ragged-row", "string-in-row"])
-def test_train_on_malformed_split_exits_2_naming_the_file(tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("case", list(MALFORMED_SPLITS))
+def test_train_on_malformed_split_exits_2_naming_the_file(tmp_path, capsys, case):
+    corrupt, message = MALFORMED_SPLITS[case]
     data = tmp_path / "d"
     run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(data))
     path = data / "train.json"
-    text = path.read_text()
-    if corrupt == "truncated":
-        text = text[:len(text) // 2]
-    else:
-        obj = json.loads(text)
-        corrupt(obj)
-        text = json.dumps(obj)
-    path.write_text(text)
+    path.write_text(corrupt(path.read_text()))
     capsys.readouterr()
     assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run")) == 2
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m.pop("files"), "'files'"),
+    (lambda m: m["files"].pop("dev"), "'dev'"),
+], ids=["no-files", "no-dev-file"])
+def test_train_on_manifest_without_a_split_exits_2_naming_it(tmp_path, capsys, edit, key):
+    data = tmp_path / "d"
+    run_cli("gen", *GEN_ARGS, "--out", str(data))
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run")) == 2
+    assert f"{path}: missing key {key}" in capsys.readouterr().err
 
 
 def test_train_with_every_pair_noisy_has_undefined_auc(tmp_path):
@@ -300,6 +323,24 @@ def test_non_integer_config_field_exits_2_naming_it(tmp_path, capsys, command, k
     err = capsys.readouterr().err
     assert "must be an integer" in err and key in err
     assert not any(out.glob("*.json*"))
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"hidden_dims": 64}, "hidden_dims must be a list of integers"),
+    (5, "must hold a JSON object, got 5"),
+    ({"lr": "0.1"}, "lr must be a real number, got '0.1'"),
+    ({"lr": True}, "lr must be a real number, got True"),
+    ({"gamma": None}, "gamma must be a real number, got None"),
+    ({"beta1": "0.5"}, "beta1 must be a real number, got '0.5'"),
+], ids=["hidden_dims-int", "top-level-number", "lr-string", "lr-bool", "gamma-null",
+        "beta1-string"])
+def test_config_value_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--config", str(cfg_path), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
 
 
 def test_usage_error_exits_2(tmp_path):

@@ -1,4 +1,6 @@
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -194,95 +196,161 @@ def _assert_same_dataset(got, want):
     assert got.meta == want.meta
 
 
-# 0 dev rows (an empty matrix), 39 test rows (one partial block) and 200
-# noisy train rows (three full blocks and a partial one)
+def _dumps_split(obj):
+    """``obj`` as text in the layout of ``save_dataset``, for a split of at
+    least one row: the other keys, sorted, on line 1, then one row a line."""
+    head = json.dumps({k: v for k, v in obj.items() if k not in ("img", "txt")},
+                      sort_keys=True)
+    img, txt = (",\n".join(json.dumps(row) for row in obj[key]) for key in ("img", "txt"))
+    return f'{head[:-1]}, "img": [\n{img}\n], "txt": [\n{txt}\n]}}\n'
+
+
+# 0 dev rows (an empty matrix), 39 test rows and 200 noisy train rows
 SPLITS = split(generate(GenSpec(n=239, n_clusters=8, seed=16)), 200 / 239, 0.0,
                39 / 239, derive_rng(16, "split"))
 
 
+class _ShortReads(io.RawIOBase):
+    """A binary file whose every read returns at most ``chunk`` bytes."""
+
+    def __init__(self, path, chunk):
+        self._fh, self._chunk = open(path, "rb"), chunk
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        data = self._fh.read(min(len(buf), self._chunk))
+        buf[:len(data)] = data
+        return len(data)
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def _read_in_pieces(monkeypatch, chunk):
+    """Make ``load_dataset`` read its file ``chunk`` bytes at a time, so lines
+    and numbers arrive cut across reads."""
+    def pieces_open(path, mode="r", encoding=None):
+        assert mode == "r"
+        raw = io.BufferedReader(_ShortReads(path, chunk), buffer_size=chunk)
+        return io.TextIOWrapper(raw, encoding=encoding)
+    monkeypatch.setattr(synthdata, "open", pieces_open, raising=False)
+
+
+# the layout save_dataset writes, and re-serializations of the same JSON
+# document that load_dataset refuses
 LAYOUTS = {"save_dataset": None, "indent": {"indent": 2},
            "tabs-sorted": {"indent": "\t", "sort_keys": True},
            "compact": {"separators": (",", ":")}}
-# the file read in 64 KiB chunks (all of it at once here), then with chunk
-# boundaries after every character, inside most numbers, and between rows
+# the file read as it comes, then with read boundaries after every
+# character, inside most numbers, and between rows
 CHUNKS = [None, 1, 7, 4096]
 
 
 @pytest.mark.parametrize("dump_kw, chunk", [
     pytest.param(kw, chunk, id=name if chunk is None else f"{name}-chunk{chunk}")
-    for chunk in CHUNKS for name, kw in LAYOUTS.items()])
+    for chunk in CHUNKS for name, kw in LAYOUTS.items() if chunk is None or kw is None])
 @pytest.mark.parametrize("tag", ["train", "dev", "test"])
 def test_load_dataset_equals_json_load(tmp_path, monkeypatch, tag, dump_kw, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(synthdata, "_CHUNK", chunk)
     ds = SPLITS[("train", "dev", "test").index(tag)]
     if tag == "train":
         ds = inject_noise(ds, 0.4, derive_rng(16, "noise"))
     path = tmp_path / "split.json"
     save_dataset(ds, path)
-    if dump_kw is not None:
-        path.write_text(json.dumps(json.loads(path.read_text()), **dump_kw))
+    with open(path, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == dataset_to_json(ds)  # the file is JSON
+    if chunk is not None:
+        _read_in_pieces(monkeypatch, chunk)
     back = load_dataset(path)
     _assert_same_dataset(back, _load_oracle(path))
     assert back.n == ds.n
     # the 0-row dev split keeps its width: (0, 48) and (0, 40)
     assert back.img.shape == ds.img.shape and back.txt.shape == ds.txt.shape
+    if dump_kw is not None:
+        # the same document in another layout is refused, never misread
+        path.write_text(json.dumps(json.loads(path.read_text()), **dump_kw))
+        _assert_same_dataset(back, _load_oracle(path))
+        with pytest.raises(ValueError, match="regenerate it with `gsc gen`"):
+            load_dataset(path)
 
 
-def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path, monkeypatch):
+def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path):
     ds = inject_noise(SPLITS[0], 0.4, derive_rng(17, "noise"))
-    obj = dataset_to_json(ds)
-    obj["img"][5] = [int(v) if i % 3 == 0 else v for i, v in enumerate(obj["img"][5])]
-    # unknown keys are skipped; a number cut after its "e" or "e-" must not
-    # decode as its shorter prefix
-    obj.update(scale=1.5e-07, offset=-2.25e+300)
     path = tmp_path / "split.json"
-    text = json.dumps(dict(reversed(list(obj.items()))))
-    text = text.replace(", ", " ,\t ").replace(": ", " :\n ").replace("[[", "[\r\n[")
-    path.write_text(" \n" + text + "\r\n")
-    for chunk in (synthdata._CHUNK, 1, 7):
-        monkeypatch.setattr(synthdata, "_CHUNK", chunk)
-        _assert_same_dataset(load_dataset(path), _load_oracle(path))
+    save_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    # line 1 in reverse key order with an unknown key and other blanks,
+    # integers and blanks in a row, and exponents that json.dumps never writes
+    head = json.loads(lines[0][:-len(', "img": [')] + "}")
+    head["scale"] = 1.5
+    lines[0] = (json.dumps(dict(reversed(list(head.items()))), separators=("\t,", " :  "))[:-1]
+                + ', "img": [')
+    row = json.loads(lines[6][:-1])
+    row[::3] = [int(v) for v in row[::3]]
+    lines[6] = " " + json.dumps(row, separators=(" ,\t", ":")) + "\t,"
+    lines[7] = "[" + ", ".join(f"{v:.17E}" for v in ds.img[6]) + "],"
+    path.write_text("\n".join(lines))
+    back = load_dataset(path)
+    _assert_same_dataset(back, _load_oracle(path))
+    assert back.meta == ds.meta and back.img[5].tolist() == row
+    assert np.array_equal(back.img[6], ds.img[6])
 
 
 def _edited(edit):
-    """A corruption of the file text that applies ``edit`` to its object."""
+    """A corruption of the file text that applies ``edit`` to its object and
+    writes it back in the same layout."""
     def corrupt(text):
         obj = json.loads(text)
         edit(obj)
-        return json.dumps(obj)
+        return _dumps_split(obj)
     return corrupt
 
 
+REGENERATE = "regenerate it with `gsc gen`"
 LOADER_ERRORS = {
-    "truncated": (lambda text: text[:len(text) // 2], "Expecting"),
-    "trailing-data": (lambda text: text + "{}", "Extra data"),
-    "ragged-row": (_edited(lambda o: o["img"][3].pop()), "img row 3 has 47 values, row 0 has 48"),
-    "string-in-row": (_edited(lambda o: o["txt"][30].__setitem__(2, "x")), "could not convert"),
-    "scalar-row": (_edited(lambda o: o["txt"].__setitem__(0, 7.0)), "txt row 0 is not a list"),
-    "nested-rows": (_edited(lambda o: o.__setitem__("img", [[r] for r in o["img"]])), "not lists"),
+    "truncated": (lambda text: text[:len(text) // 2], "does not end in ',\\n'"),
+    "trailing-data": (lambda text: text + "{}", "line 82: extra data"),
+    "row-without-comma": (lambda text: text.replace("],\n", "]\n", 1),
+                          "line 2: img row 0: the line does not end in ',\\n'"),
+    "unclosed-rows": (lambda text: text.replace('\n], "txt"', '\n]], "txt"'),
+                      "line 41: expected '], \"txt\": [\\n' after the img rows"),
+    "ragged-row": (_edited(lambda o: o["img"][3].pop()),
+                   "line 5: img row 3: expected a list of 48 numbers"),
+    "string-in-row": (_edited(lambda o: o["txt"][30].__setitem__(2, "x")),
+                      "txt row 30: could not convert string to float: 'x'"),
+    "object-in-row": (_edited(lambda o: o["txt"][1].__setitem__(0, {})),
+                      "line 43: txt row 1: float() argument must be"),
+    "perm-not-a-list": (_edited(lambda o: o.__setitem__("perm", 5)), "has no len()"),
+    "scalar-row": (_edited(lambda o: o["txt"].__setitem__(0, 7.0)),
+                   "line 42: txt row 0: expected a list of 40 numbers"),
+    "nested-rows": (_edited(lambda o: o.__setitem__("img", [[r] for r in o["img"]])),
+                    "img row 0: expected a list of 48 numbers"),
     "missing-key": (_edited(lambda o: o.pop("perm")), "missing key 'perm'"),
+    "single-line-layout": (lambda text: json.dumps(json.loads(text), sort_keys=True),
+                           REGENERATE),
+    "indent-2": (lambda text: json.dumps(json.loads(text), indent=2), REGENERATE),
 }
 
 
-@pytest.mark.parametrize("layout", ["save_dataset", "indent"])
+@pytest.mark.parametrize("layout", ["save_dataset"])
 def test_load_dataset_error_positions_do_not_depend_on_the_chunk(tmp_path, monkeypatch, layout):
     path = tmp_path / "bad.json"
     save_dataset(SPLITS[2], path)
     text = path.read_text()
-    if LAYOUTS[layout] is not None:
-        text = json.dumps(json.loads(text), **LAYOUTS[layout])
-    text = "\n" + text  # so no line starts at the beginning of the file
-    for cut in (2, len(text) // 3, len(text) - 2):
+    # in line 1, in an img row, and in the closing line of the txt rows
+    for cut in (1, len(text) // 3, len(text) - 2):
         path.write_text(text[:cut] + "]" + text[cut:])
         messages = []
         for chunk in (len(text) + 1, 1, 7, 4096):  # the whole file first
-            monkeypatch.setattr(synthdata, "_CHUNK", chunk)
+            _read_in_pieces(monkeypatch, chunk)
             with pytest.raises(ValueError) as exc:
                 load_dataset(path)
             messages.append(str(exc.value))
-        # the message and its line, column and character in the file
-        assert len(set(messages)) == 1 and "line " in messages[0]
+        # the message and the line of the file it names
+        assert len(set(messages)) == 1
+        assert re.search(rf"\bline {text[:cut].count(chr(10)) + 1}\b", messages[0])
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
@@ -290,7 +358,9 @@ def test_load_dataset_errors_name_the_file(tmp_path, case):
     corrupt, message = LOADER_ERRORS[case]
     path = tmp_path / "bad.json"
     save_dataset(SPLITS[2], path)
-    path.write_text(corrupt(path.read_text()))
+    text = path.read_text()
+    assert _dumps_split(json.loads(text)) == text  # corruptions keep the layout
+    path.write_text(corrupt(text))
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)

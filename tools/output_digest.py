@@ -5,10 +5,13 @@
 imports the ``gsc`` package from the directory ``SRC`` (the ``src`` directory
 of a checkout), runs the cells below with their outputs under ``OUT`` (which
 must not exist yet), and prints one ``<sha256>  <path>`` line per output
-file, paths relative to ``OUT``, then one ``<sha256>  <split file>:<field>``
-line per array that ``gsc.synthdata.load_dataset`` returns for each split
-the ``gen`` cell wrote (the digest covers the array's dtype, shape and
-bytes). It exits 1, naming the file, if a ``.json`` or ``.jsonl`` output
+file, paths relative to ``OUT``, then for each split the ``gen`` cell wrote
+one ``<sha256>  <split file>:json`` line, the digest of the JSON document the
+file holds (``json.dumps(json.load(f), sort_keys=True)``), and one
+``<sha256>  <split file>:<field>`` line per array that
+``gsc.synthdata.load_dataset`` returns (the digest covers the array's dtype,
+shape and bytes). A change of the split files' layout alone changes only the
+file lines. It exits 1, naming the file, if a ``.json`` or ``.jsonl`` output
 holds a ``NaN`` or ``Infinity`` token, which ``json.dumps`` writes but JSON
 does not allow. A pure refactor leaves every byte of every output and every
 loaded array unchanged, so the digests of two checkouts diff empty:
@@ -129,7 +132,11 @@ def main(argv=None) -> int:
     from gsc.synthdata import load_dataset
 
     for tag in ("train", "dev", "test"):
-        ds = load_dataset(out / DATA / f"{tag}.json")
+        path = out / DATA / f"{tag}.json"
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.dumps(json.load(fh), sort_keys=True)
+        print(f"{hashlib.sha256(doc.encode('utf-8')).hexdigest()}  {DATA}/{tag}.json:json")
+        ds = load_dataset(path)
         for name in SPLIT_ARRAYS:
             print(f"{array_digest(getattr(ds, name))}  {DATA}/{tag}.json:{name}")
     return 0
