@@ -6,7 +6,7 @@ structural agreement (in-batch indicator + mixture-model posterior) and are
 smoothed across epochs. Everything is seeded and deterministic.
 """
 
-from .numerics import AdamState, NumericalError, adam_step, cosine, derive_rng, logsumexp, softmax_rows
+from .numerics import AdamState, NumericalError, adam_step, cosine, derive_rng, softmax_rows
 from .synthdata import GenSpec, PairDataset, generate, inject_noise, load_dataset, save_dataset, split
 from .model import EmbeddingBatch, Encoder, encode, sim_matrix
 from .discrimination import (GmmModel, SoftLabels, combine_labels, cross_modal_indicator,

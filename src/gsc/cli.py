@@ -74,6 +74,14 @@ def gen_spec_from(cfg: dict, seed: int) -> GenSpec:
     return GenSpec(seed=seed, **{k: cfg[k] for k in GEN_KEYS})
 
 
+def seed_and_rho(cfg: dict) -> tuple:
+    """The merged config's ``seed``, any integer (`derive_rng` masks it), and
+    ``rho``, a real number in [0, 1]; a ValueError names a bad one."""
+    require_int(cfg["seed"], "seed")
+    require_unit_interval(cfg["rho"], "rho")
+    return int(cfg["seed"]), float(cfg["rho"])
+
+
 def out_root(args) -> Path:
     base = args.out or os.environ.get("GSC_OUT_DIR") or "runs"
     path = Path(base)
@@ -98,9 +106,8 @@ def cmd_gen(args) -> int:
         "d_latent": args.d_latent, "d_img": args.d_img, "d_txt": args.d_txt,
         "f_train": args.f_train, "f_dev": args.f_dev, "f_test": args.f_test,
     })
+    seed, rho = seed_and_rho(cfg)
     out = out_root(args)
-    seed = int(cfg["seed"])
-    rho = float(cfg["rho"])
     train, dev, test = build_splits(cfg, seed, rho)
     files = {}
     for tag, ds in (("train", train), ("dev", dev), ("test", test)):
@@ -131,11 +138,22 @@ def load_splits(data_path: str):
         raise FileNotFoundError(f"dataset manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    try:
-        names = [manifest["files"][tag] for tag in ("train", "dev", "test")]
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {manifest!r}")
+    files = _manifest_entry(path, manifest, "files", dict)
+    names = [_manifest_entry(path, files, tag, str) for tag in ("train", "dev", "test")]
     return tuple(load_dataset(path.parent / name) for name in names)
+
+
+def _manifest_entry(path: Path, table: dict, key: str, kind: type):
+    """``table[key]`` of the manifest at ``path``; a ValueError names the key
+    if it is missing or not a ``kind`` (dict or str)."""
+    if key not in table:
+        raise ValueError(f"{path}: missing key {key!r}")
+    if not isinstance(table[key], kind):
+        what = "object" if kind is dict else "string"
+        raise ValueError(f"{path}: {key!r} must be a JSON {what}, got {table[key]!r}")
+    return table[key]
 
 
 def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
@@ -155,10 +173,9 @@ def cmd_train(args) -> int:
         "beta1": args.beta1, "beta2": args.beta2,
         "warmup_epochs": args.warmup, "track_labels": True if args.dump_labels else None,
     })
+    seed, rho = seed_and_rho(cfg)
     out = out_root(args)
     mode = str(cfg["mode"])
-    seed = int(cfg["seed"])
-    rho = float(cfg["rho"])
     splits = load_splits(args.data) if args.data else None
     if splits is not None:
         rho = float(splits[0].meta.get("rho", rho))

@@ -131,8 +131,7 @@ class GmmModel:
     """Two-component 1-D Gaussian mixture with a designated clean component.
 
     ``clean_component`` is the index of the higher-mean component.
-    ``loglik`` holds the per-iteration log-likelihood sequence from fitting;
-    ``trace`` (optional) the matching (weights, means, variances) snapshots.
+    ``loglik`` holds the per-iteration log-likelihood sequence from fitting.
     """
 
     weights: np.ndarray
@@ -140,7 +139,6 @@ class GmmModel:
     variances: np.ndarray
     clean_component: int
     loglik: list = field(default_factory=list)
-    trace: list | None = None
 
 
 def _e_step(weights, means, variances, x):
@@ -152,8 +150,7 @@ def _e_step(weights, means, variances, x):
     return log_joint, shift + np.log(np.exp(log_joint - shift).sum(axis=0))
 
 
-def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
-            keep_trace: bool = False) -> GmmModel:
+def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> GmmModel:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initialization is a deterministic median split (component means/variances
@@ -178,12 +175,9 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
     variances = np.maximum(np.array([order[:half].var(), order[half:].var()]), floor)
     weights = np.array([0.5, 0.5])
     ll_hist: list = []
-    trace: list | None = [] if keep_trace else None
     for _ in range(max(int(iters), 1)):
         log_joint, log_total = _e_step(weights, means, variances, x)
         ll = float(log_total.sum())
-        if trace is not None:
-            trace.append((weights.copy(), means.copy(), variances.copy()))
         ll_hist.append(ll)
         if len(ll_hist) >= 2 and ll - ll_hist[-2] < tol:
             break
@@ -194,7 +188,7 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8,
         variances = np.maximum(
             ((x[None, :] - means[:, None]) ** 2 * resp).sum(axis=1) / nk, floor)
     return GmmModel(weights=weights, means=means, variances=variances,
-                    clean_component=int(np.argmax(means)), loglik=ll_hist, trace=trace)
+                    clean_component=int(np.argmax(means)), loglik=ll_hist)
 
 
 def gmm_posterior(model: GmmModel, s):

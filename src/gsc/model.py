@@ -7,18 +7,19 @@ the intermediate activations needed for the hand-derived backward pass in
 
 An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
 b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
-``biases`` are C-contiguous views of it. The flat gradient of `losses` and
-both Adam moments share the layout, so one Adam step covers an encoder.
+``biases`` are C-contiguous views of it. An encoder is its weights: the
+flat gradient of `losses` and the optimizer moments that `trainer` keeps
+share the layout, so one optimizer step covers an encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import AdamState, as_matrix, require_computed, require_int
+from .numerics import as_matrix, require_computed, require_int
 
 __all__ = [
     "EmbeddingBatch",
@@ -75,15 +76,14 @@ def param_views(flat: np.ndarray, dims: Sequence[int]) -> list:
 
 @dataclass
 class Encoder:
-    """MLP parameters ``theta`` plus the Adam state that trains them.
+    """MLP parameters: layer widths ``dims`` and one flat vector ``theta``.
 
     ``weights[l]`` and ``biases[l]`` are views of ``theta``. A missing
-    ``theta`` is zeros, and missing Adam moments are zeros of its size.
+    ``theta`` is zeros.
     """
 
     dims: list
     theta: np.ndarray | None = None
-    adam: AdamState | None = None
 
     def __post_init__(self):
         if len(self.dims) < 2:
@@ -97,8 +97,6 @@ class Encoder:
             raise ValueError(f"theta has shape {self.theta.shape}, dims {self.dims} need ({size},)")
         views = param_views(self.theta, self.dims)
         self.weights, self.biases = views[0::2], views[1::2]
-        if self.adam is None:
-            self.adam = AdamState(m=np.zeros(size), v=np.zeros(size))
 
     @classmethod
     def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "Encoder":
@@ -111,7 +109,7 @@ class Encoder:
         return enc
 
     def copy(self) -> "Encoder":
-        return Encoder(self.dims, self.theta.copy(), self.adam.copy())
+        return Encoder(self.dims, self.theta.copy())
 
 
 def encode(enc: Encoder, x) -> EmbeddingBatch:
@@ -154,31 +152,18 @@ def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch,
 
 
 def encoder_to_json(enc: Encoder) -> dict:
-    """Checkpoint container: {dims, weights, biases, adam_state, step}; each
-    per-layer list holds the ``param_views`` of one flat vector."""
+    """Checkpoint container: {dims, weights, biases}; the per-layer lists
+    hold the ``param_views`` of ``theta``."""
     return {
         "dims": enc.dims,
         "weights": [w.tolist() for w in enc.weights],
         "biases": [b.tolist() for b in enc.biases],
-        "adam_state": {
-            "m": [a.tolist() for a in param_views(enc.adam.m, enc.dims)],
-            "v": [a.tolist() for a in param_views(enc.adam.v, enc.dims)],
-            "beta1": enc.adam.beta1,
-            "beta2": enc.adam.beta2,
-            "eps": enc.adam.eps,
-        },
-        "step": enc.adam.step,
     }
 
 
 def encoder_from_json(obj: dict) -> Encoder:
-    st = obj["adam_state"]
     enc = Encoder(obj["dims"])
-    enc.adam = replace(enc.adam, step=int(obj["step"]), beta1=float(st["beta1"]),
-                       beta2=float(st["beta2"]), eps=float(st["eps"]))
-    for views, stored in ((enc.weights, obj["weights"]), (enc.biases, obj["biases"]),
-                          (param_views(enc.adam.m, enc.dims), st["m"]),
-                          (param_views(enc.adam.v, enc.dims), st["v"])):
+    for views, stored in ((enc.weights, obj["weights"]), (enc.biases, obj["biases"])):
         if [np.shape(a) for a in stored] != [view.shape for view in views]:
             raise ValueError("checkpoint dims inconsistent with stored weights")
         for view, a in zip(views, stored):

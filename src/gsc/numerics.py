@@ -1,21 +1,22 @@
 """Deterministic numerical primitives shared across the package.
 
 Plain numpy throughout: argument checks, the softmax kernel, cosine
-similarity, log-sum-exp, an in-place Adam step over one flat parameter
-vector (the layout of `model`'s ``theta``), and helpers for deriving
-independent seeded random generators. No GPU, no autodiff; gradients are
-hand-derived in `losses`. Each argument condition of the package's public
-functions is checked by one function here (``as_matrix``, ``as_vector``,
-``require_int``, ``require_positive``, ``require_unit_interval``),
-``softmax_into`` is the one softmax kernel, and ``bxb_views`` cuts a run's
-flat work array into the two B x B buffers of a batch.
+similarity, an in-place Adam step over one flat parameter vector (the layout
+of `model`'s ``theta``; the moments are an ``AdamState`` that `trainer`
+owns), and helpers for deriving independent seeded random generators. No
+GPU, no autodiff; gradients are hand-derived in `losses`. Each argument
+condition of the package's public functions is checked by one function here
+(``as_matrix``, ``as_vector``, ``require_int``, ``require_positive``,
+``require_unit_interval``), ``softmax_into`` is the one softmax kernel, and
+``bxb_views`` cuts a run's flat work array into the two B x B buffers of a
+batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "bxb_views",
     "cosine",
     "derive_rng",
-    "logsumexp",
     "make_rng",
     "require_computed",
     "require_finite",
@@ -86,10 +86,13 @@ def require_positive(x, name: str, allow_zero: bool = False) -> None:
         raise ValueError(f"{name} must be {bound} and finite, got {x}")
 
 
-def require_int(x, name: str, minimum: int) -> None:
-    """Raise ValueError unless ``x`` is an integer, not a bool, and >= ``minimum``."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)) or x < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
+def require_int(x, name: str, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``x`` is an integer, not a bool, and >= ``minimum``
+    when one is given."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+            or (minimum is not None and x < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
 
 
 def require_unit_interval(x, name: str) -> None:
@@ -143,17 +146,6 @@ def bxb_views(work: np.ndarray | None, b: int) -> tuple:
     return work[:b * b].reshape(b, b), work[b * b:2 * b * b].reshape(b, b)
 
 
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) computed max-shifted; exact for a single element."""
-    arr = as_vector(v, name="logsumexp input")
-    if arr.size == 0:
-        raise ValueError("logsumexp of empty input")
-    hi = float(arr.max())
-    if arr.size == 1:
-        return hi
-    return hi + float(np.log(np.exp(arr - hi).sum()))
-
-
 def cosine(u, v, return_degenerate: bool = False):
     """Cosine similarity of two equal-length vectors, clipped into [-1, 1].
 
@@ -173,6 +165,11 @@ def cosine(u, v, return_degenerate: bool = False):
     return (value, degenerate) if return_degenerate else value
 
 
+ADAM_BETA1 = 0.9  # decay of the first moment
+ADAM_BETA2 = 0.999  # decay of the second moment
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment vectors and step counter for one flat parameter vector."""
@@ -180,12 +177,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def copy(self) -> "AdamState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
 def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
@@ -199,13 +190,13 @@ def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
         raise ValueError(f"shape mismatch: theta {theta.shape}, grad {np.shape(grad)}, "
                          f"moments {state.m.shape}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grad * grad)
-    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -37,8 +37,8 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
                           retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import (NumericalError, adam_step, bxb_views, derive_rng, require_int,
-                       require_positive, require_unit_interval)
+from .numerics import (AdamState, NumericalError, adam_step, bxb_views, derive_rng,
+                       require_int, require_positive, require_unit_interval)
 from .synthdata import PairDataset
 
 __all__ = [
@@ -163,13 +163,18 @@ class Network:
 
 @dataclass
 class RunState:
-    """Mutable training state: networks, their label stores, epoch counter.
+    """Mutable training state: networks, their optimizer state and label
+    stores, epoch counter.
 
-    ``labels[k]`` weights the losses of ``nets[k]`` and is estimated from
-    the other network's outputs (from its own in single-network mode).
+    ``adam[k]`` is the (image, text) ``AdamState`` pair that trains
+    ``nets[k]``; snapshots of the networks (label sources, checkpoints) copy
+    weights only. ``labels[k]`` weights the losses of ``nets[k]`` and is
+    estimated from the other network's outputs (from its own in
+    single-network mode).
     """
 
     nets: list
+    adam: list
     labels: list
     epoch: int = 0
 
@@ -179,7 +184,8 @@ def _other(k: int, n_nets: int) -> int:
 
 
 def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
-    """Fresh networks (differing only by init stream) and all-ones labels.
+    """Fresh networks (differing only by init stream), zero Adam moments and
+    all-ones labels.
 
     Validates ``cfg``, which need not be resolved: no mode override changes
     the networks.
@@ -196,7 +202,9 @@ def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
             img_enc=Encoder.init(dims_img, derive_rng(cfg.seed, "init", k, "img")),
             txt_enc=Encoder.init(dims_txt, derive_rng(cfg.seed, "init", k, "txt")),
         ))
-    return RunState(nets=nets, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
+    adam = [tuple(AdamState(m=np.zeros_like(enc.theta), v=np.zeros_like(enc.theta))
+                  for enc in (net.img_enc, net.txt_enc)) for net in nets]
+    return RunState(nets=nets, adam=adam, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
 
 
 def check_split_sizes(mode: str, train_ds: PairDataset, dev_ds: PairDataset,
@@ -243,9 +251,11 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay if epoch >= cfg.lr_decay_epoch else cfg.lr
 
 
-def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
+def _train_net_over(net: Network, adam, x_img, x_txt, y_full, schedule, lr, cfg,
                     epoch: int, work):
-    """Adam-train one network across a batch schedule; returns loss sums."""
+    """Adam-train one network across a batch schedule, ``adam`` its (image,
+    text) state pair; returns loss sums."""
+    adam_img, adam_txt = adam
     cm_sum, im_sum = 0.0, 0.0
     for b_i, idx in enumerate(schedule):
         try:
@@ -257,8 +267,8 @@ def _train_net_over(net: Network, x_img, x_txt, y_full, schedule, lr, cfg,
                 f"epoch {epoch}, net {net.name}, batch {b_i}: {err}") from err
         cm_sum += report.l_cm
         im_sum += report.l_im
-        adam_step(net.img_enc.theta, grads.img, net.img_enc.adam, lr)
-        adam_step(net.txt_enc.theta, grads.txt, net.txt_enc.adam, lr)
+        adam_step(net.img_enc.theta, grads.img, adam_img, lr)
+        adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
     return cm_sum, im_sum, len(schedule)
 
 
@@ -328,7 +338,7 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
             new_labels[k] = _estimate_labels(state.labels[k], sources[_other(k, n_nets)],
                                              x_img, x_txt, schedule, cfg,
                                              cfg.beta1, cfg.beta2, epoch, work)
-        c, i, nb = _train_net_over(net, x_img, x_txt, state.labels[k].y,
+        c, i, nb = _train_net_over(net, state.adam[k], x_img, x_txt, state.labels[k].y,
                                    schedule, lr, cfg, epoch, work)
         cm_sum += c
         im_sum += i

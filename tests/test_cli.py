@@ -85,9 +85,9 @@ def test_checkpoints_load_back_to_the_reported_test_retrieval(tmp_path):
                    "--batch-size", "32", "--seed", "5") == 0
     nets = []
     for name in "AB":
-        img, txt = (encoder_from_json(json.loads((out / f"ckpt_{name}_{m}.json").read_text()))
-                    for m in ("img", "txt"))
-        nets.append(trainer.Network(name, img, txt))
+        docs = [json.loads((out / f"ckpt_{name}_{m}.json").read_text()) for m in ("img", "txt")]
+        assert all(sorted(doc) == ["biases", "dims", "weights"] for doc in docs)
+        nets.append(trainer.Network(name, *map(encoder_from_json, docs)))
     retr = trainer.evaluate_retrieval(nets, cli.load_splits(str(data))[2])
     reported = json.loads((out / "report.json").read_text())["retrieval"]
     assert [getattr(retr, f"r{k}_{d}") for d in ("i2t", "t2i") for k in (1, 5, 10)] == [
@@ -128,11 +128,15 @@ def test_train_on_malformed_split_exits_2_naming_the_file(tmp_path, capsys, case
     assert f"{path}: " in err and message in err
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda m: m.pop("files"), "'files'"),
-    (lambda m: m["files"].pop("dev"), "'dev'"),
-], ids=["no-files", "no-dev-file"])
-def test_train_on_manifest_without_a_split_exits_2_naming_it(tmp_path, capsys, edit, key):
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("files"), "missing key 'files'"),
+    (lambda m: m["files"].pop("dev"), "missing key 'dev'"),
+    (lambda m: m.update(files=["train.json", "dev.json", "test.json"]),
+     "'files' must be a JSON object, got ['train.json'"),
+    (lambda m: m["files"].update(dev=5), "'dev' must be a JSON string, got 5"),
+    (lambda m: m["files"].update(test=None), "'test' must be a JSON string, got None"),
+], ids=["no-files", "no-dev-file", "files-list", "dev-number", "test-null"])
+def test_train_on_manifest_without_a_split_exits_2_naming_it(tmp_path, capsys, edit, message):
     data = tmp_path / "d"
     run_cli("gen", *GEN_ARGS, "--out", str(data))
     path = data / "manifest.json"
@@ -141,7 +145,7 @@ def test_train_on_manifest_without_a_split_exits_2_naming_it(tmp_path, capsys, e
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run")) == 2
-    assert f"{path}: missing key {key}" in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_train_with_every_pair_noisy_has_undefined_auc(tmp_path):
@@ -341,6 +345,33 @@ def test_config_value_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, conf
     assert run_cli("train", *FAST_TRAIN, "--config", str(cfg_path), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not (out / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+@pytest.mark.parametrize("config, message", [
+    ({"rho": None}, "rho must be a real number, got None"),
+    ({"rho": "0.4"}, "rho must be a real number, got '0.4'"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": 7.5}, "seed must be an integer, got 7.5"),
+], ids=["rho-null", "rho-string", "seed-null", "seed-string", "seed-float"])
+def test_seed_or_rho_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, command, config,
+                                                         message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    extra = FAST_TRAIN[:2] if command == "train" else ["--n", "100"]
+    assert run_cli(command, *extra, "--config", str(cfg_path), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_is_accepted(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": -3}))
+    out = tmp_path / "out"
+    assert run_cli("gen", "--n", "100", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == -3
 
 
 def test_usage_error_exits_2(tmp_path):

@@ -275,9 +275,19 @@ def test_gmm_fit_loglik_nondecreasing_over_seeds():
     for seed in range(20):
         rng = derive_rng(seed, "gmm-ll")
         scores = np.concatenate([rng.normal(0.3, 0.08, 40), rng.normal(0.8, 0.05, 60)])
-        model = gmm_fit(scores, keep_trace=True)
-        # oracle: recompute the log-likelihood of every iteration's snapshot
-        recomputed = [_loglik_oracle(w, m, v, scores) for w, m, v in model.trace]
+        model = gmm_fit(scores)
+        # oracle: recompute the log-likelihood of every iteration's parameters;
+        # iteration 0 scores the median-split initialization, and iteration
+        # j >= 1 the parameters a fit stopped after j iterations returns
+        order = np.sort(scores)
+        low, high = order[:scores.size // 2], order[scores.size // 2:]
+        snapshots = [([0.5, 0.5], [low.mean(), high.mean()],
+                      np.maximum([low.var(), high.var()], 1e-4))]
+        for j in range(1, len(model.loglik)):
+            fit = gmm_fit(scores, iters=j)
+            snapshots.append((fit.weights, fit.means, fit.variances))
+        recomputed = [_loglik_oracle(w, m, v, scores) for w, m, v in snapshots]
+        assert len(model.loglik) >= 2
         assert np.max(np.abs(np.array(recomputed) - np.array(model.loglik))) < 1e-8
         diffs = np.diff(model.loglik)
         assert np.all(diffs >= -1e-9)

@@ -117,18 +117,15 @@ def test_sim_matrix_hand_computed_2x2():
 def test_encoder_checkpoint_round_trip():
     rng = derive_rng(5, "model-ckpt")
     enc = Encoder.init([4, 6, 3], rng)
-    # touch the adam state so it is non-trivial
-    enc.adam.step = 7
-    enc.adam.m[0] = 0.25  # W0[0, 0]
     obj = json.loads(json.dumps(encoder_to_json(enc)))
+    assert sorted(obj) == ["biases", "dims", "weights"]
     back = encoder_from_json(obj)
     assert back.dims == enc.dims
     for w1, w2 in zip(back.weights, enc.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(back.biases, enc.biases):
         assert np.array_equal(b1, b2)
-    assert back.adam.step == 7
-    assert back.adam.m[0] == 0.25
+    assert np.array_equal(back.theta, enc.theta)
 
 
 def test_encoder_init_bounds_and_validation():
@@ -148,36 +145,34 @@ def test_parameters_are_views_of_one_flat_vector():
     views = [enc.weights[0], enc.biases[0], enc.weights[1], enc.biases[1]]
     assert all(v.flags.c_contiguous and np.shares_memory(v, enc.theta) for v in views)
     assert np.array_equal(np.concatenate([v.ravel() for v in views]), enc.theta)
-    for flat in (enc.adam.m, enc.adam.v):
-        assert [v.shape for v in param_views(flat, dims)] == [v.shape for v in views]
+    grad = np.arange(enc.theta.size, dtype=float)
+    assert [v.shape for v in param_views(grad, dims)] == [v.shape for v in views]
+    assert param_views(grad, dims)[2][0, 0] == 30.0
     enc.theta[24] = 5.0
     assert enc.biases[0][0] == 5.0
 
 
 def test_encoder_copy_owns_its_arrays():
     enc = Encoder.init([4, 6, 3], derive_rng(8, "model-copy"))
-    enc.adam.step = 3
     dup = enc.copy()
-    assert dup.dims == enc.dims and dup.adam.step == 3
+    assert dup.dims == enc.dims and np.array_equal(dup.theta, enc.theta)
     dup.weights[1][0, 0] += 1.0
-    dup.adam.m += 1.0
-    dup.adam.v += 1.0
     assert np.shares_memory(dup.weights[1], dup.theta)
     assert not np.shares_memory(dup.theta, enc.theta)
     assert dup.theta[30] == enc.theta[30] + 1.0
-    assert np.all(enc.adam.m == 0.0) and np.all(enc.adam.v == 0.0)
 
 
 def test_checkpoint_lists_are_per_layer_slices():
     dims = [3, 5, 2]
     rng = derive_rng(9, "model-ckpt-layout")
     enc = Encoder.init(dims, rng)
-    enc.adam.m[:] = rng.standard_normal(enc.theta.size)
     obj = encoder_to_json(enc)
-    shapes = [(3, 5), (5,), (5, 2), (2,)]
-    assert [np.shape(a) for a in obj["adam_state"]["m"]] == shapes
-    assert [np.shape(w) for w in obj["weights"]] == shapes[0::2]
-    assert obj["adam_state"]["m"][2] == enc.adam.m[20:30].reshape(5, 2).tolist()
+    assert [np.shape(w) for w in obj["weights"]] == [(3, 5), (5, 2)]
+    assert [np.shape(b) for b in obj["biases"]] == [(5,), (2,)]
+    assert obj["weights"][0] == enc.theta[0:15].reshape(3, 5).tolist()
+    assert obj["biases"][0] == enc.theta[15:20].tolist()
+    assert obj["weights"][1] == enc.theta[20:30].reshape(5, 2).tolist()
+    assert obj["biases"][1] == enc.theta[30:32].tolist()
     obj["weights"][1] = obj["weights"][1][:4]
     with pytest.raises(ValueError, match="inconsistent"):
         encoder_from_json(obj)

@@ -111,8 +111,14 @@ def test_init_state_networks_differ_and_labels_cross():
                               state.nets[1].img_enc.weights[0])
     assert len(state.labels) == 2
     assert all(np.all(lb.y == 1.0) for lb in state.labels)
+    # one zero Adam state per encoder, laid out like its theta
+    for net, pair in zip(state.nets, state.adam):
+        for enc, adam in zip((net.img_enc, net.txt_enc), pair):
+            assert adam.step == 0 and adam.m.shape == adam.v.shape == enc.theta.shape
+            assert not np.any(adam.m) and not np.any(adam.v)
+    assert state.adam[0][0].m is not state.adam[1][0].m
     single = init_state(small_cfg(mode="single_net"), train)
-    assert len(single.nets) == 1 and len(single.labels) == 1
+    assert len(single.nets) == 1 and len(single.labels) == 1 and len(single.adam) == 1
 
 
 def train_warmup_epochs(state, train_ds, cfg):
@@ -243,7 +249,7 @@ def _reference_epoch(state, train_ds, cfg):
     warm = state.epoch < cfg.warmup_epochs
     sources = [net.copy() for net in state.nets]
     new_labels = list(state.labels)
-    for k, net in enumerate(state.nets):
+    for k, (net, (adam_img, adam_txt)) in enumerate(zip(state.nets, state.adam)):
         batches = _reference_batches(derive_rng(cfg.seed, "batches", state.epoch, k),
                                      n, cfg.batch_size)
         y_frozen = state.labels[k].y
@@ -254,8 +260,8 @@ def _reference_epoch(state, train_ds, cfg):
         for idx in batches:
             _, grads = grad_total(net.img_enc, net.txt_enc, x_img[idx], x_txt[idx],
                                   y_frozen[idx], cfg.tau1, cfg.tau2, cfg.gamma)
-            adam_step(net.img_enc.theta, grads.img, net.img_enc.adam, lr)
-            adam_step(net.txt_enc.theta, grads.txt, net.txt_enc.adam, lr)
+            adam_step(net.img_enc.theta, grads.img, adam_img, lr)
+            adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
     if estimate and state.epoch == cfg.warmup_epochs - 1:
         new_labels = [
             _reference_estimate(
@@ -272,6 +278,11 @@ def _assert_states_match(state, ref_state):
     for net, ref in zip(state.nets, ref_state.nets):
         for enc, ref_enc in ((net.img_enc, ref.img_enc), (net.txt_enc, ref.txt_enc)):
             assert np.max(np.abs(enc.theta - ref_enc.theta)) < 1e-10
+    for pair, ref_pair in zip(state.adam, ref_state.adam):
+        for adam, ref_adam in zip(pair, ref_pair):
+            assert adam.step == ref_adam.step
+            assert np.max(np.abs(adam.m - ref_adam.m)) < 1e-10
+            assert np.max(np.abs(adam.v - ref_adam.v)) < 1e-10
     for lb, ref_lb in zip(state.labels, ref_state.labels):
         assert np.max(np.abs(lb.y - ref_lb.y)) < 1e-10
         assert np.max(np.abs(lb.y_cm - ref_lb.y_cm)) < 1e-10

@@ -10,9 +10,13 @@ one ``<sha256>  <split file>:json`` line, the digest of the JSON document the
 file holds (``json.dumps(json.load(f), sort_keys=True)``), and one
 ``<sha256>  <split file>:<field>`` line per array that
 ``gsc.synthdata.load_dataset`` returns (the digest covers the array's dtype,
-shape and bytes). A change of the split files' layout alone changes only the
-file lines. It exits 1, naming the file, if a ``.json`` or ``.jsonl`` output
-holds a ``NaN`` or ``Infinity`` token, which ``json.dumps`` writes but JSON
+shape and bytes), then for each ``ckpt_*.json`` one
+``<sha256>  <path>:weights`` line, the digest of its trained weights alone
+(``json.dumps`` with ``sort_keys=True`` of the document's ``dims``,
+``weights`` and ``biases``). A change of the split files' layout or of the
+checkpoint container alone changes only the file lines. It exits 1, naming
+the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
+``Infinity`` token, which ``json.dumps`` writes but JSON
 does not allow. A pure refactor leaves every byte of every output and every
 loaded array unchanged, so the digests of two checkouts diff empty:
 
@@ -45,6 +49,7 @@ SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "3
                "--seed", "7", "--dump-labels"]
 DATA = "data"
 SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
+CKPT_WEIGHT_KEYS = ("dims", "weights", "biases")
 WORKLOAD_TRAIN = {
     "gsc_desk": ["--mode", "gsc", "--batch-size", "128", "--dump-labels"],
     "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
@@ -139,6 +144,12 @@ def main(argv=None) -> int:
         ds = load_dataset(path)
         for name in SPLIT_ARRAYS:
             print(f"{array_digest(getattr(ds, name))}  {DATA}/{tag}.json:{name}")
+    for path in sorted(out.rglob("ckpt_*.json")):
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        weights = json.dumps({k: doc[k] for k in CKPT_WEIGHT_KEYS}, sort_keys=True)
+        print(f"{hashlib.sha256(weights.encode('utf-8')).hexdigest()}  "
+              f"{path.relative_to(out).as_posix()}:weights")
     return 0
 
 
