@@ -5,8 +5,13 @@ alternatives across modalities (cross-modal indicator), and how well its
 within-modality neighborhood structures agree (intra-modal structure score,
 turned into a clean-component posterior by a two-component Gaussian
 mixture). The combined label is the elementwise minimum, smoothed across
-epochs by a momentum update. Everything here works on similarity matrices
-and plain vectors; no encoder or dataset types leak in.
+epochs by a momentum update. Everything here works on similarity matrices,
+embedding matrices and plain vectors; no encoder or dataset types leak in.
+
+``cross_modal_indicator`` and ``intra_structure_score`` take B x B similarity
+matrices and are the references; training calls their embedding forms,
+``embedding_indicator`` (one exp of the cosine matrix, which unit-norm rows
+bound) and ``embedding_structure_score`` (no B x B matrix at all).
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, require_positive, softmax_rows
+from .numerics import (as_matrix, as_vector, exp_cosines_into, require_positive,
+                       require_unit_rows, softmax_rows)
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -23,6 +29,7 @@ __all__ = [
     "SoftLabels",
     "combine_labels",
     "cross_modal_indicator",
+    "embedding_indicator",
     "embedding_structure_score",
     "ensemble_update",
     "gmm_fit",
@@ -72,6 +79,32 @@ def cross_modal_indicator(s, tau1: float, work: np.ndarray | None = None) -> np.
     cols = softmax_rows(mat.T, tau1, out=work.T)
     out = 0.5 * (rows + np.diag(cols))
     # keep the open lower bound when the diagonal term underflows
+    return np.clip(out, np.nextafter(0.0, 1.0), 1.0)
+
+
+def embedding_indicator(e_img, e_txt, tau1: float, work: np.ndarray | None = None) -> np.ndarray:
+    """``cross_modal_indicator(E_I E_T^T, tau1)`` from one exp, for rows of norm at most 1.
+
+    With E = exp((E_I E_T^T - 1) / tau1), row sums r and column sums c
+    (``exp_cosines_into``), entry i is 0.5 E_ii (1 / r_i + 1 / c_i): the
+    cosines' bound fixes the shift, so the row and the column softmax share
+    one exp. E is written into ``work``, a (B, B) float64 array (allocated
+    when None). A row of norm above 1 beyond rounding, which would leave that
+    bound, raises ValueError, as does a ``tau1`` below
+    ``numerics.MIN_COSINE_TEMPERATURE``. Values agree with the reference to
+    rounding, with the same clip into (0, 1].
+    """
+    ei = as_matrix(e_img, "image embeddings")
+    et = as_matrix(e_txt, "text embeddings")
+    if ei.shape != et.shape:
+        raise ValueError(f"embedding shapes differ: {ei.shape} vs {et.shape}")
+    require_unit_rows(ei, "image embeddings")
+    require_unit_rows(et, "text embeddings")
+    if work is None:
+        work = np.empty((ei.shape[0], ei.shape[0]))
+    _, rows, cols = exp_cosines_into(ei, et, tau1, work)
+    hit = work.diagonal()
+    out = 0.5 * (hit / rows + hit / cols)
     return np.clip(out, np.nextafter(0.0, 1.0), 1.0)
 
 

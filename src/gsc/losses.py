@@ -7,26 +7,38 @@ are constants throughout: estimation and optimization alternate, so no
 gradient flows into the label weights.
 
 With embeddings E_I, E_T of shape (B, d), w is a product of two Gram
-matrices of rank at most d: w = E_I M E_T^T with the d x d core
-M = E_I^T diag(y^2) E_T. ``grad_total`` computes the logits and the
-structure gradient through M, so every product costs O(B^2 d) or O(B d^2)
-instead of the O(B^3) of forming w from the B x B structure matrices, and it
-takes each logit matrix's loss and softmax from one max-shifted exp
-(``numerics.softmax_into``, the package's one softmax kernel). A step
-uses two B x B buffers: the pair logits become the column softmax and then
-the pair-similarity gradient in place, while the row softmax's buffer is
-reused for the intra-modal logits and their gradient. The buffers belong to
-the run (``trainer.run`` allocates them once and every step and label
-estimate reuses them), not to the step: glibc serves an allocation above its
-mmap threshold (128 KiB at start; a B x B float64 array at B = 400 is 1.28
-MB) with a fresh mapping whose pages fault in on first touch, and whether a
-freed one is reused or returned to the system depends on a dynamic threshold
-that earlier, unrelated frees raise, so per-step allocation would make the
-step's speed depend on that history. ``loss_cm``, ``loss_im`` and
-``structure_logits`` keep the direct B x B form as the reference. Label
-estimation factors the structure score the same way
-(``discrimination.embedding_structure_score``, O(B d^2) with no B x B
-matrix).
+matrices of rank at most d: w = E_I M E_T^T with the d x d core M = E_I^T
+diag(y^2) E_T. ``grad_total`` computes the logits and the structure gradient
+through M, so every product costs O(B^2 d) or O(B d^2) instead of the O(B^3)
+of forming w from the B x B structure matrices.
+
+The embedding rows are unit-norm, so every cosine s lies in [-1, 1] and
+z = (s - 1) / tau1 lies in [-2 / tau1, 0]. That one known shift serves every
+row and every column, so one exp of the pair logits
+(``numerics.exp_cosines_into``) gives both the row and the column softmax,
+and the loss and its gradient follow from the row and column sums; tau1 is
+bounded below so that exp(-2 / tau1) stays a normal double. The intra-modal
+logits have no such bound (|w| reaches sum(y^2) / tau2), so each of their
+rows keeps its own max shift. The structure backward needs only
+X = g_w E_T and Y = g_w^T E_I, two B^2 d products, for all four of its terms
+(see ``_embedding_grads``).
+
+A step uses two B x B buffers: the exp of the pair logits becomes the
+pair-similarity gradient in place, and the other buffer holds the outer sum
+of its row and column weights and then the intra-modal logits and their
+gradient. The buffers belong to the run (``trainer.run`` allocates them once
+and every step and label estimate reuses them), not to the step: glibc
+serves an allocation above its mmap threshold (128 KiB at start; a B x B
+float64 array at B = 400 is 1.28 MB) with a fresh mapping whose pages fault
+in on first touch, and whether a freed one is reused or returned to the
+system depends on a dynamic threshold that earlier, unrelated frees raise,
+so per-step allocation would make the step's speed depend on that history.
+``loss_cm``, ``loss_im`` and ``structure_logits`` keep the direct B x B
+form, with max-shifted softmaxes (``numerics.softmax_into``), as the
+reference. Label estimation uses the same shift for the cross-modal
+indicator (``discrimination.embedding_indicator``) and factors the structure
+score through d x d Grams (``discrimination.embedding_structure_score``,
+O(B d^2) with no B x B matrix).
 
 The backward pass goes similarity matrices -> losses -> row normalization ->
 tanh/affine stack into one flat gradient per encoder, laid out like its
@@ -34,8 +46,9 @@ tanh/affine stack into one flat gradient per encoder, laid out like its
 central finite differences coordinate by coordinate of ``theta``.
 
 Arguments are checked by the ``numerics`` helpers (``as_matrix``,
-``as_vector``, ``require_positive``) and raise ValueError; a non-finite
-embedding, loss or gradient raises ``NumericalError`` naming the stage.
+``as_vector``, ``require_positive``, ``require_cosine_temperature``) and
+raise ValueError; a non-finite embedding, loss or gradient raises
+``NumericalError`` naming the stage.
 """
 
 from __future__ import annotations
@@ -46,8 +59,8 @@ import numpy as np
 
 from .model import (Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair, param_layout,
                     param_views)
-from .numerics import (as_matrix, as_vector, bxb_views, require_computed, require_finite,
-                       require_positive, softmax_into)
+from .numerics import (as_matrix, as_vector, bxb_views, exp_cosines_into, require_computed,
+                       require_finite, require_positive, softmax_into)
 
 __all__ = [
     "FdCheckReport",
@@ -124,14 +137,26 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
                      work: np.ndarray | None = None):
     """Loss report plus gradients w.r.t. the two embedding matrices.
 
+    The cross-modal block takes E = exp((S - 1) / tau1) once
+    (``exp_cosines_into``) and reads both softmaxes off its row sums r and
+    column sums c. Its gradient g_s = -(y_i (I - P) + (I - Q) y_j) /
+    (2 B tau1), with P = E / r_i and Q = E / c_j, is
+    E * (y_i / r_i + y_j / c_j) - 2 diag(y), scaled by 1 / (2 B tau1); that
+    factor is applied to g_s's B x d products, not to the B x B matrix,
+    which saves a B x B pass and keeps the row weights finite: r_i is at
+    least B exp(-2 / tau1), so y_i / r_i fits a double at the tau1 floor,
+    while y_i / (2 B tau1 r_i) can overflow there for a tiny batch.
+
     The structure term goes through the d x d core M = E_I^T diag(y^2) E_T:
-    the logits are (E_I M) E_T^T / tau2, and the image-side gradient
-    (g_ii + g_ii^T) E_I of the B x B form is g_w (E_T M^T) +
-    y^2 * (E_T (E_T^T (g_w^T E_I))); the text side is symmetric. Every
-    B x B quantity lives in one of the two ``bxb_views`` of the flat
-    ``work`` array (allocated when None), overwritten in place.
+    the logits are (E_I (M / tau2)) E_T^T, whose rows keep their own max
+    shift, since |w| reaches sum(y^2) / tau2. With g_w the gradient w.r.t.
+    w, X = g_w E_T and Y = g_w^T E_I carry the whole structure backward:
+    the image side is X M^T + y^2 * (E_T (E_T^T Y)) and the text side
+    Y M + y^2 * (E_I (E_I^T X)), two B^2 d products where the terms taken
+    one by one need four. Every B x B quantity lives in one of the two
+    ``bxb_views`` of the flat ``work`` array (allocated when None),
+    overwritten in place.
     """
-    require_positive(tau1, "tau1")
     require_positive(tau2, "tau2")
     ei = e_img.matrix
     et = e_txt.matrix
@@ -139,49 +164,46 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     yv = as_vector(y, b, "labels")
     on_diag = np.s_[::b + 1]  # the diagonal of a flattened B x B matrix
 
-    z, p = bxb_views(work, b)
-    np.matmul(ei, et.T, out=z)
-    z /= tau1
-    diag = z.diagonal().copy()  # the log-softmax diagonals are diag - lse
-    row = diag - softmax_into(z, 1, p)  # p holds P, the row softmax of z
-    col = diag - softmax_into(z, 0, z)  # z now holds Q, the column softmax
-    l_cm = -(yv @ row + yv @ col) / (2.0 * b)
-    # g_s = -(y_i (I - P) + (I - Q) y_j) / (2 B tau1), built in z's buffer
-    g_s = z
-    g_s *= yv[None, :]
-    p *= yv[:, None]
-    g_s += p
+    g_s, g_w = bxb_views(work, b)
+    diag, rows, cols = exp_cosines_into(ei, et, tau1, g_s)  # g_s holds E
+    l_cm = -(yv @ (diag - np.log(rows)) + yv @ (diag - np.log(cols))) / (2.0 * b)
+    np.add.outer(yv / rows, yv / cols, out=g_w)
+    g_s *= g_w
     g_s.flat[on_diag] -= 2.0 * yv
-    g_s /= 2.0 * b * tau1
 
     w2 = yv * yv
     core = ei.T @ (w2[:, None] * et)
-    ei_core = ei @ core
-    g_w = np.matmul(ei_core, et.T, out=p)  # w, in P's buffer
-    g_w /= tau2
-    diag = g_w.diagonal().copy()
-    l_im = -(diag - softmax_into(g_w, 1, g_w)).mean()
+    w = np.matmul(ei @ (core / tau2), et.T, out=g_w)  # the logits w / tau2
+    shift = w.max(axis=1)
+    diag = w.diagonal() - shift
+    w -= shift[:, None]
+    np.exp(w, out=w)
+    total = w.sum(axis=1)
+    l_im = -(diag - np.log(total)).mean()
     # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
-    g_w *= gamma / (b * tau2)
-    g_w.flat[on_diag] -= gamma / (b * tau2)
+    w *= (gamma / (b * tau2) / total)[:, None]
+    w.flat[on_diag] -= gamma / (b * tau2)
 
-    # g_ei = g_s E_T + g_w (E_T M^T) + y^2 * (E_T (E_T^T (g_w^T E_I))) and
-    # g_et = g_s^T E_I + g_w^T (E_I M) + y^2 * (E_I (E_I^T (g_w E_T))), summed
-    # in place in that order (the first sum is formed as b + a, which is the
-    # same float), so at most three B x d arrays are alive at once
-    g_et = g_s.T @ ei
-    g_et += g_w.T @ ei_core
-    del ei_core
-    g_ei = g_w @ (et @ core.T)
-    g_ei += g_s @ et
-    tail = g_w.T @ ei
-    np.matmul(et, et.T @ tail, out=tail)
-    tail *= w2[:, None]
-    g_ei += tail
-    np.matmul(g_w, et, out=tail)
-    np.matmul(ei, ei.T @ tail, out=tail)
-    tail *= w2[:, None]
-    g_et += tail
+    # gx = X and gy = Y, summed in place in this order, so at most four B x d
+    # arrays are alive at once
+    gx = g_w @ et
+    gy = g_w.T @ ei
+    g_et = gy @ core
+    np.matmul(et, et.T @ gy, out=gy)
+    gy *= w2[:, None]
+    g_ei = gx @ core.T
+    g_ei += gy
+    del gy
+    np.matmul(ei, ei.T @ gx, out=gx)
+    gx *= w2[:, None]
+    g_et += gx
+    scale = 1.0 / (2.0 * b * tau1)
+    np.matmul(g_s, et, out=gx)
+    gx *= scale
+    g_ei += gx
+    np.matmul(g_s.T, ei, out=gx)
+    gx *= scale
+    g_et += gx
     return total_loss(float(l_cm), float(l_im), gamma), g_ei, g_et
 
 

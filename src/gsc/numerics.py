@@ -1,13 +1,16 @@
 """Deterministic numerical primitives shared across the package.
 
-Plain numpy throughout: argument checks, the softmax kernel, cosine
+Plain numpy throughout: argument checks, the softmax kernels, cosine
 similarity, an in-place Adam step over one flat parameter vector (the layout
 of `model`'s ``theta``; the moments are an ``AdamState`` that `trainer`
 owns), and helpers for deriving independent seeded random generators. No
 GPU, no autodiff; gradients are hand-derived in `losses`. Each argument
 condition of the package's public functions is checked by one function here
-(``as_matrix``, ``as_vector``, ``require_int``, ``require_positive``,
-``require_unit_interval``), ``softmax_into`` is the one softmax kernel, and
+(``as_matrix``, ``as_vector``, ``require_cosine_temperature``,
+``require_int``, ``require_positive``, ``require_unit_interval``,
+``require_unit_rows``). ``softmax_into`` is the max-shifted softmax kernel of
+a general matrix; ``exp_cosines_into`` is the kernel of a cosine matrix,
+whose known bound lets one exp give both its row and its column softmax.
 ``bxb_views`` cuts a run's flat work array into the two B x B buffers of a
 batch.
 """
@@ -15,6 +18,7 @@ batch.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,12 +33,15 @@ __all__ = [
     "bxb_views",
     "cosine",
     "derive_rng",
+    "exp_cosines_into",
     "make_rng",
     "require_computed",
+    "require_cosine_temperature",
     "require_finite",
     "require_int",
     "require_positive",
     "require_unit_interval",
+    "require_unit_rows",
     "softmax_into",
     "softmax_rows",
 ]
@@ -102,6 +109,33 @@ def require_unit_interval(x, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
+# A cosine s lies in [-1, 1], so (s - 1) / tau lies in [-2 / tau, 0]. Its exp
+# stays a normal double (never 0 or subnormal) while exp(-2 / tau) does, that
+# is for tau >= 2 / -ln(smallest normal double), about 0.00282.
+MIN_COSINE_TEMPERATURE = 2.0 / -math.log(np.finfo(float).tiny)
+UNIT_ROW_SLACK = 1e-9  # squared row norms this far above 1 are rounding
+
+
+def require_cosine_temperature(x, name: str) -> None:
+    """Raise ValueError unless ``x`` is a real number no smaller than
+    ``MIN_COSINE_TEMPERATURE``, the smallest temperature ``exp_cosines_into``
+    takes."""
+    require_positive(x, name)
+    if x < MIN_COSINE_TEMPERATURE:
+        raise ValueError(f"{name} must be at least {MIN_COSINE_TEMPERATURE:.6g}, so that "
+                         f"exp(-2 / {name}) is a normal double, got {x}")
+
+
+def require_unit_rows(m: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the row if a row of the matrix ``m`` has norm
+    above 1 beyond rounding."""
+    sq = np.einsum("ij,ij->i", m, m)
+    if sq.size and sq.max() > 1.0 + UNIT_ROW_SLACK:
+        row = int(np.argmax(sq))
+        raise ValueError(f"{name} row {row} has norm {math.sqrt(sq[row]):.6g}; "
+                         "rows of norm at most 1 are needed")
+
+
 def require_computed(stage: str, *arrays) -> None:
     """Raise NumericalError naming ``stage`` if any array holds NaN or inf."""
     for arr in arrays:
@@ -122,6 +156,26 @@ def softmax_into(z: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     total = out.sum(axis=axis, keepdims=True)
     out /= total
     return (shift + np.log(total)).ravel()
+
+
+def exp_cosines_into(e_a: np.ndarray, e_b: np.ndarray, tau1: float, out: np.ndarray):
+    """E = exp((e_a e_b^T - 1) / tau1) into the (B, B) array ``out``.
+
+    For rows of norm at most 1 the exponent lies in [-2 / tau1, 0], so one
+    known shift serves every row and every column, where a max-shifted
+    softmax needs one exp per direction: row i's softmax of e_a e_b^T / tau1
+    is E[i] / rows[i] and column j's is E[:, j] / cols[j], and the
+    log-softmax diagonals are diag - log(rows) and diag - log(cols). Returns
+    (diag, rows, cols), diag the exponent's diagonal. A ``tau1`` below
+    ``MIN_COSINE_TEMPERATURE`` raises ValueError; the rows are not checked
+    here.
+    """
+    require_cosine_temperature(tau1, "tau1")
+    np.matmul(e_a / tau1, e_b.T, out=out)
+    out -= 1.0 / tau1
+    diag = out.diagonal().copy()
+    np.exp(out, out=out)
+    return diag, out.sum(axis=1), out.sum(axis=0)
 
 
 def softmax_rows(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:

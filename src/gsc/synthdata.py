@@ -269,6 +269,8 @@ def _features(rows, meta: dict, key: str) -> np.ndarray:
 
 def dataset_from_json(obj: dict) -> PairDataset:
     meta = dict(obj["meta"])
+    if "rho" in meta:  # `gsc train --data` reports the train split's noise rate
+        require_unit_interval(meta["rho"], "meta.rho")
     ds = PairDataset(
         img=_features(obj["img"], meta, "img"),
         txt=_features(obj["txt"], meta, "txt"),

@@ -16,12 +16,15 @@ measured on the same counter. ``MODE_SPECS`` says what each mode runs.
 ``run`` owns the two B x B work buffers of the run, as one flat float64
 array of 2 B^2 entries (B the largest batch of the schedule): every training
 step and every cross-modal indicator writes its B x B intermediates into
-views of it instead of allocating them. A fresh 1.28 MB array per step (at
-B = 400) would lie above glibc's mmap threshold, so it would be mapped and
-page-faulted anew unless an earlier large free had happened to raise that
-dynamic threshold (see `losses`); with the run's buffers the step's speed
-does not depend on what was freed before it. ``train_epoch`` called without
-them allocates its own per call.
+views of it instead of allocating them. The indicator is the embedding form,
+``embedding_indicator``: one exp of the batch's cosine matrix into one of
+the views, where the similarity form takes a similarity matrix and two
+softmaxes. A fresh 1.28 MB array per step (at B = 400) would lie above
+glibc's mmap threshold, so it would be mapped and page-faulted anew unless
+an earlier large free had happened to raise that dynamic threshold (see
+`losses`); with the run's buffers the step's speed does not depend on what
+was freed before it. ``train_epoch`` called without them allocates its own
+per call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrimination import (GMM_MIN_SCORES, SoftLabels, cross_modal_indicator,
+from .discrimination import (GMM_MIN_SCORES, SoftLabels, embedding_indicator,
                              embedding_structure_score, ensemble_update, gmm_fit,
                              gmm_posterior)
 from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
@@ -38,7 +41,8 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
 from .numerics import (AdamState, NumericalError, adam_step, bxb_views, derive_rng,
-                       require_int, require_positive, require_unit_interval)
+                       require_cosine_temperature, require_int, require_positive,
+                       require_unit_interval)
 from .synthdata import PairDataset
 
 __all__ = [
@@ -120,7 +124,8 @@ class TrainConfig:
     track_labels: bool = False
 
     def validate(self) -> None:
-        for name in ("tau1", "tau2", "lr", "lr_decay", "gmm_floor"):
+        require_cosine_temperature(self.tau1, "tau1")
+        for name in ("tau2", "lr", "lr_decay", "gmm_floor"):
             require_positive(getattr(self, name), name)
         require_positive(self.gamma, "gamma", allow_zero=True)
         require_unit_interval(self.beta1, "beta1")
@@ -278,8 +283,10 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
     """Next label store from estimates on ``src``'s embeddings.
 
     The cross-modal indicator and the purified structure score are computed
-    batch by batch (each sample appears in exactly one batch); the structure
-    scores for the whole split then feed a single mixture fit. An estimator
+    batch by batch from the embeddings (``embedding_indicator`` and
+    ``embedding_structure_score``; each sample appears in exactly one
+    batch); the structure scores for the whole split then feed a single
+    mixture fit. An estimator
     the mode leaves out contributes ones. Non-finite embeddings of ``src``
     raise NumericalError naming the epoch, ``src``, the batch and this stage.
     """
@@ -295,8 +302,8 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
         if spec.use_cm:
-            s, p = bxb_views(work, idx.size)
-            est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t, out=s), cfg.tau1, p)
+            s, _ = bxb_views(work, idx.size)
+            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1, s)
         if spec.use_im:
             scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
     if spec.use_im:

@@ -1,17 +1,18 @@
 """Every public entry point that uses a shared argument check rejects bad input.
 
 One row per (entry point, bad argument): a NaN temperature, rate, weight,
-floor or scale, a bool, None or string in place of a number, a noise rate
-outside [0, 1], a non-square matrix, or a label vector of the wrong length.
-Each must raise ValueError before any computation.
+floor or scale, a tau1 below the cosine-temperature floor, a bool, None or
+string in place of a number, a noise rate outside [0, 1], a non-square
+matrix, embedding rows of norm above 1, or a label vector of the wrong
+length. Each must raise ValueError before any computation.
 """
 
 import numpy as np
 import pytest
 
 from gsc.discrimination import (SoftLabels, combine_labels, cross_modal_indicator,
-                                embedding_structure_score, ensemble_update, gmm_fit,
-                                intra_structure_score)
+                                embedding_indicator, embedding_structure_score,
+                                ensemble_update, gmm_fit, intra_structure_score)
 from gsc.evalmetrics import detection_metrics, recall_at_k
 from gsc.losses import grad_total, loss_cm, loss_im, structure_logits, total_loss
 from gsc.model import Encoder
@@ -66,6 +67,12 @@ CASES = {
     "grad_total-label-length": lambda: _grad_total(y=Y_SHORT),
     "cross_modal_indicator-nan-tau1": lambda: cross_modal_indicator(SQ, NAN),
     "cross_modal_indicator-non-square": lambda: cross_modal_indicator(RECT, 0.1),
+    "embedding_indicator-nan-tau1": lambda: embedding_indicator(SQ, SQ, NAN),
+    "embedding_indicator-batch-sizes": lambda: embedding_indicator(SQ, RECT.T, 0.1),
+    "embedding_indicator-row-norm": lambda: embedding_indicator(2.0 * SQ, SQ, 0.1),
+    "grad_total-tau1-below-floor": lambda: _grad_total(tau1=0.001),
+    "embedding_indicator-tau1-below-floor": lambda: embedding_indicator(SQ, SQ, 0.001),
+    "TrainConfig-tau1-below-floor": lambda: TrainConfig(tau1=0.001).validate(),
     "intra_structure_score-non-square": lambda: intra_structure_score(RECT, RECT, Y),
     "intra_structure_score-label-length": lambda: intra_structure_score(SQ, SQ, Y_SHORT),
     "embedding_structure_score-label-length":

@@ -8,7 +8,7 @@ import pytest
 from gsc import cli, trainer
 from gsc.losses import grad_total
 from gsc.model import encoder_from_json
-from gsc.numerics import NumericalError
+from gsc.numerics import MIN_COSINE_TEMPERATURE, NumericalError
 
 
 def run_cli(*argv):
@@ -112,6 +112,10 @@ MALFORMED_SPLITS = {
                       "could not convert string to float: 'x'"),
     "single-line-layout": (lambda text: json.dumps(json.loads(text), sort_keys=True),
                            "regenerate it with `gsc gen`"),
+    "null-rho": (lambda text: text.replace('"rho": 0.4', '"rho": null', 1),
+                 "meta.rho must be a real number, got None"),
+    "rho-above-one": (lambda text: text.replace('"rho": 0.4', '"rho": 1.5', 1),
+                      "meta.rho must lie in [0, 1], got 1.5"),
 }
 
 
@@ -206,6 +210,16 @@ def test_train_with_no_epoch_at_all_exits_2(tmp_path, capsys):
     assert run_cli("train", *FAST_TRAIN, "--mode", "no_ensemble", "--epochs", "0",
                    "--warmup", "0", "--out", str(out)) == 0
     assert len(read_jsonl(out / "metrics.jsonl")) == 5
+
+
+def test_tau1_below_the_cosine_floor_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--tau1", "0.001", "--out", str(out)) == 2
+    assert "tau1 must be at least 0.00282328" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert run_cli("train", *FAST_TRAIN, "--tau1", repr(MIN_COSINE_TEMPERATURE),
+                   "--out", str(out)) == 0
+    assert len(read_jsonl(out / "metrics.jsonl")) == 3
 
 
 def test_train_missing_dataset_exits_2(tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gsc.discrimination import (GmmModel, SoftLabels, combine_labels,
-                                cross_modal_indicator, embedding_structure_score,
-                                ensemble_update, gmm_fit, gmm_posterior,
-                                intra_structure_score)
-from gsc.numerics import bxb_views, derive_rng, softmax_rows
+                                cross_modal_indicator, embedding_indicator,
+                                embedding_structure_score, ensemble_update, gmm_fit,
+                                gmm_posterior, intra_structure_score)
+from gsc.numerics import MIN_COSINE_TEMPERATURE, bxb_views, derive_rng, softmax_rows
 
 N_CASES = 100
 
@@ -111,6 +111,40 @@ def test_indicator_bits_do_not_depend_on_the_work_buffer():
         fresh = 0.5 * (np.diag(softmax_rows(s, 0.07)) + np.diag(softmax_rows(s.T, 0.07)))
         assert np.array_equal(got, np.clip(fresh, np.nextafter(0.0, 1.0), 1.0))
         assert np.array_equal(cross_modal_indicator(s, 0.07), got)
+
+
+def _paired_unit_rows(rng, b, d=32):
+    """Unit image rows, text rows near their pairs, image row 0 of norm 0."""
+    ei = rng.standard_normal((b, d))
+    et = ei + 0.8 * rng.standard_normal((b, d))
+    ei[0] = 0.0
+    return (ei / np.maximum(np.linalg.norm(ei, axis=1, keepdims=True), 1e-300),
+            et / np.linalg.norm(et, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("b", [2, 7, 128, 400])
+@pytest.mark.parametrize("tau", [MIN_COSINE_TEMPERATURE, 0.07, 1.0])
+def test_embedding_indicator_matches_the_similarity_form(b, tau):
+    rng = derive_rng(b, "ind-embedding")
+    ei, et = _paired_unit_rows(rng, b)
+    want = cross_modal_indicator(ei @ et.T, tau)
+    work = np.full((b, b), np.nan)  # stale, as a run's buffer is
+    for buf in (None, work):
+        got = embedding_indicator(ei, et, tau, buf)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_embedding_indicator_rejects_rows_beyond_the_unit_ball():
+    rng = derive_rng(5, "ind-norm")
+    ei, et = _paired_unit_rows(rng, 6)
+    embedding_indicator(ei * (1.0 + 1e-12), et, 0.07)  # rounding above 1 passes
+    ei[3] *= 1.5
+    with pytest.raises(ValueError, match="image embeddings row 3 has norm 1.5"):
+        embedding_indicator(ei, et, 0.07)
+    with pytest.raises(ValueError, match="text embeddings row 3"):
+        embedding_indicator(et, ei, 0.07)
+    with pytest.raises(ValueError, match="tau1 must be at least"):
+        embedding_indicator(et, et, 0.001)
 
 
 def test_indicator_diagonal_monotonicity():

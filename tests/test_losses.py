@@ -75,32 +75,34 @@ def _row_log_softmax_allocating(z):
 
 
 def _embedding_grads_allocating(ei, et, yv, tau1, tau2, gamma):
-    """The rank-d kernel as first written, with a fresh B x B array per step:
-    the in-place kernel must reproduce it bit for bit."""
+    """The one-exp kernel written with a fresh array for every B x B and
+    B x d quantity: the in-place kernel must reproduce it bit for bit."""
     b = ei.shape[0]
     on_diag = np.s_[::b + 1]
-    z = ei @ et.T
-    z /= tau1
-    row, p = _row_log_softmax_allocating(z)
-    col, q = _row_log_softmax_allocating(z.T)
-    l_cm = -(yv @ row + yv @ col) / (2.0 * b)
-    g_s = q.T * yv[None, :]
-    g_s += yv[:, None] * p
+    z = (ei / tau1) @ et.T - 1.0 / tau1
+    diag = np.diag(z).copy()
+    e = np.exp(z)
+    rows = e.sum(axis=1)
+    cols = e.sum(axis=0)
+    l_cm = -(yv @ (diag - np.log(rows)) + yv @ (diag - np.log(cols))) / (2.0 * b)
+    g_s = e * np.add.outer(yv / rows, yv / cols)
     g_s.flat[on_diag] -= 2.0 * yv
-    g_s /= 2.0 * b * tau1
     w2 = yv * yv
     core = ei.T @ (w2[:, None] * et)
-    ei_core = ei @ core
-    w = ei_core @ et.T
-    w /= tau2
-    w_diag, g_w = _row_log_softmax_allocating(w)
-    l_im = -w_diag.mean()
-    g_w *= gamma / (b * tau2)
+    w = (ei @ (core / tau2)) @ et.T
+    shift = w.max(axis=1)
+    r = np.exp(w - shift[:, None])
+    total = r.sum(axis=1)
+    l_im = -(np.diag(w) - shift - np.log(total)).mean()
+    g_w = r * (gamma / (b * tau2) / total)[:, None]
     g_w.flat[on_diag] -= gamma / (b * tau2)
-    g_ei = (g_s @ et + g_w @ (et @ core.T)
-            + w2[:, None] * (et @ (et.T @ (g_w.T @ ei))))
-    g_et = (g_s.T @ ei + g_w.T @ ei_core
-            + w2[:, None] * (ei @ (ei.T @ (g_w @ et))))
+    x = g_w @ et
+    y = g_w.T @ ei
+    scale = 1.0 / (2.0 * b * tau1)
+    g_ei = ((x @ core.T + w2[:, None] * (et @ (et.T @ y)))
+            + (g_s @ et) * scale)
+    g_et = ((y @ core + w2[:, None] * (ei @ (ei.T @ x)))
+            + (g_s.T @ ei) * scale)
     return float(l_cm), float(l_im), g_ei, g_et
 
 

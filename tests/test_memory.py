@@ -9,7 +9,8 @@ import tracemalloc
 
 import numpy as np
 
-from gsc.discrimination import cross_modal_indicator, embedding_structure_score
+from gsc.discrimination import (cross_modal_indicator, embedding_indicator,
+                                embedding_structure_score)
 from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
 from gsc.numerics import bxb_views, derive_rng, softmax_rows
@@ -59,6 +60,7 @@ def test_kernels_allocate_no_bxb_array_with_the_runs_buffers():
     s, p = bxb_views(work, B)
     np.matmul(e_img.matrix, e_txt.matrix.T, out=s)
     assert _peak_bxb(cross_modal_indicator, s, 0.07, p) < 0.5
+    assert _peak_bxb(embedding_indicator, e_img.matrix, e_txt.matrix, 0.07, s) < 0.5
 
 
 def test_softmax_rows_allocates_only_its_result():

@@ -1,0 +1,90 @@
+"""Paired ``perfbench/run.py`` runs of two checkouts, summarized as one BENCH record.
+
+    python3 tools/bench_pairs.py PARENT CHANGE OUT.json [--pairs 10] [--seed 23]
+
+PARENT and CHANGE are the roots of two checkouts, each with its own
+``perfbench/run.py``, ``src`` and ``BENCHMARK.json``. For every pair and
+every workload the two checkouts' benchmarks run back to back, each in a
+fresh process with the run length of CHANGE's ``BENCHMARK.json``; the side
+that runs first alternates from pair to pair. OUT.json holds, per workload
+and per end-to-end metric, each side's values, median and quartiles, and the
+number of pairs each side won (ties count for neither), plus the environment
+the benchmark printed (Python, numpy, the BLAS build and thread count). A
+run that exits non-zero stops the script with its standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """(metrics, env) from one ``perfbench/run.py --trace 0`` run in ``root``."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root} {workload} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    result = json.loads(lines[-1])
+    return {k: v["value"] for k, v in result["metrics"].items()}, env
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=23)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    env = None
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                metrics, env = run_once(getattr(args, side), workload, args.seed, seconds)
+                runs[workload][side].append(metrics)
+                print(f"pair {i} {workload} {side} train_s={metrics['train_s']:.3f}", flush=True)
+
+    record = {"command": "python3 tools/bench_pairs.py PARENT CHANGE OUT.json "
+                         f"--pairs {args.pairs} --seed {args.seed}",
+              "seed": args.seed, "pairs": args.pairs, "run_seconds": seconds,
+              "environment": env, "workloads": {}}
+    for workload, sides in runs.items():
+        rows = {}
+        for name, direction in better.items():
+            parent = [m[name] for m in sides["parent"]]
+            change = [m[name] for m in sides["change"]]
+            sign = 1.0 if direction == "higher" else -1.0
+            rows[name] = {
+                "better": direction,
+                "parent": summary(parent),
+                "change": summary(change),
+                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            }
+        record["workloads"][workload] = rows
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,11 +13,14 @@ file holds (``json.dumps(json.load(f), sort_keys=True)``), and one
 shape and bytes), then for each ``ckpt_*.json`` one
 ``<sha256>  <path>:weights`` line, the digest of its trained weights alone
 (``json.dumps`` with ``sort_keys=True`` of the document's ``dims``,
-``weights`` and ``biases``). A change of the split files' layout or of the
-checkpoint container alone changes only the file lines. It exits 1, naming
-the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
-``Infinity`` token, which ``json.dumps`` writes but JSON
-does not allow. A pure refactor leaves every byte of every output and every
+``weights`` and ``biases``), then for each train cell's ``report.json`` one
+``<sha256>  <cell>/report.json:quality`` line, the digest of its test
+``retrieval`` and its detection ``accuracy`` and ``auc`` (null without a
+detection report). A change of the split files' layout or of the checkpoint
+container alone changes only the file lines; a change that reassociates
+floats shows by these lines whether the quality fields moved. It exits 1,
+naming the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
+``Infinity`` token, which ``json.dumps`` writes but JSON does not allow. A pure refactor leaves every byte of every output and every
 loaded array unchanged, so the digests of two checkouts diff empty:
 
     python3 tools/output_digest.py old/src /tmp/old > old.txt
@@ -150,6 +153,14 @@ def main(argv=None) -> int:
         weights = json.dumps({k: doc[k] for k in CKPT_WEIGHT_KEYS}, sort_keys=True)
         print(f"{hashlib.sha256(weights.encode('utf-8')).hexdigest()}  "
               f"{path.relative_to(out).as_posix()}:weights")
+    for path in sorted(out.rglob("report.json")):
+        with open(path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+        detection = report["detection"] or {}  # None when a run has no detection
+        fields = json.dumps({"retrieval": report["retrieval"], "accuracy": detection.get("accuracy"),
+                             "auc": detection.get("auc")}, sort_keys=True)
+        print(f"{hashlib.sha256(fields.encode('utf-8')).hexdigest()}  "
+              f"{path.relative_to(out).as_posix()}:quality")
     return 0
 
 
