@@ -291,14 +291,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
-        meta = rep.get("meta", {})
-        retr = rep["retrieval"]
-        det = rep.get("detection")
-        rows.append(csv_row(
-            meta.get("mode", "?"), meta.get("rho", ""),
-            RetrievalReport(*(retr[d][k] for d in ("i2t", "t2i") for k in ("r1", "r5", "r10"))),
-            None if det is None else DetectionReport(**det)))
+            rows.append(_report_row(path, json.load(fh)))
     header = " ".join(f"{c:>8}" for c in CSV_COLUMNS)
     print(header)
     for row in rows:
@@ -311,6 +304,23 @@ def cmd_report(args) -> int:
             writer.writerows(rows)
         print(f"wrote {args.csv}")
     return 0
+
+
+def _report_row(path, rep) -> list:
+    """The CSV row of the ``report.json`` document ``rep`` read from ``path``;
+    a ValueError names the file and the key it lacks."""
+    if not isinstance(rep, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {rep!r}")
+    try:
+        meta, retr, det = rep.get("meta", {}), rep["retrieval"], rep.get("detection")
+        return csv_row(
+            meta.get("mode", "?"), meta.get("rho", ""),
+            RetrievalReport(*(retr[d][k] for d in ("i2t", "t2i") for k in ("r1", "r5", "r10"))),
+            None if det is None else DetectionReport(**det))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    except (AttributeError, TypeError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (as_matrix, as_vector, exp_cosines_into, require_positive,
+from .numerics import (as_matrix, as_vector, exp_cosines_into, require_int, require_positive,
                        require_unit_rows, softmax_rows)
 
 __all__ = [
@@ -202,13 +202,15 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> 
     if x.size < GMM_MIN_SCORES:
         raise ValueError(f"need at least {GMM_MIN_SCORES} scores to fit, got {x.size}")
     require_positive(floor, "variance floor")
+    require_int(iters, "iters", 1)
+    require_positive(tol, "tol", allow_zero=True)
     order = np.sort(x)
     half = x.size // 2
     means = np.array([order[:half].mean(), order[half:].mean()])
     variances = np.maximum(np.array([order[:half].var(), order[half:].var()]), floor)
     weights = np.array([0.5, 0.5])
     ll_hist: list = []
-    for _ in range(max(int(iters), 1)):
+    for _ in range(iters):
         log_joint, log_total = _e_step(weights, means, variances, x)
         ll = float(log_total.sum())
         ll_hist.append(ll)

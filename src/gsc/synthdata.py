@@ -6,18 +6,20 @@ noise. Mismatches are injected by permuting which text is presented with
 which image (features stay untouched, so marginals are preserved), and the
 permutation restricted to the selected pairs has no fixed points.
 
-A split file is ``dataset_to_json``'s object as JSON with one matrix row per
-line: line 1 holds the other keys, sorted, and opens ``"img"``; then come the
-image rows, a line that closes them and opens ``"txt"``, the text rows and a
-closing line. ``load_dataset`` reads it a line at a time into preallocated
-float64 matrices, so it holds the text and the Python floats of one row at a
-time, never of the whole file, and it rejects any other layout.
+A split is a JSON head ``<split>.json``, ``{meta, perm, mask, clusters}``
+with sorted keys, and beside it one ``np.save`` file per feature matrix,
+``<split>.img.npy`` and ``<split>.txt.npy``, named after the head.
+``load_dataset`` reads each matrix with ``allow_pickle=False`` and accepts
+only a float64 matrix of ``len(perm)`` rows and ``meta["dims"]`` columns,
+so the matrices round-trip bit for bit; a split of an earlier layout, whose
+head holds the matrices inline, is refused.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +30,6 @@ __all__ = [
     "GenSpec",
     "LatentInfo",
     "PairDataset",
-    "dataset_from_json",
-    "dataset_to_json",
     "generate",
     "inject_noise",
     "load_dataset",
@@ -242,107 +242,76 @@ def split(ds: PairDataset, f_train: float, f_dev: float, f_test: float,
 
 
 _MATRIX_KEYS = ("img", "txt")
-_HEAD_END = ', "img": [\n'  # line 1: json.dumps of the other keys, this in place of "}"
-_CLOSE = {"img": '], "txt": [\n', "txt": "]}\n"}  # the line after each matrix's rows
 
 
-def dataset_to_json(ds: PairDataset) -> dict:
-    """JSON-ready container: {meta, img, txt, perm, mask, clusters}."""
-    meta = dict(ds.meta)
-    meta.setdefault("N", ds.n)
-    meta["split"] = ds.split_tag
-    return {
-        "meta": meta,
-        "img": ds.img.tolist(),
-        "txt": ds.txt.tolist(),
-        "perm": ds.match_perm.tolist(),
-        "mask": ds.noise_mask.tolist(),
-        "clusters": ds.cluster_ids.tolist(),
-    }
-
-
-def _features(rows, meta: dict, key: str) -> np.ndarray:
-    """Float64 feature matrix; an empty split takes its width from ``meta["dims"]``."""
-    arr = np.asarray(rows, dtype=float)
-    return arr.reshape(0, meta["dims"][key]) if arr.shape == (0,) else arr
-
-
-def dataset_from_json(obj: dict) -> PairDataset:
-    meta = dict(obj["meta"])
-    if "rho" in meta:  # `gsc train --data` reports the train split's noise rate
-        require_unit_interval(meta["rho"], "meta.rho")
-    ds = PairDataset(
-        img=_features(obj["img"], meta, "img"),
-        txt=_features(obj["txt"], meta, "txt"),
-        match_perm=np.asarray(obj["perm"], dtype=int),
-        noise_mask=np.asarray(obj["mask"], dtype=bool),
-        cluster_ids=np.asarray(obj["clusters"], dtype=int),
-        split_tag=meta.get("split", "train"),
-        meta=meta,
-    )
-    ds.validate()
-    return ds
+def _matrix_path(path: Path, key: str) -> Path:
+    """``<split>.<key>.npy`` beside the head ``<split>.json``."""
+    return path.with_suffix(f".{key}.npy")
 
 
 def save_dataset(ds: PairDataset, path) -> None:
-    """Write ``dataset_to_json(ds)`` as JSON with one matrix row per line."""
-    obj = dataset_to_json(ds)
-    head = json.dumps({k: v for k, v in obj.items() if k not in _MATRIX_KEYS}, sort_keys=True)
-    n = ds.n
+    """Write the head ``{meta, perm, mask, clusters}`` as JSON to ``path``
+    and each feature matrix beside it with ``np.save``."""
+    path = Path(path)
+    meta = dict(ds.meta)
+    meta.setdefault("N", ds.n)
+    meta["split"] = ds.split_tag
+    head = {"meta": meta, "perm": ds.match_perm.tolist(), "mask": ds.noise_mask.tolist(),
+            "clusters": ds.cluster_ids.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + _HEAD_END)
-        for key in _MATRIX_KEYS:
-            fh.writelines(json.dumps(row) + (",\n" if i + 1 < n else "\n")
-                          for i, row in enumerate(obj[key]))
-            fh.write(_CLOSE[key])
-
-
-def _read_rows(fh, key: str, out: np.ndarray, line: int) -> None:
-    """Fill ``out`` from the next row lines of ``fh``, the first of them line
-    ``line`` of the file, and read the closing line of ``key`` after them."""
-    n, width = out.shape
-    for i in range(n):
-        end = ",\n" if i + 1 < n else "\n"
-        text = fh.readline()
-        try:
-            if not text.endswith(end):
-                raise ValueError(f"the line does not end in {end!r}")
-            row = json.loads(text[:-len(end)])
-            if not isinstance(row, list) or len(row) != width:
-                raise ValueError(f"expected a list of {width} numbers")
-            out[i] = row
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"line {line + i}: {key} row {i}: {err}") from None
-    if fh.readline() != _CLOSE[key]:
-        raise ValueError(f"line {line + n}: expected {_CLOSE[key]!r} after the {key} rows")
-
-
-def _read_split(fh) -> dict:
-    """The object of a ``save_dataset`` file, ``img`` and ``txt`` as float64
-    matrices of ``len(perm)`` rows and ``meta["dims"]`` columns."""
-    head = fh.readline()
-    if not head.endswith(_HEAD_END):
-        raise ValueError("not in the layout of `gsc gen` (one matrix row per line); "
-                         "regenerate it with `gsc gen`")
-    obj = json.loads(head[:-len(_HEAD_END)] + "}")
-    n, line = len(obj["perm"]), 2
+        fh.write(json.dumps(head, sort_keys=True) + "\n")
     for key in _MATRIX_KEYS:
-        width = obj["meta"]["dims"][key]
-        require_int(width, f"meta.dims.{key}", 1)
-        obj[key] = np.empty((n, width))
-        _read_rows(fh, key, obj[key], line)
-        line += n + 1
-    if fh.read(1):
-        raise ValueError(f"line {line}: extra data after the closing line")
-    return obj
+        np.save(_matrix_path(path, key), np.asarray(getattr(ds, key), dtype=float))
+
+
+def _read_matrix(path: Path, shape: tuple) -> np.ndarray:
+    """The float64 matrix of ``shape`` that ``np.save`` wrote to ``path``;
+    an object array is refused unread, never unpickled."""
+    try:
+        with open(path, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+            extra = fh.read(1)
+    except OSError as err:
+        raise ValueError(f"{path.name}: {err.strerror or err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path.name}: {err}") from None
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise ValueError(f"{path.name}: expected a float64 matrix of shape {shape}, "
+                         f"got {arr.dtype} of shape {arr.shape}")
+    if extra:
+        raise ValueError(f"{path.name}: extra data after the matrix")
+    return arr
 
 
 def load_dataset(path) -> PairDataset:
-    """Read a ``save_dataset`` file; a malformed one, or one in another
+    """Read a ``save_dataset`` split; a malformed one, or one in an earlier
     layout, raises ValueError naming ``path``."""
+    path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return dataset_from_json(_read_split(fh))
+            head = json.load(fh)
+        if any(key in head for key in _MATRIX_KEYS):
+            raise ValueError("holds its matrices inline, the layout of an earlier `gsc gen`; "
+                             "regenerate it with `gsc gen`")
+        meta = dict(head["meta"])
+        if "rho" in meta:  # `gsc train --data` reports the train split's noise rate
+            require_unit_interval(meta["rho"], "meta.rho")
+        n = len(head["perm"])
+        features = {}
+        for key in _MATRIX_KEYS:
+            width = meta["dims"][key]
+            require_int(width, f"meta.dims.{key}", 1)
+            features[key] = _read_matrix(_matrix_path(path, key), (n, width))
+        ds = PairDataset(
+            **features,
+            match_perm=np.asarray(head["perm"], dtype=int),
+            noise_mask=np.asarray(head["mask"], dtype=bool),
+            cluster_ids=np.asarray(head["clusters"], dtype=int),
+            split_tag=meta.get("split", "train"),
+            meta=meta,
+        )
+        ds.validate()
+        return ds
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
     except (TypeError, ValueError) as err:

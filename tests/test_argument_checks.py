@@ -103,6 +103,19 @@ def test_shared_checks_reject_bad_arguments(call):
         call()
 
 
+# a NaN or negative tol disabled the early stop, and iters 0, True and 2.9
+# ran 1, 1 and 2 iterations
+GMM_CASES = {"iters-zero": {"iters": 0}, "iters-bool": {"iters": True},
+             "iters-float": {"iters": 2.9}, "tol-nan": {"tol": NAN}, "tol-negative": {"tol": -1.0}}
+
+
+@pytest.mark.parametrize("kwargs", list(GMM_CASES.values()), ids=list(GMM_CASES))
+def test_gmm_fit_rejects_a_bad_iteration_count_or_tolerance(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        gmm_fit(np.linspace(0.0, 1.0, 8), **kwargs)
+
+
 def test_require_positive_allows_zero_only_when_asked():
     require_positive(0.0, "gamma", allow_zero=True)
     require_positive(1e-300, "tau")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,11 +30,14 @@ FAST_TRAIN = ["--n", "160", "--epochs", "2", "--batch-size", "32", "--seed", "5"
 # gen
 # ---------------------------------------------------------------------------
 
+SPLIT_FILES = [f"{tag}{suffix}" for tag in ("train", "dev", "test")
+               for suffix in (".json", ".img.npy", ".txt.npy")]
+
+
 def test_gen_writes_three_splits_and_manifest(tmp_path):
     out = tmp_path / "d"
     assert run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(out)) == 0
-    for name in ("train.json", "dev.json", "test.json", "manifest.json"):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted([*SPLIT_FILES, "manifest.json"])
     train = json.loads((out / "train.json").read_text())
     n_train = train["meta"]["N"]
     assert sum(train["mask"]) == int(np.ceil(0.4 * n_train))
@@ -52,7 +56,9 @@ def test_gen_is_byte_identical_across_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(out1))
     run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(out2))
-    for name in ("train.json", "dev.json", "test.json", "manifest.json"):
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted([*SPLIT_FILES, "manifest.json"])  # the 10 files gen writes
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -94,27 +100,84 @@ def test_checkpoints_load_back_to_the_reported_test_retrieval(tmp_path):
         reported[d][f"r{k}"] for d in ("i2t", "t2i") for k in (1, 5, 10)]
 
 
-def _edit_line(k, edit):
-    """A corruption of the split text that applies ``edit`` to its line k."""
-    def corrupt(text):
-        lines = text.split("\n")
-        lines[k] = edit(lines[k])
-        return "\n".join(lines)
+class _MakesDir:
+    """An object whose unpickling creates the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def _resave(key, make):
+    """A corruption of the split at ``path`` that saves ``make(matrix, path)``
+    in place of its ``key`` matrix."""
+    def corrupt(path):
+        npy = path.with_suffix(f".{key}.npy")
+        np.save(npy, make(np.load(npy), path), allow_pickle=True)
     return corrupt
 
 
-# a split holds one matrix row per line after line 0; line 4 is img row 3
+def _edit_head(text_edit):
+    def corrupt(path):
+        path.write_text(text_edit(path.read_text()))
+    return corrupt
+
+
+def _inline(layout):
+    """A rewrite of the split at ``path`` into an earlier layout, the
+    matrices inline as lists and no ``.npy`` files."""
+    def rewrite(path):
+        obj = json.loads(path.read_text())
+        for key in ("img", "txt"):
+            npy = path.with_suffix(f".{key}.npy")
+            obj[key] = np.load(npy).tolist()
+            npy.unlink()
+        path.write_text(layout(obj))
+    return rewrite
+
+
+def _row_per_line(obj):
+    """``obj`` in the layout of one matrix row a line of an earlier `gsc gen`."""
+    head = json.dumps({k: v for k, v in obj.items() if k not in ("img", "txt")},
+                      sort_keys=True)
+    img, txt = (",\n".join(json.dumps(row) for row in obj[key]) for key in ("img", "txt"))
+    return f'{head[:-1]}, "img": [\n{img}\n], "txt": [\n{txt}\n]}}\n'
+
+
+def _truncate(path):
+    npy = path.with_suffix(".img.npy")
+    npy.write_bytes(npy.read_bytes()[:-8])
+
+
+# the train split of GEN_ARGS: 96 rows of 10 image and 9 text features
+REGENERATE = "regenerate it with `gsc gen`"
 MALFORMED_SPLITS = {
-    "truncated": (lambda text: text[:len(text) // 2], "does not end in"),
-    "ragged-row": (_edit_line(4, lambda line: line.rsplit(", ", 1)[0] + "],"),
-                   "img row 3: expected a list of 10 numbers"),
-    "string-in-row": (_edit_line(6, lambda line: '["x", ' + line.split(", ", 1)[1]),
-                      "could not convert string to float: 'x'"),
-    "single-line-layout": (lambda text: json.dumps(json.loads(text), sort_keys=True),
-                           "regenerate it with `gsc gen`"),
-    "null-rho": (lambda text: text.replace('"rho": 0.4', '"rho": null', 1),
+    "truncated": (_truncate, "train.img.npy: Failed to read all data"),
+    "missing-npy": (lambda path: path.with_suffix(".txt.npy").unlink(),
+                    "train.txt.npy: No such file or directory"),
+    "float32": (_resave("img", lambda m, _: m.astype(np.float32)),
+                "train.img.npy: expected a float64 matrix of shape (96, 10), got float32"),
+    "int": (_resave("txt", lambda m, _: m.astype(np.int64)),
+            "train.txt.npy: expected a float64 matrix of shape (96, 9), got int64"),
+    "string-in-row": (_resave("txt", lambda m, _: m.astype(str)), "train.txt.npy: expected"),
+    "row-count": (_resave("img", lambda m, _: m[:-1]),
+                  "train.img.npy: expected a float64 matrix of shape (96, 10), "
+                  "got float64 of shape (95, 10)"),
+    "ragged-row": (_resave("img", lambda m, _: m[:, :-1]),
+                   "train.img.npy: expected a float64 matrix of shape (96, 10), "
+                   "got float64 of shape (96, 9)"),
+    "pickled-object": (_resave("txt", lambda _, path: np.array(
+        [_MakesDir(path.parent / "unpickled")], dtype=object)),
+        "train.txt.npy: Object arrays cannot be loaded when allow_pickle=False"),
+    "nan": (_resave("txt", lambda m, _: np.where(m == m[7, 2], np.nan, m)),
+            "text features contains non-finite entries"),
+    "row-per-line-layout": (_inline(_row_per_line), REGENERATE),
+    "single-line-layout": (_inline(lambda obj: json.dumps(obj, sort_keys=True)), REGENERATE),
+    "null-rho": (_edit_head(lambda text: text.replace('"rho": 0.4', '"rho": null', 1)),
                  "meta.rho must be a real number, got None"),
-    "rho-above-one": (lambda text: text.replace('"rho": 0.4', '"rho": 1.5', 1),
+    "rho-above-one": (_edit_head(lambda text: text.replace('"rho": 0.4', '"rho": 1.5', 1)),
                       "meta.rho must lie in [0, 1], got 1.5"),
 }
 
@@ -125,11 +188,12 @@ def test_train_on_malformed_split_exits_2_naming_the_file(tmp_path, capsys, case
     data = tmp_path / "d"
     run_cli("gen", *GEN_ARGS, "--rho", "0.4", "--out", str(data))
     path = data / "train.json"
-    path.write_text(corrupt(path.read_text()))
+    corrupt(path)
     capsys.readouterr()
     assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and message in err
+    assert not (data / "unpickled").exists()
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -500,3 +564,23 @@ def test_report_prints_and_merges(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["det_auc"] != ""
     assert rows[1]["noise"] == "0.0" and rows[1]["det_auc"] == ""
+
+
+def _without_r5(report):
+    del report["retrieval"]["t2i"]["r5"]
+    return report
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda _: {"meta": {}}, ": missing key 'retrieval'"),
+    (lambda _: [1, 2], " must hold a JSON object, got [1, 2]"),
+    (_without_r5, ": missing key 'r5'"),
+], ids=["no-retrieval", "list", "no-r5"])
+def test_report_on_a_malformed_report_exits_2_naming_it(tmp_path, capsys, edit, message):
+    out = tmp_path / "run"
+    run_cli("train", *FAST_TRAIN, "--rho", "0.4", "--out", str(out))
+    path = out / "report.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run_cli("report", str(path)) == 2
+    assert f"{path}{message}" in capsys.readouterr().err

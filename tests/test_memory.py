@@ -81,10 +81,9 @@ def test_loading_a_split_holds_no_python_float_per_value(tmp_path):
     path = tmp_path / "train.json"
     save_dataset(ds, path)
     matrix_bytes = ds.img.nbytes + ds.txt.nbytes
-    # The file has about 2.6 bytes per matrix byte. Reading it a line at a
-    # time holds one row's text and Python floats, the preallocated matrices
-    # and the other keys' lists. json.load's Python floats and lists took the
-    # peak to file_bytes + 4.3 matrix_bytes, reading the text whole to
-    # file_bytes + 2.6 matrix_bytes, and decoding it in 64 KiB chunks and
-    # 64-row blocks to 1.54 matrix_bytes.
+    # The matrices are .npy files read straight into their arrays, and the
+    # JSON head's lists of perm, mask and clusters take the peak to 1.17
+    # matrix_bytes. Of the text layouts before, json.load's Python floats
+    # took it to file_bytes + 4.3 matrix_bytes, and a reader of one matrix
+    # row a line to 1.17 matrix_bytes.
     assert _peak(load_dataset, path) < 1.5 * matrix_bytes

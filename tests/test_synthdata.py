@@ -1,14 +1,15 @@
 import io
 import json
-import re
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from gsc import synthdata
 from gsc.numerics import derive_rng
-from gsc.synthdata import (GenSpec, dataset_from_json, dataset_to_json, generate,
-                           inject_noise, load_dataset, save_dataset, split)
+from gsc.synthdata import (GenSpec, PairDataset, generate, inject_noise, load_dataset,
+                           save_dataset, split)
 
 
 def test_generate_zero_noise_is_deterministic_image_of_centers():
@@ -151,63 +152,92 @@ def test_split_invalid_fractions():
         split(ds, -0.2, 0.6, 0.6, derive_rng(12, "split"))
 
 
+ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
+
+
+def _assert_same_dataset(got, want):
+    """Every array equal bit for bit, with its dtype and shape, and the tags."""
+    for name in ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.split_tag == want.split_tag
+
+
 def test_dataset_json_round_trip(tmp_path):
     ds = inject_noise(generate(GenSpec(n=15, n_clusters=5, seed=13)), 0.4, derive_rng(13, "noise"))
     path = tmp_path / "ds.json"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert np.array_equal(back.img, ds.img)
-    assert np.array_equal(back.txt, ds.txt)
-    assert np.array_equal(back.match_perm, ds.match_perm)
-    assert np.array_equal(back.noise_mask, ds.noise_mask)
-    assert np.array_equal(back.cluster_ids, ds.cluster_ids)
+    _assert_same_dataset(back, ds)
     assert back.meta["rho"] == pytest.approx(0.4)
 
 
 def test_dataset_serialization_is_byte_identical(tmp_path):
     ds = generate(GenSpec(n=8, n_clusters=4, seed=14))
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_dataset(ds, p1)
-    save_dataset(ds, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    save_dataset(ds, tmp_path / "a.json")
+    save_dataset(ds, tmp_path / "b.json")
+    for suffix in (".json", ".img.npy", ".txt.npy"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
-def test_dataset_json_container_keys():
+def test_dataset_json_container_keys(tmp_path):
     ds = generate(GenSpec(n=5, n_clusters=5, seed=15))
-    obj = dataset_to_json(ds)
-    assert set(obj) == {"meta", "img", "txt", "perm", "mask", "clusters"}
-    for key in ("N", "dims", "seed", "rho"):
-        assert key in obj["meta"]
-    assert dataset_from_json(json.loads(json.dumps(obj))).n == 5
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.img.npy", "ds.json", "ds.txt.npy"]
+    head = json.loads(path.read_text())
+    assert set(head) == {"meta", "perm", "mask", "clusters"}
+    for key in ("N", "dims", "seed", "rho", "split"):
+        assert key in head["meta"]
+    # the matrices are plain .npy files that np.load reads without pickle
+    for key in ("img", "txt"):
+        assert np.array_equal(np.load(tmp_path / f"ds.{key}.npy", allow_pickle=False),
+                              getattr(ds, key))
 
 
 def _load_oracle(path):
-    """The loader before row-by-row decoding: the whole object, then arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_json(json.load(fh))
+    """The split read by hand: the head with json.load, each matrix with np.load."""
+    head = json.loads(path.read_text())
+    img, txt = (np.load(path.with_suffix(f".{key}.npy"), allow_pickle=False)
+                for key in ("img", "txt"))
+    return PairDataset(img=img, txt=txt, match_perm=np.asarray(head["perm"]),
+                       noise_mask=np.asarray(head["mask"]),
+                       cluster_ids=np.asarray(head["clusters"]),
+                       split_tag=head["meta"]["split"], meta=head["meta"])
 
 
-def _assert_same_dataset(got, want):
-    for name in ("img", "txt", "match_perm", "noise_mask", "cluster_ids"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert np.array_equal(a, b), name
-    assert got.split_tag == want.split_tag
-    assert got.meta == want.meta
-
-
-def _dumps_split(obj):
-    """``obj`` as text in the layout of ``save_dataset``, for a split of at
-    least one row: the other keys, sorted, on line 1, then one row a line."""
+def _row_per_line(obj):
+    """``obj``, matrices inline, in the row-per-line layout of an earlier
+    `gsc gen`: the other keys, sorted, on line 1, then one row a line."""
     head = json.dumps({k: v for k, v in obj.items() if k not in ("img", "txt")},
                       sort_keys=True)
     img, txt = (",\n".join(json.dumps(row) for row in obj[key]) for key in ("img", "txt"))
     return f'{head[:-1]}, "img": [\n{img}\n], "txt": [\n{txt}\n]}}\n'
 
 
+def _inline(layout):
+    """A rewrite of the split at ``path`` into an earlier layout: ``layout``
+    of the head with both matrices inline as lists, and no ``.npy`` files."""
+    def rewrite(path):
+        obj = json.loads(path.read_text())
+        for key in ("img", "txt"):
+            npy = path.with_suffix(f".{key}.npy")
+            obj[key] = np.load(npy).tolist()
+            npy.unlink()
+        path.write_text(layout(obj))
+    return rewrite
+
+
 # 0 dev rows (an empty matrix), 39 test rows and 200 noisy train rows
 SPLITS = split(generate(GenSpec(n=239, n_clusters=8, seed=16)), 200 / 239, 0.0,
                39 / 239, derive_rng(16, "split"))
+REGENERATE = "regenerate it with `gsc gen`"
+# the layout save_dataset writes, and JSON serializations of earlier
+# layouts, with the matrices inline, that load_dataset refuses
+LAYOUTS = {"save_dataset": None, "indent": {"indent": 2},
+           "tabs-sorted": {"indent": "\t", "sort_keys": True},
+           "compact": {"separators": (",", ":")}}
 
 
 class _ShortReads(io.RawIOBase):
@@ -230,22 +260,20 @@ class _ShortReads(io.RawIOBase):
 
 
 def _read_in_pieces(monkeypatch, chunk):
-    """Make ``load_dataset`` read its file ``chunk`` bytes at a time, so lines
-    and numbers arrive cut across reads."""
+    """Make ``load_dataset`` read its files ``chunk`` bytes at a time, as a
+    file system may return fewer bytes than a read asks for: the head's text
+    and numbers, and the ``.npy`` headers and data, arrive cut across reads."""
     def pieces_open(path, mode="r", encoding=None):
+        raw = _ShortReads(path, chunk)
+        if mode == "rb":
+            return raw
         assert mode == "r"
-        raw = io.BufferedReader(_ShortReads(path, chunk), buffer_size=chunk)
-        return io.TextIOWrapper(raw, encoding=encoding)
+        return io.TextIOWrapper(io.BufferedReader(raw, buffer_size=chunk), encoding=encoding)
     monkeypatch.setattr(synthdata, "open", pieces_open, raising=False)
 
 
-# the layout save_dataset writes, and re-serializations of the same JSON
-# document that load_dataset refuses
-LAYOUTS = {"save_dataset": None, "indent": {"indent": 2},
-           "tabs-sorted": {"indent": "\t", "sort_keys": True},
-           "compact": {"separators": (",", ":")}}
-# the file read as it comes, then with read boundaries after every
-# character, inside most numbers, and between rows
+# the files read as they come, then with read boundaries after every byte,
+# inside most numbers, and inside the matrices' data
 CHUNKS = [None, 1, 7, 4096]
 
 
@@ -259,20 +287,20 @@ def test_load_dataset_equals_json_load(tmp_path, monkeypatch, tag, dump_kw, chun
         ds = inject_noise(ds, 0.4, derive_rng(16, "noise"))
     path = tmp_path / "split.json"
     save_dataset(ds, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert json.load(fh) == dataset_to_json(ds)  # the file is JSON
     if chunk is not None:
         _read_in_pieces(monkeypatch, chunk)
     back = load_dataset(path)
-    _assert_same_dataset(back, _load_oracle(path))
-    assert back.n == ds.n
+    _assert_same_dataset(back, ds)
+    oracle = _load_oracle(path)
+    assert back.meta == oracle.meta
+    for name in ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(oracle, name)), name
     # the 0-row dev split keeps its width: (0, 48) and (0, 40)
-    assert back.img.shape == ds.img.shape and back.txt.shape == ds.txt.shape
+    assert back.img.shape == (ds.n, 48) and back.txt.shape == (ds.n, 40)
     if dump_kw is not None:
-        # the same document in another layout is refused, never misread
-        path.write_text(json.dumps(json.loads(path.read_text()), **dump_kw))
-        _assert_same_dataset(back, _load_oracle(path))
-        with pytest.raises(ValueError, match="regenerate it with `gsc gen`"):
+        # the same split in an earlier layout is refused, never misread
+        _inline(lambda obj: json.dumps(obj, **dump_kw))(path)
+        with pytest.raises(ValueError, match=REGENERATE):
             load_dataset(path)
 
 
@@ -280,77 +308,88 @@ def test_load_dataset_accepts_other_key_order_and_blanks(tmp_path):
     ds = inject_noise(SPLITS[0], 0.4, derive_rng(17, "noise"))
     path = tmp_path / "split.json"
     save_dataset(ds, path)
-    lines = path.read_text().split("\n")
-    # line 1 in reverse key order with an unknown key and other blanks,
-    # integers and blanks in a row, and exponents that json.dumps never writes
-    head = json.loads(lines[0][:-len(', "img": [')] + "}")
+    # the head in reverse key order with an unknown key, other blanks and no
+    # final newline
+    head = json.loads(path.read_text())
     head["scale"] = 1.5
-    lines[0] = (json.dumps(dict(reversed(list(head.items()))), separators=("\t,", " :  "))[:-1]
-                + ', "img": [')
-    row = json.loads(lines[6][:-1])
-    row[::3] = [int(v) for v in row[::3]]
-    lines[6] = " " + json.dumps(row, separators=(" ,\t", ":")) + "\t,"
-    lines[7] = "[" + ", ".join(f"{v:.17E}" for v in ds.img[6]) + "],"
-    path.write_text("\n".join(lines))
+    path.write_text(json.dumps(dict(reversed(list(head.items()))), separators=("\t,", " :  ")))
     back = load_dataset(path)
-    _assert_same_dataset(back, _load_oracle(path))
-    assert back.meta == ds.meta and back.img[5].tolist() == row
-    assert np.array_equal(back.img[6], ds.img[6])
+    _assert_same_dataset(back, ds)
+    assert back.meta == ds.meta
 
 
-def _edited(edit):
-    """A corruption of the file text that applies ``edit`` to its object and
-    writes it back in the same layout."""
-    def corrupt(text):
-        obj = json.loads(text)
-        edit(obj)
-        return _dumps_split(obj)
+class _MakesDir:
+    """An object whose unpickling creates the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def _resave(key, make):
+    """A corruption of the split at ``path`` that saves ``make(matrix, path)``
+    in place of its ``key`` matrix."""
+    def corrupt(path):
+        npy = path.with_suffix(f".{key}.npy")
+        np.save(npy, make(np.load(npy), path), allow_pickle=True)
     return corrupt
 
 
-REGENERATE = "regenerate it with `gsc gen`"
+def _edit_head(edit):
+    def corrupt(path):
+        head = json.loads(path.read_text())
+        edit(head)
+        path.write_text(json.dumps(head))
+    return corrupt
+
+
+def _edit_bytes(key, edit):
+    def corrupt(path):
+        npy = path.with_suffix(f".{key}.npy")
+        npy.write_bytes(edit(npy.read_bytes()))
+    return corrupt
+
+
+def _pickled(_, path):
+    return np.array([_MakesDir(path.parent / "unpickled")], dtype=object)
+
+
 LOADER_ERRORS = {
-    "truncated": (lambda text: text[:len(text) // 2], "does not end in ',\\n'"),
-    "trailing-data": (lambda text: text + "{}", "line 82: extra data"),
-    "row-without-comma": (lambda text: text.replace("],\n", "]\n", 1),
-                          "line 2: img row 0: the line does not end in ',\\n'"),
-    "unclosed-rows": (lambda text: text.replace('\n], "txt"', '\n]], "txt"'),
-                      "line 41: expected '], \"txt\": [\\n' after the img rows"),
-    "ragged-row": (_edited(lambda o: o["img"][3].pop()),
-                   "line 5: img row 3: expected a list of 48 numbers"),
-    "string-in-row": (_edited(lambda o: o["txt"][30].__setitem__(2, "x")),
-                      "txt row 30: could not convert string to float: 'x'"),
-    "object-in-row": (_edited(lambda o: o["txt"][1].__setitem__(0, {})),
-                      "line 43: txt row 1: float() argument must be"),
-    "perm-not-a-list": (_edited(lambda o: o.__setitem__("perm", 5)), "has no len()"),
-    "scalar-row": (_edited(lambda o: o["txt"].__setitem__(0, 7.0)),
-                   "line 42: txt row 0: expected a list of 40 numbers"),
-    "nested-rows": (_edited(lambda o: o.__setitem__("img", [[r] for r in o["img"]])),
-                    "img row 0: expected a list of 48 numbers"),
-    "missing-key": (_edited(lambda o: o.pop("perm")), "missing key 'perm'"),
-    "single-line-layout": (lambda text: json.dumps(json.loads(text), sort_keys=True),
-                           REGENERATE),
-    "indent-2": (lambda text: json.dumps(json.loads(text), indent=2), REGENERATE),
+    "truncated": (_edit_bytes("img", lambda b: b[:len(b) // 2]),
+                  "bad.img.npy: Failed to read all data"),
+    "truncated-header": (_edit_bytes("txt", lambda b: b[:20]), "bad.txt.npy: EOF"),
+    "trailing-data": (_edit_bytes("txt", lambda b: b + b"\0"),
+                      "bad.txt.npy: extra data after the matrix"),
+    "missing-npy": (lambda path: path.with_suffix(".txt.npy").unlink(),
+                    "bad.txt.npy: No such file or directory"),
+    "not-npy": (_edit_bytes("img", lambda b: pickle.dumps([1.0, 2.0])),
+                "bad.img.npy: the magic string is not correct"),
+    "ragged-row": (_resave("img", lambda m, _: m[:, :-1]),
+                   "bad.img.npy: expected a float64 matrix of shape (39, 48), "
+                   "got float64 of shape (39, 47)"),
+    "row-count": (_resave("txt", lambda m, _: m[:-1]),
+                  "bad.txt.npy: expected a float64 matrix of shape (39, 40), "
+                  "got float64 of shape (38, 40)"),
+    "float32": (_resave("img", lambda m, _: m.astype(np.float32)),
+                "bad.img.npy: expected a float64 matrix of shape (39, 48), got float32"),
+    "string-in-row": (_resave("txt", lambda m, _: m.astype(str)), "got <U"),
+    "object-in-row": (_resave("txt", _pickled),
+                      "bad.txt.npy: Object arrays cannot be loaded when allow_pickle=False"),
+    "scalar-row": (_resave("txt", lambda m, _: m[0]),
+                   "expected a float64 matrix of shape (39, 40), got float64 of shape (40,)"),
+    "nested-rows": (_resave("img", lambda m, _: m[:, None, :]), "got float64 of shape (39, 1, 48)"),
+    "nan": (_resave("img", lambda m, _: np.where(m == m[3, 5], np.nan, m)),
+            "image features contains non-finite entries"),
+    "missing-key": (_edit_head(lambda h: h.pop("perm")), "missing key 'perm'"),
+    "perm-not-a-list": (_edit_head(lambda h: h.__setitem__("perm", 5)), "has no len()"),
+    "width-not-an-integer": (_edit_head(lambda h: h["meta"]["dims"].__setitem__("img", 48.0)),
+                             "meta.dims.img must be an integer >= 1, got 48.0"),
+    "row-per-line-layout": (_inline(_row_per_line), REGENERATE),
+    "single-line-layout": (_inline(lambda obj: json.dumps(obj, sort_keys=True)), REGENERATE),
+    "indent-2": (_inline(lambda obj: json.dumps(obj, indent=2)), REGENERATE),
 }
-
-
-@pytest.mark.parametrize("layout", ["save_dataset"])
-def test_load_dataset_error_positions_do_not_depend_on_the_chunk(tmp_path, monkeypatch, layout):
-    path = tmp_path / "bad.json"
-    save_dataset(SPLITS[2], path)
-    text = path.read_text()
-    # in line 1, in an img row, and in the closing line of the txt rows
-    for cut in (1, len(text) // 3, len(text) - 2):
-        path.write_text(text[:cut] + "]" + text[cut:])
-        messages = []
-        for chunk in (len(text) + 1, 1, 7, 4096):  # the whole file first
-            _read_in_pieces(monkeypatch, chunk)
-            with pytest.raises(ValueError) as exc:
-                load_dataset(path)
-            messages.append(str(exc.value))
-        # the message and the line of the file it names
-        assert len(set(messages)) == 1
-        assert re.search(rf"\bline {text[:cut].count(chr(10)) + 1}\b", messages[0])
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
@@ -358,9 +397,20 @@ def test_load_dataset_errors_name_the_file(tmp_path, case):
     corrupt, message = LOADER_ERRORS[case]
     path = tmp_path / "bad.json"
     save_dataset(SPLITS[2], path)
-    text = path.read_text()
-    assert _dumps_split(json.loads(text)) == text  # corruptions keep the layout
-    path.write_text(corrupt(text))
+    corrupt(path)
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+    assert not (tmp_path / "unpickled").exists()
+
+
+def test_a_pickled_matrix_is_refused_unread(tmp_path):
+    path = tmp_path / "bad.json"
+    save_dataset(SPLITS[2], path)
+    _resave("txt", _pickled)(path)
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        load_dataset(path)
+    assert not (tmp_path / "unpickled").exists()
+    # the file does unpickle into the tripwire, so the check above has teeth
+    np.load(path.with_suffix(".txt.npy"), allow_pickle=True)
+    assert (tmp_path / "unpickled").is_dir()

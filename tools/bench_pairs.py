@@ -8,15 +8,21 @@ every workload the two checkouts' benchmarks run back to back, each in a
 fresh process with the run length of CHANGE's ``BENCHMARK.json``; the side
 that runs first alternates from pair to pair. OUT.json holds, per workload
 and per end-to-end metric, each side's values, median and quartiles, and the
-number of pairs each side won (ties count for neither), plus the environment
-the benchmark printed (Python, numpy, the BLAS build and thread count). A
-run that exits non-zero stops the script with its standard error.
+number of pairs each side won (ties count for neither), the median gap in
+the metric's better direction, the parent's interquartile range and
+``claim_holds``: whether CHANGE is better by the benchmark's rule for a
+claimed gain, better in at least 9 of 10 pairs and by a median gap larger
+than the parent's interquartile range. It holds the environment the
+benchmark printed too (Python, numpy, the BLAS build and thread count), and
+the script prints one line per workload and metric with the same verdict.
+A run that exits non-zero stops the script with its standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -39,6 +45,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def verdict(row: dict, pairs: int) -> dict:
+    """The claim rule for one metric's ``row``: CHANGE better in at least 9
+    of 10 pairs, and its median better by more than the parent's IQR."""
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    gap = sign * (row["change"]["median"] - row["parent"]["median"])
+    iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    holds = row["change_wins"] >= math.ceil(0.9 * pairs) and gap > iqr
+    return {"median_gap": gap, "parent_iqr": iqr, "claim_holds": holds}
 
 
 def main(argv=None) -> int:
@@ -74,13 +90,19 @@ def main(argv=None) -> int:
             parent = [m[name] for m in sides["parent"]]
             change = [m[name] for m in sides["change"]]
             sign = 1.0 if direction == "higher" else -1.0
-            rows[name] = {
+            row = {
                 "better": direction,
                 "parent": summary(parent),
                 "change": summary(change),
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             }
+            row.update(verdict(row, args.pairs))
+            rows[name] = row
+            print(f"{workload} {name}: median {row['parent']['median']:.4g} -> "
+                  f"{row['change']['median']:.4g} (parent IQR {row['parent_iqr']:.4g}), "
+                  f"change better in {row['change_wins']}/{args.pairs} pairs, claim "
+                  f"{'holds' if row['claim_holds'] else 'does not hold'}")
         record["workloads"][workload] = rows
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -6,8 +6,9 @@ imports the ``gsc`` package from the directory ``SRC`` (the ``src`` directory
 of a checkout), runs the cells below with their outputs under ``OUT`` (which
 must not exist yet), and prints one ``<sha256>  <path>`` line per output
 file, paths relative to ``OUT``, then for each split the ``gen`` cell wrote
-one ``<sha256>  <split file>:json`` line, the digest of the JSON document the
-file holds (``json.dumps(json.load(f), sort_keys=True)``), and one
+one ``<sha256>  <split file>:json`` line, the digest of the JSON head the
+split's ``.json`` file holds (``json.dumps(json.load(f), sort_keys=True)``;
+the matrices are in the ``.npy`` files beside it), and one
 ``<sha256>  <split file>:<field>`` line per array that
 ``gsc.synthdata.load_dataset`` returns (the digest covers the array's dtype,
 shape and bytes), then for each ``ckpt_*.json`` one
@@ -16,9 +17,10 @@ shape and bytes), then for each ``ckpt_*.json`` one
 ``weights`` and ``biases``), then for each train cell's ``report.json`` one
 ``<sha256>  <cell>/report.json:quality`` line, the digest of its test
 ``retrieval`` and its detection ``accuracy`` and ``auc`` (null without a
-detection report). A change of the split files' layout or of the checkpoint
-container alone changes only the file lines; a change that reassociates
-floats shows by these lines whether the quality fields moved. It exits 1,
+detection report). A change of the checkpoint container alone changes only
+the file lines, and one of the split files' layout only the file lines and
+the splits' ``:json`` lines; a change that reassociates floats shows by the
+``:quality`` lines whether the quality fields moved. It exits 1,
 naming the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
 ``Infinity`` token, which ``json.dumps`` writes but JSON does not allow. A pure refactor leaves every byte of every output and every
 loaded array unchanged, so the digests of two checkouts diff empty:
