@@ -17,12 +17,12 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .evalmetrics import (CSV_COLUMNS, DetectionReport, RetrievalReport,
+from .evalmetrics import (CSV_COLUMNS, RECALL_KS, DetectionReport, RetrievalReport,
                           assemble_report, csv_row)
 from .losses import fd_check
 from .model import Encoder, encoder_to_json
-from .numerics import (NumericalError, derive_rng, require_int, require_positive,
-                       require_unit_interval)
+from .numerics import (NumericalError, derive_rng, json_entry, read_json_object, require_int,
+                       require_positive, require_real, require_unit_interval)
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
@@ -41,19 +41,24 @@ DEFAULTS = {
 }
 
 
-def load_config(path, overrides: dict) -> dict:
-    """DEFAULTS <- config file <- explicit flag overrides."""
+def load_config(args) -> dict:
+    """DEFAULTS <- the ``--config`` file <- the flags given.
+
+    A flag's argparse dest is its config key, so every flag whose dest is a
+    ``DEFAULTS`` key overrides the file when it is given (not None).
+    """
     cfg = dict(DEFAULTS)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {path} must hold a JSON object, got {file_cfg!r}")
-        unknown = sorted(set(file_cfg) - set(DEFAULTS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+    if args.config:
+        file_cfg = read_json_object(args.config)
+        for key, value in file_cfg.items():  # the ranges are checked after the merge
+            if key not in DEFAULTS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
+            if type(DEFAULTS[key]) is float:
+                require_real(value, f"{args.config}: {key}")
+            elif type(DEFAULTS[key]) is int:
+                require_int(value, f"{args.config}: {key}")
         cfg.update(file_cfg)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     return cfg
 
 
@@ -76,8 +81,8 @@ def gen_spec_from(cfg: dict, seed: int) -> GenSpec:
 
 def seed_and_rho(cfg: dict) -> tuple:
     """The merged config's ``seed``, any integer (`derive_rng` masks it), and
-    ``rho``, a real number in [0, 1]; a ValueError names a bad one."""
-    require_int(cfg["seed"], "seed")
+    ``rho``, a real number in [0, 1]; a ValueError names a ``rho`` outside
+    [0, 1]. ``load_config`` has checked the types of both."""
     require_unit_interval(cfg["rho"], "rho")
     return int(cfg["seed"]), float(cfg["rho"])
 
@@ -99,13 +104,7 @@ def build_splits(cfg: dict, seed: int, rho: float):
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, {
-        "n": args.n, "rho": args.rho, "seed": args.seed,
-        "n_clusters": args.clusters,
-        "sigma_cluster": args.sigma_cluster, "sigma_view": args.sigma_view,
-        "d_latent": args.d_latent, "d_img": args.d_img, "d_txt": args.d_txt,
-        "f_train": args.f_train, "f_dev": args.f_dev, "f_test": args.f_test,
-    })
+    cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
     out = out_root(args)
     train, dev, test = build_splits(cfg, seed, rho)
@@ -134,26 +133,9 @@ def load_splits(data_path: str):
     path = Path(data_path)
     if path.is_dir():
         path = path / "manifest.json"
-    if not path.is_file():
-        raise FileNotFoundError(f"dataset manifest not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {manifest!r}")
-    files = _manifest_entry(path, manifest, "files", dict)
-    names = [_manifest_entry(path, files, tag, str) for tag in ("train", "dev", "test")]
+    files = json_entry(path, read_json_object(path), "files", dict)
+    names = [json_entry(path, files, tag, str) for tag in ("train", "dev", "test")]
     return tuple(load_dataset(path.parent / name) for name in names)
-
-
-def _manifest_entry(path: Path, table: dict, key: str, kind: type):
-    """``table[key]`` of the manifest at ``path``; a ValueError names the key
-    if it is missing or not a ``kind`` (dict or str)."""
-    if key not in table:
-        raise ValueError(f"{path}: missing key {key!r}")
-    if not isinstance(table[key], kind):
-        what = "object" if kind is dict else "string"
-        raise ValueError(f"{path}: {key!r} must be a JSON {what}, got {table[key]!r}")
-    return table[key]
 
 
 def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
@@ -166,13 +148,7 @@ def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, {
-        "mode": args.mode, "seed": args.seed, "epochs": args.epochs,
-        "rho": args.rho, "n": args.n, "batch_size": args.batch_size,
-        "lr": args.lr, "gamma": args.gamma, "tau1": args.tau1, "tau2": args.tau2,
-        "beta1": args.beta1, "beta2": args.beta2,
-        "warmup_epochs": args.warmup, "track_labels": True if args.dump_labels else None,
-    })
+    cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
     out = out_root(args)
     mode = str(cfg["mode"])
@@ -195,7 +171,7 @@ def cmd_train(args) -> int:
         for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
             with open(out / f"ckpt_{net.name}_{modality}.json", "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(encoder_to_json(enc), sort_keys=True))
-    if args.dump_labels and result.label_history is not None:
+    if result.label_history is not None:  # kept when the merged ``track_labels`` is true
         with open(out / "labels.jsonl", "w", encoding="utf-8") as fh:
             _write_label_rows(fh, result.label_history, train.noise_mask)
     print(f"mode={mode} rho={rho} seed={seed} "
@@ -230,14 +206,13 @@ def _cell_seed(master: int, rho: float, mode: str) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, {"epochs": args.epochs, "n": args.n})
+    cfg = load_config(args)
     rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
     for rho in rhos:
         require_unit_interval(rho, "rho")
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    for mode in modes:  # every cell's configuration is checked before the first trains
+        train_config_from({**cfg, "mode": mode})
     out = out_root(args)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -246,7 +221,7 @@ def cmd_sweep(args) -> int:
         fh.flush()
         for rho in rhos:
             for mode in modes:
-                seed = _cell_seed(args.seed, rho, mode)
+                seed = _cell_seed(cfg["seed"], rho, mode)
                 result, test_retr, _ = _run_cell(cfg, mode, rho, seed)
                 writer.writerow(csv_row(mode, rho, test_retr, result.detection))
                 fh.flush()
@@ -288,12 +263,8 @@ def cmd_fdcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows.append(_report_row(path, json.load(fh)))
-    header = " ".join(f"{c:>8}" for c in CSV_COLUMNS)
-    print(header)
+    rows = [_report_row(path) for path in args.inputs]
+    print(" ".join(f"{c:>8}" for c in CSV_COLUMNS))
     for row in rows:
         print(" ".join(f"{v:>8.1f}" if isinstance(v, float) else f"{str(v):>8}"
                        for v in row))
@@ -306,21 +277,22 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _report_row(path, rep) -> list:
-    """The CSV row of the ``report.json`` document ``rep`` read from ``path``;
-    a ValueError names the file and the key it lacks."""
-    if not isinstance(rep, dict):
-        raise ValueError(f"{path} must hold a JSON object, got {rep!r}")
-    try:
-        meta, retr, det = rep.get("meta", {}), rep["retrieval"], rep.get("detection")
-        return csv_row(
-            meta.get("mode", "?"), meta.get("rho", ""),
-            RetrievalReport(*(retr[d][k] for d in ("i2t", "t2i") for k in ("r1", "r5", "r10"))),
-            None if det is None else DetectionReport(**det))
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err}") from None
-    except (AttributeError, TypeError) as err:
-        raise ValueError(f"{path}: {err}") from None
+def _report_row(path) -> list:
+    """The CSV row of the ``report.json`` at ``path``; a ValueError names the
+    file and the key that is missing or of the wrong JSON type. ``meta`` and
+    ``detection`` may be absent, and ``detection`` and its AUC and means null."""
+    rep = read_json_object(path)
+    meta = json_entry(path, rep, "meta", dict) if "meta" in rep else {}
+    retr = json_entry(path, rep, "retrieval", dict)
+    sides = [json_entry(path, retr, side, dict) for side in ("i2t", "t2i")]
+    retrieval = RetrievalReport(*(json_entry(path, recalls, f"r{k}", float)
+                                  for recalls in sides for k in RECALL_KS))
+    det = json_entry(path, rep, "detection", (dict, type(None))) if "detection" in rep else None
+    if det is not None:
+        det = DetectionReport(json_entry(path, det, "accuracy", float),
+                              *(json_entry(path, det, key, (float, type(None)))
+                                for key in ("auc", "mean_clean", "mean_noisy")))
+    return csv_row(meta.get("mode", "?"), meta.get("rho", ""), retrieval, det)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="total samples before splitting")
     p_gen.add_argument("--rho", type=float, help="train-split noise rate in [0, 1]")
     p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--clusters", type=int)
+    p_gen.add_argument("--clusters", type=int, dest="n_clusters")
     p_gen.add_argument("--sigma-cluster", type=float, dest="sigma_cluster")
     p_gen.add_argument("--sigma-view", type=float, dest="sigma_view")
     p_gen.add_argument("--d-latent", type=int, dest="d_latent")
@@ -360,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--tau2", type=float)
     p_train.add_argument("--beta1", type=float)
     p_train.add_argument("--beta2", type=float)
-    p_train.add_argument("--warmup", type=int)
-    p_train.add_argument("--dump-labels", action="store_true")
+    p_train.add_argument("--warmup", type=int, dest="warmup_epochs")
+    p_train.add_argument("--dump-labels", action="store_const", const=True, dest="track_labels",
+                         help="keep every epoch's labels and write them to labels.jsonl")
     p_train.add_argument("--config")
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)
@@ -369,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="noise-rate x mode grid, one CSV row per cell")
     p_sweep.add_argument("--rhos", default="0,0.2,0.4,0.6")
     p_sweep.add_argument("--modes", default="gsc,baseline")
-    p_sweep.add_argument("--seed", type=int, default=0, help="master seed for cell derivation")
+    p_sweep.add_argument("--seed", type=int,
+                         help="master seed for cell derivation (config key `seed`, default 0)")
     p_sweep.add_argument("--epochs", type=int)
     p_sweep.add_argument("--n", type=int)
     p_sweep.add_argument("--config")

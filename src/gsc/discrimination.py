@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (as_matrix, as_vector, exp_cosines_into, require_int, require_positive,
-                       require_unit_rows, softmax_rows)
+                       require_unit_interval, require_unit_rows, softmax_rows)
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -62,22 +62,16 @@ class SoftLabels:
         return cls(y_cm=cm, y_im=im, y=combine_labels(cm, im))
 
 
-def cross_modal_indicator(s, tau1: float, work: np.ndarray | None = None) -> np.ndarray:
+def cross_modal_indicator(s, tau1: float) -> np.ndarray:
     """Bidirectional diagonal softmax mass of a square pair-similarity matrix.
 
     Entry i averages the probability that row i's softmax puts on column i
     and that column i's softmax puts on row i, both at temperature ``tau1``.
     Values lie in (0, 1]; a well-matched pair approaches 1, a mismatched one
-    approaches 0. Both softmaxes are written into ``work``, an array shaped
-    like ``s`` (allocated when None); the column softmax goes into its
-    transpose, so it is laid out, and summed, as a softmax of ``s.T``.
+    approaches 0.
     """
     mat = as_matrix(s, "similarity matrix", square=True)
-    if work is None:
-        work = np.empty_like(mat)
-    rows = softmax_rows(mat, tau1, out=work).diagonal().copy()
-    cols = softmax_rows(mat.T, tau1, out=work.T)
-    out = 0.5 * (rows + np.diag(cols))
+    out = 0.5 * (np.diag(softmax_rows(mat, tau1)) + np.diag(softmax_rows(mat.T, tau1)))
     # keep the open lower bound when the diagonal term underflows
     return np.clip(out, np.nextafter(0.0, 1.0), 1.0)
 
@@ -251,9 +245,8 @@ def ensemble_update(labels: SoftLabels, new_cm, new_im,
 
     y_cm <- beta1 * new + (1 - beta1) * previous (same for y_im with beta2).
     """
-    for name, b in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= b <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {b}")
+    require_unit_interval(beta1, "beta1")
+    require_unit_interval(beta2, "beta2")
     cm = as_vector(new_cm, labels.y_cm.shape[0], "cross-modal estimates")
     im = as_vector(new_im, labels.y_im.shape[0], "intra-modal estimates")
     y_cm = beta1 * cm + (1.0 - beta1) * labels.y_cm

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, require_int
 
 __all__ = [
     "CSV_COLUMNS",
@@ -87,7 +87,8 @@ def recall_at_k(s, gt, k: int) -> float:
     gt_arr = np.asarray(gt, dtype=int)
     if not np.array_equal(np.sort(gt_arr), np.arange(n)):
         raise ValueError("gt must be a permutation of range(n)")
-    if not 1 <= k <= n:
+    require_int(k, "k", 1)
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     hit = _match_ranks(mat, gt_arr) < k
     return float(100.0 * hit.mean())

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, require_computed, require_int
+from .numerics import as_matrix, json_entry, require_computed, require_int, require_json_object
 
 __all__ = [
     "EmbeddingBatch",
@@ -140,15 +140,11 @@ def encode_pair(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt):
     return e_img, e_txt
 
 
-def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise dot products; cosines when both batches are unit-norm.
-
-    Written into ``out`` if given, else into a fresh array.
-    """
+def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:
+    """Pairwise dot products; cosines when both batches are unit-norm."""
     if a.matrix.shape[1] != b.matrix.shape[1]:
         raise ValueError(f"embedding dims differ: {a.matrix.shape[1]} vs {b.matrix.shape[1]}")
-    return np.matmul(a.matrix, b.matrix.T, out=out)
+    return a.matrix @ b.matrix.T
 
 
 def encoder_to_json(enc: Encoder) -> dict:
@@ -161,11 +157,18 @@ def encoder_to_json(enc: Encoder) -> dict:
     }
 
 
-def encoder_from_json(obj: dict) -> Encoder:
-    enc = Encoder(obj["dims"])
-    for views, stored in ((enc.weights, obj["weights"]), (enc.biases, obj["biases"])):
-        if [np.shape(a) for a in stored] != [view.shape for view in views]:
-            raise ValueError("checkpoint dims inconsistent with stored weights")
+def encoder_from_json(obj, where="checkpoint") -> Encoder:
+    """The encoder of the ``encoder_to_json`` container ``obj`` read from
+    ``where``; a ValueError names ``where`` and the key that is missing, of
+    the wrong JSON type, not shaped as ``dims`` need, or not all finite
+    numbers."""
+    enc = Encoder(json_entry(where, require_json_object(obj, where), "dims", list))
+    for key, views in (("weights", enc.weights), ("biases", enc.biases)):
+        stored = [np.asarray(a) for a in json_entry(where, obj, key, list)]
+        if [a.shape for a in stored] != [view.shape for view in views]:
+            raise ValueError(f"{where}: {key!r} inconsistent with dims {enc.dims}")
         for view, a in zip(views, stored):
+            if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+                raise ValueError(f"{where}: {key!r} must hold finite numbers only")
             view[...] = a
     return enc

@@ -7,9 +7,11 @@ owns), and helpers for deriving independent seeded random generators. No
 GPU, no autodiff; gradients are hand-derived in `losses`. Each argument
 condition of the package's public functions is checked by one function here
 (``as_matrix``, ``as_vector``, ``require_cosine_temperature``,
-``require_int``, ``require_positive``, ``require_unit_interval``,
-``require_unit_rows``). ``softmax_into`` is the max-shifted softmax kernel of
-a general matrix; ``exp_cosines_into`` is the kernel of a cosine matrix,
+``require_int``, ``require_positive``, ``require_real``,
+``require_unit_interval``, ``require_unit_rows``). Every JSON input file is
+read by ``read_json_object`` and its entries are taken by ``json_entry``;
+their errors name the file and the key. ``softmax_into`` is the max-shifted
+softmax kernel of a general matrix; ``exp_cosines_into`` is the kernel of a cosine matrix,
 whose known bound lets one exp give both its row and its column softmax.
 ``bxb_views`` cuts a run's flat work array into the two B x B buffers of a
 batch.
@@ -18,8 +20,10 @@ batch.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +38,15 @@ __all__ = [
     "cosine",
     "derive_rng",
     "exp_cosines_into",
-    "make_rng",
+    "json_entry",
+    "read_json_object",
     "require_computed",
     "require_cosine_temperature",
     "require_finite",
     "require_int",
+    "require_json_object",
     "require_positive",
+    "require_real",
     "require_unit_interval",
     "require_unit_rows",
     "softmax_into",
@@ -77,9 +84,9 @@ def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
     return out
 
 
-def _require_real(x, name: str) -> None:
+def require_real(x, name: str) -> None:
     """Raise ValueError unless ``x`` is a real number; a bool, None or a
-    string is not."""
+    string is not; NaN and inf are."""
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {x!r}")
 
@@ -87,7 +94,7 @@ def _require_real(x, name: str) -> None:
 def require_positive(x, name: str, allow_zero: bool = False) -> None:
     """Raise ValueError unless ``x`` is a real number, finite and > 0 (>= 0
     if ``allow_zero``)."""
-    _require_real(x, name)
+    require_real(x, name)
     if not (np.isfinite(x) and (x >= 0 if allow_zero else x > 0)):
         bound = "non-negative" if allow_zero else "positive"
         raise ValueError(f"{name} must be {bound} and finite, got {x}")
@@ -104,9 +111,54 @@ def require_int(x, name: str, minimum: int | None = None) -> None:
 
 def require_unit_interval(x, name: str) -> None:
     """Raise ValueError unless ``x`` is a real number in [0, 1]; NaN is not."""
-    _require_real(x, name)
+    require_real(x, name)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
+
+
+def require_json_object(doc, where) -> dict:
+    """Return ``doc``, raising ValueError naming ``where`` unless it is a
+    JSON object (a dict); a long ``doc`` is shown cut short."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must hold a JSON object, got {reprlib.repr(doc)}")
+    return doc
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; a ValueError names ``path``
+    if the file cannot be read, its text is not JSON or its top level is not
+    an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:  # missing, a directory, not readable
+        raise ValueError(f"{path}: {err.strerror or err}") from None
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {err}") from None
+    return require_json_object(doc, path)
+
+
+_JSON_KINDS = {dict: "object", list: "list", str: "string", float: "number", type(None): "null"}
+
+
+def _is_json_kind(value, kind: type) -> bool:
+    if kind is float:  # JSON has no NaN or infinite number, and a bool is not one
+        return type(value) in (int, float) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def json_entry(where, table: dict, key: str, kind):
+    """``table[key]`` of the JSON file ``where``; a ValueError names ``where``
+    and the key if it is missing or not of ``kind``, one of dict, list, str,
+    float (a finite number) and ``type(None)`` (null), or a tuple of them."""
+    if key not in table:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = table[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not any(_is_json_kind(value, k) for k in kinds):
+        what = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ValueError(f"{where}: {key!r} must be a JSON {what}, got {reprlib.repr(value)}")
+    return value
 
 
 # A cosine s lies in [-1, 1], so (s - 1) / tau lies in [-2 / tau, 0]. Its exp
@@ -178,14 +230,11 @@ def exp_cosines_into(e_a: np.ndarray, e_b: np.ndarray, tau1: float, out: np.ndar
     return diag, out.sum(axis=1), out.sum(axis=0)
 
 
-def softmax_rows(m, tau: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability.
-
-    The result is written into ``out`` (shaped like ``m``) if given, else
-    into a fresh array laid out like ``m``; ``m`` is never written.
-    """
+def softmax_rows(m, tau: float) -> np.ndarray:
+    """Row-wise softmax of ``m / tau``, max-subtracted per row for stability,
+    in a fresh array laid out like ``m``."""
     require_positive(tau, "temperature")
-    z = np.divide(as_matrix(m, "softmax input"), tau, out=out)
+    z = as_matrix(m, "softmax input") / tau
     softmax_into(z, 1, z)
     return z
 
@@ -251,11 +300,6 @@ def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
     state.v *= ADAM_BETA2
     state.v += (1.0 - ADAM_BETA2) * (grad * grad)
     theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Root generator for a run seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
 def _tag_word(tag) -> int:

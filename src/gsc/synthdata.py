@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import (derive_rng, require_finite, require_int, require_positive,
-                       require_unit_interval)
+from .numerics import (derive_rng, json_entry, read_json_object, require_finite, require_int,
+                       require_positive, require_unit_interval)
 
 __all__ = [
     "GenSpec",
@@ -287,32 +287,31 @@ def load_dataset(path) -> PairDataset:
     """Read a ``save_dataset`` split; a malformed one, or one in an earlier
     layout, raises ValueError naming ``path``."""
     path = Path(path)
+    head = read_json_object(path)
+    if any(key in head for key in _MATRIX_KEYS):
+        raise ValueError(f"{path}: holds its matrices inline, the layout of an earlier "
+                         "`gsc gen`; regenerate it with `gsc gen`")
+    meta = json_entry(path, head, "meta", dict)
+    dims = json_entry(path, meta, "dims", dict)
+    widths = [json_entry(path, dims, key, float) for key in _MATRIX_KEYS]
+    perm, mask, clusters = (json_entry(path, head, key, list)
+                            for key in ("perm", "mask", "clusters"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = json.load(fh)
-        if any(key in head for key in _MATRIX_KEYS):
-            raise ValueError("holds its matrices inline, the layout of an earlier `gsc gen`; "
-                             "regenerate it with `gsc gen`")
-        meta = dict(head["meta"])
         if "rho" in meta:  # `gsc train --data` reports the train split's noise rate
             require_unit_interval(meta["rho"], "meta.rho")
-        n = len(head["perm"])
         features = {}
-        for key in _MATRIX_KEYS:
-            width = meta["dims"][key]
+        for key, width in zip(_MATRIX_KEYS, widths):
             require_int(width, f"meta.dims.{key}", 1)
-            features[key] = _read_matrix(_matrix_path(path, key), (n, width))
+            features[key] = _read_matrix(_matrix_path(path, key), (len(perm), width))
         ds = PairDataset(
             **features,
-            match_perm=np.asarray(head["perm"], dtype=int),
-            noise_mask=np.asarray(head["mask"], dtype=bool),
-            cluster_ids=np.asarray(head["clusters"], dtype=int),
+            match_perm=np.asarray(perm, dtype=int),
+            noise_mask=np.asarray(mask, dtype=bool),
+            cluster_ids=np.asarray(clusters, dtype=int),
             split_tag=meta.get("split", "train"),
             meta=meta,
         )
         ds.validate()
         return ds
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err}") from None
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None

@@ -2,7 +2,8 @@
 
 One row per (entry point, bad argument): a NaN temperature, rate, weight,
 floor or scale, a tau1 below the cosine-temperature floor, a bool, None or
-string in place of a number, a noise rate outside [0, 1], a non-square
+string in place of a number (a momentum coefficient, a recall cutoff k),
+a k that is not a whole number, a noise rate outside [0, 1], a non-square
 matrix, embedding rows of norm above 1, or a label vector of the wrong
 length. Each must raise ValueError before any computation.
 """
@@ -80,8 +81,13 @@ CASES = {
     "combine_labels-label-length": lambda: combine_labels(Y, Y_SHORT),
     "ensemble_update-label-length":
         lambda: ensemble_update(SoftLabels.ones(3), Y_SHORT, Y, 0.7, 0.7),
+    **{f"ensemble_update-beta-{name}":
+       (lambda beta=beta: ensemble_update(SoftLabels.ones(3), Y, Y, beta, 0.7))
+       for name, beta in (("string", "0.7"), ("none", None), ("bool", True), ("nan", NAN))},
     "gmm_fit-nan-floor": lambda: gmm_fit(np.linspace(0.0, 1.0, 8), floor=NAN),
     "recall_at_k-non-square": lambda: recall_at_k(RECT, np.arange(3), 1),
+    **{f"recall_at_k-k-{name}": (lambda k=k: recall_at_k(SQ, np.arange(3), k))
+       for name, k in (("bool", True), ("float", 2.5), ("zero", 0), ("above-n", 4))},
     "detection_metrics-label-length":
         lambda: detection_metrics(Y_SHORT, np.zeros(3, dtype=bool)),
     **{f"TrainConfig-nan-{key}": (lambda key=key: TrainConfig(**{key: NAN}).validate())

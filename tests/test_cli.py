@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -313,6 +314,42 @@ def test_train_dump_labels(tmp_path):
     lines = (out / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines == [_label_row_oracle(r["epoch"], r["idx"], r["y_cm"], r["y_im"], r["y"],
                                        r["is_noisy_gt"]) for r in rows]
+
+
+def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"track_labels": True}))
+    by_flag, by_config, off = tmp_path / "flag", tmp_path / "config", tmp_path / "off"
+    args = [*FAST_TRAIN, "--rho", "0.5"]
+    assert run_cli("train", *args, "--dump-labels", "--out", str(by_flag)) == 0
+    assert run_cli("train", *args, "--config", str(cfg_path), "--out", str(by_config)) == 0
+    assert (by_config / "labels.jsonl").read_bytes() == (by_flag / "labels.jsonl").read_bytes()
+    cfg_path.write_text(json.dumps({"track_labels": False}))
+    assert run_cli("train", *args, "--config", str(cfg_path), "--out", str(off)) == 0
+    assert not (off / "labels.jsonl").exists()
+
+
+# argparse dests of gen, train and sweep that are not config keys
+NON_CONFIG_DESTS = {"help", "config", "out", "data", "rhos", "modes"}
+
+
+def test_every_flag_of_a_config_command_is_a_config_key_or_listed():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for command in ("gen", "train", "sweep"):
+        for action in subparsers.choices[command]._actions:
+            assert action.dest in cli.DEFAULTS or action.dest in NON_CONFIG_DESTS, \
+                (command, action.option_strings, action.dest)
+
+
+def test_a_flag_overrides_its_config_key(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_clusters": 3, "warmup_epochs": 2}))
+    args = cli.build_parser().parse_args(["train", "--config", str(cfg_path), "--warmup", "0"])
+    cfg = cli.load_config(args)
+    assert (cfg["n_clusters"], cfg["warmup_epochs"], cfg["track_labels"]) == (3, 0, False)
+    args = cli.build_parser().parse_args(["gen", "--clusters", "4", "--config", str(cfg_path)])
+    assert cli.load_config(args)["n_clusters"] == 4
 
 
 def _label_row_oracle(epoch, i, y_cm, y_im, y, noisy):

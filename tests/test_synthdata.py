@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from gsc import synthdata
+from gsc import numerics, synthdata
 from gsc.numerics import derive_rng
 from gsc.synthdata import (GenSpec, PairDataset, generate, inject_noise, load_dataset,
                            save_dataset, split)
@@ -269,7 +269,8 @@ def _read_in_pieces(monkeypatch, chunk):
             return raw
         assert mode == "r"
         return io.TextIOWrapper(io.BufferedReader(raw, buffer_size=chunk), encoding=encoding)
-    monkeypatch.setattr(synthdata, "open", pieces_open, raising=False)
+    for module in (synthdata, numerics):  # numerics reads the head
+        monkeypatch.setattr(module, "open", pieces_open, raising=False)
 
 
 # the files read as they come, then with read boundaries after every byte,
@@ -383,7 +384,8 @@ LOADER_ERRORS = {
     "nan": (_resave("img", lambda m, _: np.where(m == m[3, 5], np.nan, m)),
             "image features contains non-finite entries"),
     "missing-key": (_edit_head(lambda h: h.pop("perm")), "missing key 'perm'"),
-    "perm-not-a-list": (_edit_head(lambda h: h.__setitem__("perm", 5)), "has no len()"),
+    "perm-not-a-list": (_edit_head(lambda h: h.__setitem__("perm", 5)),
+                        "'perm' must be a JSON list, got 5"),
     "width-not-an-integer": (_edit_head(lambda h: h["meta"]["dims"].__setitem__("img", 48.0)),
                              "meta.dims.img must be an integer >= 1, got 48.0"),
     "row-per-line-layout": (_inline(_row_per_line), REGENERATE),
