@@ -3,7 +3,8 @@
 Subcommands: gen, train, sweep, fdcheck, report. A flat JSON config file can
 set any training or generation key; explicit flags override file values,
 which override the built-in defaults. Exit codes: 0 success, 1 check
-failure, 2 usage/input error, 3 numerical abort.
+failure, 2 usage/input error or an output path that cannot be written, 3
+numerical abort.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ DEFAULTS = {
 }
 
 
-def load_config(args) -> dict:
+def load_config(args, grid_keys=()) -> dict:
     """DEFAULTS <- the ``--config`` file <- the flags given.
 
     A flag's argparse dest is its config key, so every flag whose dest is a
-    ``DEFAULTS`` key overrides the file when it is given (not None).
+    ``DEFAULTS`` key overrides the file when it is given (not None). The
+    file may not set a key of ``grid_keys``, which ``sweep`` takes from its
+    ``--modes`` and ``--rhos`` grid instead.
     """
     cfg = dict(DEFAULTS)
     if args.config:
@@ -53,6 +56,9 @@ def load_config(args) -> dict:
         for key, value in file_cfg.items():  # the ranges are checked after the merge
             if key not in DEFAULTS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
+            if key in grid_keys:
+                raise ValueError(f"{args.config}: sweep ignores config key {key!r}; "
+                                 "its grid comes from --modes and --rhos")
             if type(DEFAULTS[key]) is float:
                 require_real(value, f"{args.config}: {key}")
             elif type(DEFAULTS[key]) is int:
@@ -206,7 +212,7 @@ def _cell_seed(master: int, rho: float, mode: str) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args)
+    cfg = load_config(args, grid_keys=("mode", "rho"))
     rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
     for rho in rhos:
         require_unit_interval(rho, "rho")
@@ -373,8 +379,8 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3
-    except FileNotFoundError as err:
-        print(f"missing input: {err}", file=sys.stderr)
+    except OSError as err:  # input files raise ValueError, so this is an output path
+        print(f"cannot write output: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"invalid arguments: {err}", file=sys.stderr)

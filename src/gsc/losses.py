@@ -60,7 +60,7 @@ import numpy as np
 from .model import (Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair, param_layout,
                     param_views)
 from .numerics import (as_matrix, as_vector, bxb_views, exp_cosines_into, require_computed,
-                       require_finite, require_positive, softmax_into)
+                       require_positive, softmax_into)
 
 __all__ = [
     "FdCheckReport",
@@ -71,18 +71,15 @@ __all__ = [
     "loss_cm",
     "loss_im",
     "structure_logits",
-    "total_loss",
 ]
 
 
 @dataclass(frozen=True)
 class LossReport:
-    """One batch's loss values; total = l_cm + gamma * l_im."""
+    """One batch's loss values; the total loss is l_cm + gamma * l_im."""
 
     l_cm: float
     l_im: float
-    gamma: float
-    total: float
 
 
 @dataclass
@@ -124,14 +121,6 @@ def loss_im(s_ii, s_tt, y, tau2: float) -> float:
     return float(-(diag - softmax_into(z, 1, z)).mean())
 
 
-def total_loss(l_cm: float, l_im: float, gamma: float) -> LossReport:
-    """Weighted sum; gamma balances the two objectives."""
-    require_finite((l_cm, l_im), "loss terms")
-    require_positive(gamma, "gamma", allow_zero=True)
-    return LossReport(l_cm=float(l_cm), l_im=float(l_im), gamma=float(gamma),
-                      total=float(l_cm) + float(gamma) * float(l_im))
-
-
 def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
                      tau1: float, tau2: float, gamma: float,
                      work: np.ndarray | None = None):
@@ -155,9 +144,10 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     Y M + y^2 * (E_I (E_I^T X)), two B^2 d products where the terms taken
     one by one need four. Every B x B quantity lives in one of the two
     ``bxb_views`` of the flat ``work`` array (allocated when None),
-    overwritten in place.
+    overwritten in place. A non-finite loss raises NumericalError.
     """
     require_positive(tau2, "tau2")
+    require_positive(gamma, "gamma", allow_zero=True)
     ei = e_img.matrix
     et = e_txt.matrix
     b = ei.shape[0]
@@ -180,6 +170,7 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     np.exp(w, out=w)
     total = w.sum(axis=1)
     l_im = -(diag - np.log(total)).mean()
+    require_computed("the loss", l_cm, l_im)
     # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
     w *= (gamma / (b * tau2) / total)[:, None]
     w.flat[on_diag] -= gamma / (b * tau2)
@@ -204,7 +195,7 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     np.matmul(g_s.T, ei, out=gx)
     gx *= scale
     g_et += gx
-    return total_loss(float(l_cm), float(l_im), gamma), g_ei, g_et
+    return LossReport(l_cm=float(l_cm), l_im=float(l_im)), g_ei, g_et
 
 
 def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
@@ -235,7 +226,6 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     """
     e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)
-    require_computed("the loss", report.total)
     g_img = _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei)
     g_txt = _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et)
     require_computed("image-encoder gradients", g_img)
@@ -243,7 +233,7 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     return report, GradSet(img=g_img, txt=g_txt)
 
 
-def _total_loss_value(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
+def _dense_loss_value(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
                       tau1: float, tau2: float, gamma: float) -> float:
     e_img = encode(enc_img, x_img)
     e_txt = encode(enc_txt, x_txt)
@@ -288,9 +278,9 @@ def fd_check(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
             for i in range(part.start, part.stop):
                 orig = theta[i]
                 theta[i] = orig + h
-                up = _total_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
+                up = _dense_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
                 theta[i] = orig - h
-                down = _total_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
+                down = _dense_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
                 theta[i] = orig
                 fd = (up - down) / (2.0 * h)
                 a = grad[i]

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, json_entry, require_computed, require_int, require_json_object
+from .numerics import (as_matrix, is_json_number, json_entry, require_computed, require_int,
+                       require_json_object)
 
 __all__ = [
     "EmbeddingBatch",
@@ -160,15 +161,16 @@ def encoder_to_json(enc: Encoder) -> dict:
 def encoder_from_json(obj, where="checkpoint") -> Encoder:
     """The encoder of the ``encoder_to_json`` container ``obj`` read from
     ``where``; a ValueError names ``where`` and the key that is missing, of
-    the wrong JSON type, not shaped as ``dims`` need, or not all finite
-    numbers."""
+    the wrong JSON type, not shaped as ``dims`` need (a ragged row is not),
+    or not all finite numbers (a bool is not one)."""
     enc = Encoder(json_entry(where, require_json_object(obj, where), "dims", list))
     for key, views in (("weights", enc.weights), ("biases", enc.biases)):
-        stored = [np.asarray(a) for a in json_entry(where, obj, key, list)]
+        # an object array keeps each entry as JSON gave it, and a ragged row as a list
+        stored = [np.array(a, dtype=object) for a in json_entry(where, obj, key, list)]
         if [a.shape for a in stored] != [view.shape for view in views]:
             raise ValueError(f"{where}: {key!r} inconsistent with dims {enc.dims}")
         for view, a in zip(views, stored):
-            if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            if not all(is_json_number(x) for x in a.flat):
                 raise ValueError(f"{where}: {key!r} must hold finite numbers only")
             view[...] = a
     return enc

@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "cosine",
     "derive_rng",
     "exp_cosines_into",
+    "is_json_number",
     "json_entry",
     "read_json_object",
     "require_computed",
@@ -141,10 +143,14 @@ def read_json_object(path) -> dict:
 _JSON_KINDS = {dict: "object", list: "list", str: "string", float: "number", type(None): "null"}
 
 
+def is_json_number(value) -> bool:
+    """True if ``value`` is a JSON number a double holds: an int or a float,
+    not a bool, of magnitude at most the largest double (so not NaN or inf)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _is_json_kind(value, kind: type) -> bool:
-    if kind is float:  # JSON has no NaN or infinite number, and a bool is not one
-        return type(value) in (int, float) and math.isfinite(value)
-    return isinstance(value, kind)
+    return is_json_number(value) if kind is float else isinstance(value, kind)
 
 
 def json_entry(where, table: dict, key: str, kind):
@@ -286,7 +292,9 @@ def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
     ``theta``, ``grad`` and the state's moments share one flat layout;
-    single writer per parameter vector.
+    single writer per parameter vector. A second moment that overflows (a
+    gradient entry above about 1e154 squares to inf, which would turn every
+    later update of that entry into 0) raises NumericalError.
     """
     require_positive(lr, "learning rate")
     if not theta.shape == np.shape(grad) == state.m.shape:
@@ -299,6 +307,7 @@ def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
     state.m += (1.0 - ADAM_BETA1) * grad
     state.v *= ADAM_BETA2
     state.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    require_computed("the Adam second moment", state.v)
     theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 

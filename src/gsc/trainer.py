@@ -2,11 +2,12 @@
 
 Two independently initialized encoder pairs train side by side. The labels
 weighting each network's losses are always estimated from the other
-network's embeddings (from a snapshot taken at epoch start, so training the
-two networks in sequence or in parallel gives identical results). Cross-modal
-indicators and intra-modal structure scores accumulate over the whole epoch,
-one Gaussian mixture is fitted per network per epoch, and the label stores
-are updated by momentum before the next epoch begins.
+network's embeddings as they stand at epoch start: every network's next
+labels are estimated before either network trains, so no network is copied
+and training the two in sequence or in parallel gives identical results.
+Cross-modal indicators and intra-modal structure scores accumulate over the
+whole epoch, one Gaussian mixture is fitted per network per epoch, and the
+label stores are updated by momentum before the next epoch begins.
 
 Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 0, and every epoch is one ``train_epoch`` call; warm-up epochs are the first
@@ -172,20 +173,15 @@ class RunState:
     stores, epoch counter.
 
     ``adam[k]`` is the (image, text) ``AdamState`` pair that trains
-    ``nets[k]``; snapshots of the networks (label sources, checkpoints) copy
-    weights only. ``labels[k]`` weights the losses of ``nets[k]`` and is
-    estimated from the other network's outputs (from its own in
-    single-network mode).
+    ``nets[k]``; a checkpoint copies the networks' weights only.
+    ``labels[k]`` weights the losses of ``nets[k]`` and is estimated from
+    the other network's outputs (from its own in single-network mode).
     """
 
     nets: list
     adam: list
     labels: list
     epoch: int = 0
-
-
-def _other(k: int, n_nets: int) -> int:
-    return (k + 1) % n_nets
 
 
 def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
@@ -259,7 +255,8 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 def _train_net_over(net: Network, adam, x_img, x_txt, y_full, schedule, lr, cfg,
                     epoch: int, work):
     """Adam-train one network across a batch schedule, ``adam`` its (image,
-    text) state pair; returns loss sums."""
+    text) state pair; returns loss sums. A non-finite loss, gradient or Adam
+    moment raises NumericalError naming the epoch, the network and the batch."""
     adam_img, adam_txt = adam
     cm_sum, im_sum = 0.0, 0.0
     for b_i, idx in enumerate(schedule):
@@ -267,14 +264,14 @@ def _train_net_over(net: Network, adam, x_img, x_txt, y_full, schedule, lr, cfg,
             report, grads = grad_total(net.img_enc, net.txt_enc,
                                        x_img[idx], x_txt[idx], y_full[idx],
                                        cfg.tau1, cfg.tau2, cfg.gamma, work)
+            adam_step(net.img_enc.theta, grads.img, adam_img, lr)
+            adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
         except NumericalError as err:
             raise NumericalError(
                 f"epoch {epoch}, net {net.name}, batch {b_i}: {err}") from err
         cm_sum += report.l_cm
         im_sum += report.l_im
-        adam_step(net.img_enc.theta, grads.img, adam_img, lr)
-        adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
-    return cm_sum, im_sum, len(schedule)
+    return cm_sum, im_sum
 
 
 def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
@@ -312,15 +309,26 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
     return ensemble_update(labels, est_cm, y_im, beta1, beta2)
 
 
+def _next_labels(state: RunState, x_img, x_txt, schedules, cfg: TrainConfig,
+                 beta1: float, beta2: float, work) -> list:
+    """Every network's next label store, network k's estimated from the
+    network after it (itself when it is the only one) on ``schedules[k]``."""
+    n_nets = len(state.nets)
+    return [_estimate_labels(state.labels[k], state.nets[(k + 1) % n_nets], x_img, x_txt,
+                             schedules[k], cfg, beta1, beta2, state.epoch, work)
+            for k in range(n_nets)]
+
+
 def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
                 work: np.ndarray | None = None) -> dict:
     """Run epoch ``state.epoch`` of the schedule under ``cfg.resolved()``.
 
     Every network trains on its labels as they stand at epoch start. In a
-    co-training epoch, network k's next labels come from the other network's
-    epoch-start snapshot, weighted by k's current labels, on k's own batch
-    schedule, and are smoothed by momentum. A warm-up epoch leaves the unit
-    labels alone; after the last one, each store is seeded with raw estimates
+    co-training epoch, every network's next labels are estimated before
+    either network trains: network k's come from the other network's
+    embeddings, weighted by k's current labels, on k's own batch schedule,
+    and are smoothed by momentum. A warm-up epoch leaves the unit labels
+    alone; after the last one, each store is seeded with raw estimates
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
     without estimators keep unit labels throughout. ``work`` is the run's
     flat work array of at least 2 B^2 float64 entries for the largest batch
@@ -331,34 +339,27 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
     x_img = train_ds.img
     x_txt = train_ds.paired_txt()
     n = train_ds.n
-    n_nets = len(state.nets)
     epoch = state.epoch
     lr = learning_rate(cfg, epoch)
-    co_train = spec.estimates and epoch >= cfg.warmup_epochs
-    sources = [net.copy() for net in state.nets] if co_train else None
-    new_labels = list(state.labels)
-    cm_sum, im_sum, n_batches = 0.0, 0.0, 0
-    for k, net in enumerate(state.nets):
-        schedule = batch_schedule(n, cfg.batch_size,
-                                  derive_rng(cfg.seed, "batches", epoch, k))
-        if co_train:
-            new_labels[k] = _estimate_labels(state.labels[k], sources[_other(k, n_nets)],
-                                             x_img, x_txt, schedule, cfg,
-                                             cfg.beta1, cfg.beta2, epoch, work)
-        c, i, nb = _train_net_over(net, state.adam[k], x_img, x_txt, state.labels[k].y,
-                                   schedule, lr, cfg, epoch, work)
+    schedules = [batch_schedule(n, cfg.batch_size, derive_rng(cfg.seed, "batches", epoch, k))
+                 for k in range(len(state.nets))]
+    new_labels = state.labels
+    if spec.estimates and epoch >= cfg.warmup_epochs:
+        new_labels = _next_labels(state, x_img, x_txt, schedules, cfg,
+                                  cfg.beta1, cfg.beta2, work)
+    cm_sum, im_sum = 0.0, 0.0
+    for net, adam, labels, schedule in zip(state.nets, state.adam, state.labels, schedules):
+        c, i = _train_net_over(net, adam, x_img, x_txt, labels.y, schedule, lr, cfg,
+                               epoch, work)
         cm_sum += c
         im_sum += i
-        n_batches += nb
     if spec.estimates and epoch == cfg.warmup_epochs - 1:
-        for k in range(n_nets):
-            schedule = batch_schedule(n, cfg.batch_size,
-                                      derive_rng(cfg.seed, "est-init", k))
-            new_labels[k] = _estimate_labels(state.labels[k], state.nets[_other(k, n_nets)],
-                                             x_img, x_txt, schedule, cfg, 1.0, 1.0,
-                                             epoch, work)
+        seeding = [batch_schedule(n, cfg.batch_size, derive_rng(cfg.seed, "est-init", k))
+                   for k in range(len(state.nets))]
+        new_labels = _next_labels(state, x_img, x_txt, seeding, cfg, 1.0, 1.0, work)
     state.labels = new_labels
     state.epoch += 1
+    n_batches = sum(len(schedule) for schedule in schedules)
     return {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}
 
 
@@ -387,24 +388,25 @@ class RunResult:
     ``best_nets`` is the checkpoint with the highest dev recall sum;
     ``history`` has one row per epoch (warm-up included) with the keys
     {epoch, mode, loss_cm, loss_im, dev_r1_i2t, dev_r1_t2i, recall_sum,
-    det_acc, det_auc}.
+    det_acc, det_auc}; ``detection`` is the last epoch's detection report.
     """
 
     history: list
     best_epoch: int
     best_recall_sum: float
     best_nets: list
-    final_nets: list
     labels: list
-    detection: DetectionReport | None
+    detection: DetectionReport
     label_history: list | None = None
 
 
 def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResult:
     """Warm-up, cfg.epochs co-training epochs, per-epoch dev evaluation.
 
-    Model selection keeps the network snapshot with the best dev recall sum.
-    Identical (cfg, data) reproduce the metric history bit-exactly.
+    Model selection keeps the network snapshot with the best dev recall sum;
+    ``validate`` guarantees at least one epoch, and a recall sum is at least
+    0, so the first epoch always sets one. Identical (cfg, data) reproduce the
+    metric history bit-exactly.
     """
     train_ds.validate()
     dev_ds.validate()
@@ -415,18 +417,17 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     label_history = [] if cfg.track_labels else None
     largest = _largest_batch(train_ds.n, cfg.batch_size)
     work = np.empty(2 * largest * largest)
-    best = {"recall_sum": -1.0, "epoch": -1, "nets": [net.copy() for net in state.nets]}
-
-    def record(loss_row):
+    best_recall_sum, best_epoch, best_nets = -1.0, -1, None
+    for epoch in range(cfg.warmup_epochs + cfg.epochs):
+        loss = train_epoch(state, train_ds, cfg, work)
         retr = evaluate_retrieval(state.nets, dev_ds)
         y_run = combined_labels(state.labels)
         det = detection_metrics(y_run, train_ds.noise_mask)
-        epoch_idx = state.epoch - 1
         history.append({
-            "epoch": epoch_idx,
+            "epoch": epoch,
             "mode": cfg.mode,
-            "loss_cm": loss_row["loss_cm"],
-            "loss_im": loss_row["loss_im"],
+            "loss_cm": loss["loss_cm"],
+            "loss_im": loss["loss_im"],
             "dev_r1_i2t": retr.r1_i2t,
             "dev_r1_t2i": retr.r1_t2i,
             "recall_sum": retr.recall_sum,
@@ -435,20 +436,15 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
         })
         if label_history is not None:
             label_history.append({
-                "epoch": epoch_idx,
+                "epoch": epoch,
                 "y_cm": np.mean([lb.y_cm for lb in state.labels], axis=0),
                 "y_im": np.mean([lb.y_im for lb in state.labels], axis=0),
                 "y": y_run,
             })
-        if retr.recall_sum > best["recall_sum"]:
-            best["recall_sum"] = retr.recall_sum
-            best["epoch"] = epoch_idx
-            best["nets"] = [net.copy() for net in state.nets]
-
-    for _ in range(cfg.warmup_epochs + cfg.epochs):
-        record(train_epoch(state, train_ds, cfg, work))
-    detection = detection_metrics(combined_labels(state.labels), train_ds.noise_mask)
-    return RunResult(history=history, best_epoch=best["epoch"],
-                     best_recall_sum=best["recall_sum"], best_nets=best["nets"],
-                     final_nets=state.nets, labels=state.labels,
-                     detection=detection, label_history=label_history)
+        if retr.recall_sum > best_recall_sum:
+            best_recall_sum = retr.recall_sum
+            best_epoch = epoch
+            best_nets = [net.copy() for net in state.nets]
+    return RunResult(history=history, best_epoch=best_epoch, best_recall_sum=best_recall_sum,
+                     best_nets=best_nets, labels=state.labels, detection=det,
+                     label_history=label_history)

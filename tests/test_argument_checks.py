@@ -15,7 +15,7 @@ from gsc.discrimination import (SoftLabels, combine_labels, cross_modal_indicato
                                 embedding_indicator, embedding_structure_score,
                                 ensemble_update, gmm_fit, intra_structure_score)
 from gsc.evalmetrics import detection_metrics, recall_at_k
-from gsc.losses import grad_total, loss_cm, loss_im, structure_logits, total_loss
+from gsc.losses import grad_total, loss_cm, loss_im, structure_logits
 from gsc.model import Encoder
 from gsc.numerics import (AdamState, adam_step, as_matrix, as_vector, derive_rng,
                           require_positive, require_unit_interval, softmax_rows)
@@ -61,7 +61,6 @@ CASES = {
     "loss_im-nan-tau2": lambda: loss_im(SQ, SQ, Y, NAN),
     "loss_im-non-square": lambda: loss_im(RECT, RECT, Y, 1.0),
     "loss_im-label-length": lambda: loss_im(SQ, SQ, Y_SHORT, 1.0),
-    "total_loss-nan-gamma": lambda: total_loss(1.0, 1.0, NAN),
     "grad_total-nan-tau1": lambda: _grad_total(tau1=NAN),
     "grad_total-nan-tau2": lambda: _grad_total(tau2=NAN),
     "grad_total-nan-gamma": lambda: _grad_total(gamma=NAN),

@@ -418,6 +418,20 @@ def test_train_numerical_abort_exits_3(tmp_path, monkeypatch):
     assert run_cli("train", *FAST_TRAIN, "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("tau2, stage", [
+    ("1e-307", "the loss"),  # core / tau2 overflows, so the structure logits are not finite
+    ("1e-300", "the Adam second moment"),  # the loss is finite, a gradient's square is not
+])
+def test_train_nonfinite_loss_or_adam_moment_exits_3_naming_it(tmp_path, capsys, tau2, stage):
+    argv = ["train", "--n", "300", "--rho", "0.4", "--epochs", "1", "--batch-size", "32",
+            "--seed", "7", "--tau2", tau2, "--out", str(tmp_path / "o")]
+    with np.errstate(all="ignore"):
+        assert run_cli(*argv) == 3
+    assert (f"numerical abort: epoch 0, net A, batch 0: non-finite values in {stage}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("key", ["gmm_floor", "lr_decay"])
 def test_train_rejects_nonfinite_config_value_before_training(tmp_path, capsys, key):
     cfg_path = tmp_path / "cfg.json"
@@ -560,6 +574,20 @@ def test_sweep_rejects_unknown_mode(tmp_path):
     assert run_cli("sweep", "--modes", "gsc,wat", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"mode": "wat", "rho": 0.9}, "mode"), ({"mode": "gsc"}, "mode"), ({"rho": 0.2}, "rho"),
+])
+def test_sweep_rejects_a_config_key_its_grid_sets(tmp_path, capsys, config, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--config", str(path), "--rhos", "0", "--modes", "baseline",
+                   "--n", "120", "--epochs", "1", "--out", str(out)) == 2
+    assert (f"{path}: sweep ignores config key {key!r}; its grid comes from --modes "
+            "and --rhos") in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fdcheck and report
 # ---------------------------------------------------------------------------
@@ -601,6 +629,23 @@ def test_report_prints_and_merges(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["det_auc"] != ""
     assert rows[1]["noise"] == "0.0" and rows[1]["det_auc"] == ""
+
+
+@pytest.mark.parametrize("case", ["csv-in-a-missing-dir", "csv-a-directory", "out-a-file"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, case):
+    report = tmp_path / "report.json"
+    recalls = {f"r{k}": 50.0 for k in (1, 5, 10)}
+    report.write_text(json.dumps({"retrieval": {"i2t": recalls, "t2i": recalls}}))
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
+    target, argv = {
+        "csv-in-a-missing-dir": (tmp_path / "no" / "x.csv", ["report", str(report), "--csv"]),
+        "csv-a-directory": (tmp_path / "a-dir", ["report", str(report), "--csv"]),
+        "out-a-file": (tmp_path / "a-file", ["train", *FAST_TRAIN, "--out"]),
+    }[case]
+    assert run_cli(*argv, str(target)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and str(target) in err
 
 
 def _without_r5(report):

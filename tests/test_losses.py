@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsc.losses import (_embedding_grads, fd_check, grad_total, loss_cm, loss_im,
-                        structure_logits, total_loss)
+                        structure_logits)
 from gsc.model import Encoder, encode, param_layout
 from gsc.numerics import NumericalError, derive_rng
 
@@ -186,23 +186,6 @@ def test_structure_logits_shape_errors():
         loss_im(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), 0.0)
 
 
-def test_total_loss_arithmetic():
-    rep = total_loss(2.0, 100.0, 0.01)
-    assert rep.total == pytest.approx(3.0, abs=1e-15)
-    assert total_loss(1.5, 9.9, 0.0).total == 1.5
-    rng = derive_rng(5, "total-lin")
-    for _ in range(N_CASES):
-        l1 = float(rng.uniform(0, 5))
-        l2 = float(rng.uniform(0, 5))
-        g = float(rng.uniform(0, 2))
-        rep = total_loss(l1, l2, g)
-        assert rep.total == pytest.approx(rep.l_cm + rep.gamma * rep.l_im, abs=1e-12)
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        total_loss(float("nan"), 1.0, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -223,7 +206,7 @@ def test_embedding_grads_match_dense_reference(b):
         for gamma in (0.01, 1.0):
             report, _ = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 0.5, gamma)
             want = loss_cm(ei @ et.T, y, 0.07) + gamma * loss_im(ei @ ei.T, et @ et.T, y, 0.5)
-            assert abs(report.total - want) <= 1e-12
+            assert abs(report.l_cm + gamma * report.l_im - want) <= 1e-12
             _, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, 0.5, gamma)
             ref_ei, ref_et = _dense_embedding_grads(ei, et, y, 0.07, 0.5, gamma)
             for got, ref in ((g_ei, ref_ei), (g_et, ref_et)):

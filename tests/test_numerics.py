@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gsc.model import Encoder, param_views
-from gsc.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step, cosine,
-                          derive_rng, softmax_rows)
+from gsc.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericalError,
+                          adam_step, cosine, derive_rng, softmax_rows)
 
 N_CASES = 120
 
@@ -163,6 +163,14 @@ def test_adam_shape_mismatch_error():
         adam_step(p, np.zeros(4), _zero_state(np.zeros(3)), lr=0.1)
     with pytest.raises(ValueError):
         adam_step(p, np.zeros(4), state, lr=0.0)
+
+
+def test_adam_second_moment_overflow_raises():
+    # 1e200 is finite, but its square is not: the update would silently be 0
+    p = np.zeros(3)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                   match="the Adam second moment"):
+        adam_step(p, np.array([0.1, 1e200, 0.2]), _zero_state(p), lr=0.1)
 
 
 def _adam_per_parameter(params, grads, ms, vs, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):

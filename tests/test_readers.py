@@ -144,6 +144,10 @@ CASES = {
                                    ": 'weights' must hold finite numbers only"),
     ("checkpoint", "infinite"): (_doc(_set_first_weight(-math.inf)),
                                  ": 'weights' must hold finite numbers only"),
+    ("checkpoint", "a-bool"): (_doc(_set_first_weight(True)),
+                               ": 'weights' must hold finite numbers only"),
+    ("checkpoint", "ragged-row"): (_doc(lambda d: d["weights"][0][1].pop()),
+                                   ": 'weights' inconsistent with dims"),
 }
 
 

@@ -9,7 +9,7 @@ from gsc.losses import grad_total
 from gsc.model import encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
-from gsc.trainer import (MODES, TrainConfig, _largest_batch, batch_schedule,
+from gsc.trainer import (MODES, Network, TrainConfig, _largest_batch, batch_schedule,
                          check_split_sizes, evaluate_retrieval, init_state, learning_rate,
                          run, train_epoch)
 
@@ -189,7 +189,7 @@ def test_im_only_uses_posterior_labels():
 def test_single_net_runs_with_self_estimates():
     train, dev, _ = small_data()
     res = run(small_cfg(mode="single_net"), train, dev)
-    assert len(res.final_nets) == 1
+    assert len(res.best_nets) == 1
     assert len(res.labels) == 1 and not np.all(res.labels[0].y == 1.0)
 
 
@@ -347,6 +347,23 @@ def test_label_estimation_aborts_with_location_on_nonfinite_source():
     with pytest.raises(NumericalError, match="epoch 1, net B, batch 0, label estimation: "
                                              "non-finite values in image embeddings"):
         train_epoch(state, train, cfg)
+
+
+@pytest.mark.parametrize("mode", ["gsc", "single_net"])
+def test_co_training_epoch_copies_no_network(monkeypatch, mode):
+    # every network's labels are estimated before any network trains, so no
+    # network is snapshotted for label estimation
+    train, _, _ = small_data()
+    cfg = small_cfg(mode=mode)
+    state = init_state(cfg, train)
+    train_warmup_epochs(state, train, cfg)
+    copies = []
+    copy = Network.copy
+    monkeypatch.setattr(Network, "copy", lambda net: copies.append(net.name) or copy(net))
+    seeded = [lb.y for lb in state.labels]
+    train_epoch(state, train, cfg)
+    assert copies == []
+    assert all(not np.array_equal(lb.y, y) for lb, y in zip(state.labels, seeded))
 
 
 # ---------------------------------------------------------------------------
