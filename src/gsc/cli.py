@@ -2,9 +2,11 @@
 
 Subcommands: gen, train, sweep, fdcheck, report. A flat JSON config file can
 set any training or generation key; explicit flags override file values,
-which override the built-in defaults. Exit codes: 0 success, 1 check
-failure, 2 usage/input error or an output path that cannot be written, 3
-numerical abort.
+which override the built-in defaults. Every float array a command writes
+(a split's matrices, a checkpoint's ``theta``, the ``--dump-labels`` arrays)
+is a ``.npy`` file beside a JSON head, written by ``numerics.write_arrays``.
+Exit codes: 0 success, 1 check failure, 2 usage/input error or an output
+path that cannot be written, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from pathlib import Path
 from .evalmetrics import (CSV_COLUMNS, RECALL_KS, DetectionReport, RetrievalReport,
                           assemble_report, csv_row)
 from .losses import fd_check
-from .model import Encoder, encoder_to_json
+from .model import Encoder, save_encoder
 from .numerics import (NumericalError, derive_rng, json_entry, read_json_object, require_int,
-                       require_positive, require_real, require_unit_interval)
+                       require_positive, require_real, require_unit_interval, write_arrays)
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
@@ -42,39 +44,43 @@ DEFAULTS = {
 }
 
 
-def load_config(args, grid_keys=()) -> dict:
+def load_config(args, ignored=None) -> dict:
     """DEFAULTS <- the ``--config`` file <- the flags given.
 
     A flag's argparse dest is its config key, so every flag whose dest is a
-    ``DEFAULTS`` key overrides the file when it is given (not None). The
-    file may not set a key of ``grid_keys``, which ``sweep`` takes from its
-    ``--modes`` and ``--rhos`` grid instead.
+    ``DEFAULTS`` key overrides the file when it is given (not None). Each
+    value of the file is checked for its JSON type here, its range after the
+    merge. The file may not set a key of ``ignored``, which maps the keys
+    ``sweep`` does not take from a config file to the reason.
     """
     cfg = dict(DEFAULTS)
     if args.config:
         file_cfg = read_json_object(args.config)
-        for key, value in file_cfg.items():  # the ranges are checked after the merge
+        for key, value in file_cfg.items():
             if key not in DEFAULTS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            if key in grid_keys:
+            if key in (ignored or {}):
                 raise ValueError(f"{args.config}: sweep ignores config key {key!r}; "
-                                 "its grid comes from --modes and --rhos")
-            if type(DEFAULTS[key]) is float:
-                require_real(value, f"{args.config}: {key}")
-            elif type(DEFAULTS[key]) is int:
-                require_int(value, f"{args.config}: {key}")
+                                 f"{ignored[key]}")
+            kind, where = type(DEFAULTS[key]), f"{args.config}: {key}"
+            if kind is float:
+                require_real(value, where)
+            elif kind is int:
+                require_int(value, where)
+            elif kind is bool and type(value) is not bool:
+                raise ValueError(f"{where} must be true or false, got {value!r}")
+            elif kind is tuple and not isinstance(value, (list, str)):
+                raise ValueError(f"{where} must be a list of integers or a comma-separated "
+                                 f"string, got {value!r}")
         cfg.update(file_cfg)
     cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     return cfg
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    hidden = cfg["hidden_dims"]
+    hidden = cfg["hidden_dims"]  # a tuple, a list or a string, as load_config checked
     if isinstance(hidden, str):
         hidden = [int(tok) for tok in hidden.split(",") if tok.strip()]
-    elif not isinstance(hidden, (list, tuple)):
-        raise ValueError(f"hidden_dims must be a list of integers or a comma-separated "
-                         f"string, got {hidden!r}")
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
                      hidden_dims=tuple(hidden))
     tc.validate()
@@ -175,33 +181,14 @@ def cmd_train(args) -> int:
         json.dump(report, fh, sort_keys=True, indent=2)
     for net in result.best_nets:
         for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
-            with open(out / f"ckpt_{net.name}_{modality}.json", "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(encoder_to_json(enc), sort_keys=True))
+            save_encoder(enc, out / f"ckpt_{net.name}_{modality}.json")
     if result.label_history is not None:  # kept when the merged ``track_labels`` is true
-        with open(out / "labels.jsonl", "w", encoding="utf-8") as fh:
-            _write_label_rows(fh, result.label_history, train.noise_mask)
+        write_arrays(out / "labels.json", {"noise_mask": train.noise_mask.tolist()},
+                     result.label_history)
     print(f"mode={mode} rho={rho} seed={seed} "
           f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
           f"-> {out / 'report.json'}")
     return 0
-
-
-def _write_label_rows(fh, label_history, noise_mask) -> None:
-    """One JSON object per (epoch, sample), keys sorted, as ``json.dumps``
-    with ``sort_keys=True`` writes it.
-
-    Floats are formatted by ``repr``, which is how ``json`` writes finite
-    floats; labels are clipped into (0, 1], so they are always finite.
-    """
-    noisy = ["true" if m else "false" for m in noise_mask.tolist()]
-    for entry in label_history:
-        epoch = int(entry["epoch"])
-        fh.writelines(
-            f'{{"epoch": {epoch}, "idx": {i}, "is_noisy_gt": {flag}, '
-            f'"y": {y!r}, "y_cm": {y_cm!r}, "y_im": {y_im!r}}}\n'
-            for i, (flag, y, y_cm, y_im) in enumerate(zip(
-                noisy, entry["y"].tolist(), entry["y_cm"].tolist(),
-                entry["y_im"].tolist())))
 
 
 def _cell_seed(master: int, rho: float, mode: str) -> int:
@@ -211,8 +198,14 @@ def _cell_seed(master: int, rho: float, mode: str) -> int:
     return int(master) + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")
 
 
+# the config keys sweep does not take from a config file, and why
+SWEEP_IGNORES = {"mode": "its grid comes from --modes and --rhos",
+                 "rho": "its grid comes from --modes and --rhos",
+                 "track_labels": "it writes no label dump"}
+
+
 def cmd_sweep(args) -> int:
-    cfg = load_config(args, grid_keys=("mode", "rho"))
+    cfg = load_config(args, SWEEP_IGNORES)
     rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
     for rho in rhos:
         require_unit_interval(rho, "rho")
@@ -270,15 +263,16 @@ def cmd_fdcheck(args) -> int:
 
 def cmd_report(args) -> int:
     rows = [_report_row(path) for path in args.inputs]
+    if args.csv:  # written first, so an output path that cannot be written prints nothing
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(rows)
     print(" ".join(f"{c:>8}" for c in CSV_COLUMNS))
     for row in rows:
         print(" ".join(f"{v:>8.1f}" if isinstance(v, float) else f"{str(v):>8}"
                        for v in row))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
         print(f"wrote {args.csv}")
     return 0
 
@@ -340,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--beta2", type=float)
     p_train.add_argument("--warmup", type=int, dest="warmup_epochs")
     p_train.add_argument("--dump-labels", action="store_const", const=True, dest="track_labels",
-                         help="keep every epoch's labels and write them to labels.jsonl")
+                         help="keep every epoch's labels and write them to labels.json "
+                         "and labels.{y,y_cm,y_im}.npy")
     p_train.add_argument("--config")
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)

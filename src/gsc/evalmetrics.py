@@ -94,14 +94,12 @@ def recall_at_k(s, gt, k: int) -> float:
     return float(100.0 * hit.mean())
 
 
-def retrieval_report(s, ks=RECALL_KS) -> RetrievalReport:
-    """Both-direction report from one pair-similarity matrix (identity truth)."""
+def retrieval_report(s) -> RetrievalReport:
+    """Both-direction R@``RECALL_KS`` from one pair-similarity matrix
+    (identity truth)."""
     mat = as_matrix(s, "similarity matrix")
     gt = np.arange(mat.shape[0])
-    i2t = [recall_at_k(mat, gt, k) for k in ks]
-    t2i = [recall_at_k(mat.T, gt, k) for k in ks]
-    return RetrievalReport(r1_i2t=i2t[0], r5_i2t=i2t[1], r10_i2t=i2t[2],
-                           r1_t2i=t2i[0], r5_t2i=t2i[1], r10_t2i=t2i[2])
+    return RetrievalReport(*(recall_at_k(m, gt, k) for m in (mat, mat.T) for k in RECALL_KS))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

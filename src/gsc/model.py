@@ -9,7 +9,9 @@ An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
 b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
 ``biases`` are C-contiguous views of it. An encoder is its weights: the
 flat gradient of `losses` and the optimizer moments that `trainer` keeps
-share the layout, so one optimizer step covers an encoder.
+share the layout, so one optimizer step covers an encoder. A checkpoint is
+that too: ``save_encoder`` writes the head ``{dims}`` and ``theta`` as one
+``.npy`` vector beside it, and ``load_encoder`` reads them back bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import (as_matrix, is_json_number, json_entry, require_computed, require_int,
-                       require_json_object)
+from .numerics import (array_path, as_matrix, json_entry, read_array, read_json_object,
+                       require_computed, require_finite, require_int, write_arrays)
 
 __all__ = [
     "EmbeddingBatch",
@@ -28,10 +30,10 @@ __all__ = [
     "ForwardCache",
     "encode",
     "encode_pair",
-    "encoder_from_json",
-    "encoder_to_json",
+    "load_encoder",
     "param_layout",
     "param_views",
+    "save_encoder",
     "sim_matrix",
 ]
 
@@ -148,29 +150,24 @@ def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:
     return a.matrix @ b.matrix.T
 
 
-def encoder_to_json(enc: Encoder) -> dict:
-    """Checkpoint container: {dims, weights, biases}; the per-layer lists
-    hold the ``param_views`` of ``theta``."""
-    return {
-        "dims": enc.dims,
-        "weights": [w.tolist() for w in enc.weights],
-        "biases": [b.tolist() for b in enc.biases],
-    }
+def save_encoder(enc: Encoder, path) -> None:
+    """Write the checkpoint head ``{dims}`` to ``path`` and ``theta`` beside
+    it as ``<stem>.theta.npy`` (``numerics.write_arrays``)."""
+    write_arrays(path, {"dims": enc.dims}, {"theta": enc.theta})
 
 
-def encoder_from_json(obj, where="checkpoint") -> Encoder:
-    """The encoder of the ``encoder_to_json`` container ``obj`` read from
-    ``where``; a ValueError names ``where`` and the key that is missing, of
-    the wrong JSON type, not shaped as ``dims`` need (a ragged row is not),
-    or not all finite numbers (a bool is not one)."""
-    enc = Encoder(json_entry(where, require_json_object(obj, where), "dims", list))
-    for key, views in (("weights", enc.weights), ("biases", enc.biases)):
-        # an object array keeps each entry as JSON gave it, and a ragged row as a list
-        stored = [np.array(a, dtype=object) for a in json_entry(where, obj, key, list)]
-        if [a.shape for a in stored] != [view.shape for view in views]:
-            raise ValueError(f"{where}: {key!r} inconsistent with dims {enc.dims}")
-        for view, a in zip(views, stored):
-            if not all(is_json_number(x) for x in a.flat):
-                raise ValueError(f"{where}: {key!r} must hold finite numbers only")
-            view[...] = a
+def load_encoder(path) -> Encoder:
+    """The encoder ``save_encoder`` wrote to ``path``, bit for bit; a
+    ValueError names ``path`` if its head is not a JSON object whose
+    ``dims`` is a list of at least two positive integers, or if its theta
+    file is not a finite float64 vector of the length ``dims`` need
+    (``numerics.read_array``, which never unpickles)."""
+    dims = json_entry(path, read_json_object(path), "dims", list)
+    theta_path = array_path(path, "theta")
+    try:
+        enc = Encoder(dims)
+        enc.theta[...] = read_array(theta_path, enc.theta.shape)
+        require_finite(enc.theta, f"{theta_path.name}: theta")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return enc

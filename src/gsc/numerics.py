@@ -10,9 +10,13 @@ condition of the package's public functions is checked by one function here
 ``require_int``, ``require_positive``, ``require_real``,
 ``require_unit_interval``, ``require_unit_rows``). Every JSON input file is
 read by ``read_json_object`` and its entries are taken by ``json_entry``;
-their errors name the file and the key. ``softmax_into`` is the max-shifted
-softmax kernel of a general matrix; ``exp_cosines_into`` is the kernel of a cosine matrix,
-whose known bound lets one exp give both its row and its column softmax.
+their errors name the file and the key. Every float array file is written
+by ``write_arrays``, a JSON head plus one ``np.save`` file per array beside
+it (``array_path``), and read back by ``read_array``, which never unpickles
+and accepts only float64 of the expected shape. ``softmax_into`` is the
+max-shifted softmax kernel of a general matrix; ``exp_cosines_into`` is the
+kernel of a cosine matrix, whose known bound lets one exp give both its row
+and its column softmax.
 ``bxb_views`` cuts a run's flat work array into the two B x B buffers of a
 batch.
 """
@@ -26,6 +30,7 @@ import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,26 +38,27 @@ __all__ = [
     "AdamState",
     "NumericalError",
     "adam_step",
+    "array_path",
     "as_matrix",
     "as_vector",
     "bxb_views",
     "cosine",
     "derive_rng",
     "exp_cosines_into",
-    "is_json_number",
     "json_entry",
+    "read_array",
     "read_json_object",
     "require_computed",
     "require_cosine_temperature",
     "require_finite",
     "require_int",
-    "require_json_object",
     "require_positive",
     "require_real",
     "require_unit_interval",
     "require_unit_rows",
     "softmax_into",
     "softmax_rows",
+    "write_arrays",
 ]
 
 
@@ -118,18 +124,10 @@ def require_unit_interval(x, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
-def require_json_object(doc, where) -> dict:
-    """Return ``doc``, raising ValueError naming ``where`` unless it is a
-    JSON object (a dict); a long ``doc`` is shown cut short."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must hold a JSON object, got {reprlib.repr(doc)}")
-    return doc
-
-
 def read_json_object(path) -> dict:
     """The JSON object in the file at ``path``; a ValueError names ``path``
     if the file cannot be read, its text is not JSON or its top level is not
-    an object."""
+    an object (a long top level is shown cut short)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -137,20 +135,18 @@ def read_json_object(path) -> dict:
         raise ValueError(f"{path}: {err.strerror or err}") from None
     except ValueError as err:  # not JSON, or not UTF-8
         raise ValueError(f"{path}: {err}") from None
-    return require_json_object(doc, path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {reprlib.repr(doc)}")
+    return doc
 
 
 _JSON_KINDS = {dict: "object", list: "list", str: "string", float: "number", type(None): "null"}
 
 
-def is_json_number(value) -> bool:
-    """True if ``value`` is a JSON number a double holds: an int or a float,
-    not a bool, of magnitude at most the largest double (so not NaN or inf)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _is_json_kind(value, kind: type) -> bool:
-    return is_json_number(value) if kind is float else isinstance(value, kind)
+    if kind is float:  # a JSON number a double holds: not a bool, NaN or inf
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def json_entry(where, table: dict, key: str, kind):
@@ -165,6 +161,44 @@ def json_entry(where, table: dict, key: str, kind):
         what = " or ".join(_JSON_KINDS[k] for k in kinds)
         raise ValueError(f"{where}: {key!r} must be a JSON {what}, got {reprlib.repr(value)}")
     return value
+
+
+def array_path(path, key: str) -> Path:
+    """``<stem>.<key>.npy``, the file of array ``key`` beside the head ``<stem>.json``."""
+    return Path(path).with_suffix(f".{key}.npy")
+
+
+def write_arrays(path, head: dict, arrays: dict) -> None:
+    """Write ``head`` as one line of JSON, keys sorted, to ``path`` and each
+    array of ``arrays``, as float64, beside it with ``np.save`` (``array_path``);
+    the same arguments write the same bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(head, sort_keys=True) + "\n")
+    for key, arr in arrays.items():
+        np.save(array_path(path, key), np.asarray(arr, dtype=float))
+
+
+def read_array(path, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` that ``np.save`` wrote to ``path``; a
+    ValueError names the file if it cannot be read, is not an ``.npy`` file,
+    holds another dtype or shape, or has bytes after the array. An object
+    array is refused unread, never unpickled."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+            extra = fh.read(1)
+    except OSError as err:
+        raise ValueError(f"{path.name}: {err.strerror or err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path.name}: {err}") from None
+    kind = "matrix" if len(shape) == 2 else "vector"
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise ValueError(f"{path.name}: expected a float64 {kind} of shape {shape}, "
+                         f"got {arr.dtype} of shape {arr.shape}")
+    if extra:
+        raise ValueError(f"{path.name}: extra data after the {kind}")
+    return arr
 
 
 # A cosine s lies in [-1, 1], so (s - 1) / tau lies in [-2 / tau, 0]. Its exp

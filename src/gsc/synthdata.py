@@ -8,23 +8,23 @@ permutation restricted to the selected pairs has no fixed points.
 
 A split is a JSON head ``<split>.json``, ``{meta, perm, mask, clusters}``
 with sorted keys, and beside it one ``np.save`` file per feature matrix,
-``<split>.img.npy`` and ``<split>.txt.npy``, named after the head.
-``load_dataset`` reads each matrix with ``allow_pickle=False`` and accepts
-only a float64 matrix of ``len(perm)`` rows and ``meta["dims"]`` columns,
-so the matrices round-trip bit for bit; a split of an earlier layout, whose
-head holds the matrices inline, is refused.
+``<split>.img.npy`` and ``<split>.txt.npy``, written by
+``numerics.write_arrays``. ``load_dataset`` reads each matrix with
+``numerics.read_array``, which never unpickles, and accepts only a float64
+matrix of ``len(perm)`` rows and ``meta["dims"]`` columns, so the matrices
+round-trip bit for bit; a split of an earlier layout, whose head holds the
+matrices inline, is refused.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .numerics import (derive_rng, json_entry, read_json_object, require_finite, require_int,
-                       require_positive, require_unit_interval)
+from .numerics import (array_path, derive_rng, json_entry, read_array, read_json_object,
+                       require_finite, require_int, require_positive, require_unit_interval,
+                       write_arrays)
 
 __all__ = [
     "GenSpec",
@@ -244,49 +244,20 @@ def split(ds: PairDataset, f_train: float, f_dev: float, f_test: float,
 _MATRIX_KEYS = ("img", "txt")
 
 
-def _matrix_path(path: Path, key: str) -> Path:
-    """``<split>.<key>.npy`` beside the head ``<split>.json``."""
-    return path.with_suffix(f".{key}.npy")
-
-
 def save_dataset(ds: PairDataset, path) -> None:
     """Write the head ``{meta, perm, mask, clusters}`` as JSON to ``path``
-    and each feature matrix beside it with ``np.save``."""
-    path = Path(path)
+    and each feature matrix beside it (``numerics.write_arrays``)."""
     meta = dict(ds.meta)
     meta.setdefault("N", ds.n)
     meta["split"] = ds.split_tag
     head = {"meta": meta, "perm": ds.match_perm.tolist(), "mask": ds.noise_mask.tolist(),
             "clusters": ds.cluster_ids.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-    for key in _MATRIX_KEYS:
-        np.save(_matrix_path(path, key), np.asarray(getattr(ds, key), dtype=float))
-
-
-def _read_matrix(path: Path, shape: tuple) -> np.ndarray:
-    """The float64 matrix of ``shape`` that ``np.save`` wrote to ``path``;
-    an object array is refused unread, never unpickled."""
-    try:
-        with open(path, "rb") as fh:
-            arr = np.lib.format.read_array(fh, allow_pickle=False)
-            extra = fh.read(1)
-    except OSError as err:
-        raise ValueError(f"{path.name}: {err.strerror or err}") from None
-    except ValueError as err:
-        raise ValueError(f"{path.name}: {err}") from None
-    if arr.dtype != np.float64 or arr.shape != shape:
-        raise ValueError(f"{path.name}: expected a float64 matrix of shape {shape}, "
-                         f"got {arr.dtype} of shape {arr.shape}")
-    if extra:
-        raise ValueError(f"{path.name}: extra data after the matrix")
-    return arr
+    write_arrays(path, head, {key: getattr(ds, key) for key in _MATRIX_KEYS})
 
 
 def load_dataset(path) -> PairDataset:
     """Read a ``save_dataset`` split; a malformed one, or one in an earlier
     layout, raises ValueError naming ``path``."""
-    path = Path(path)
     head = read_json_object(path)
     if any(key in head for key in _MATRIX_KEYS):
         raise ValueError(f"{path}: holds its matrices inline, the layout of an earlier "
@@ -302,7 +273,7 @@ def load_dataset(path) -> PairDataset:
         features = {}
         for key, width in zip(_MATRIX_KEYS, widths):
             require_int(width, f"meta.dims.{key}", 1)
-            features[key] = _read_matrix(_matrix_path(path, key), (len(perm), width))
+            features[key] = read_array(array_path(path, key), (len(perm), width))
         ds = PairDataset(
             **features,
             match_perm=np.asarray(perm, dtype=int),

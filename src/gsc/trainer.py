@@ -389,6 +389,9 @@ class RunResult:
     ``history`` has one row per epoch (warm-up included) with the keys
     {epoch, mode, loss_cm, loss_im, dev_r1_i2t, dev_r1_t2i, recall_sum,
     det_acc, det_auc}; ``detection`` is the last epoch's detection report.
+    ``label_history``, kept when ``track_labels`` is on, is {y, y_cm, y_im},
+    each an (epochs, n) float64 array: row e holds epoch e's labels (warm-up
+    included), the mean over the networks, and column i is train sample i.
     """
 
     history: list
@@ -397,7 +400,7 @@ class RunResult:
     best_nets: list
     labels: list
     detection: DetectionReport
-    label_history: list | None = None
+    label_history: dict | None = None
 
 
 def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResult:
@@ -414,11 +417,13 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     check_split_sizes(cfg.mode, train_ds, dev_ds)
     cfg = cfg.resolved()
     history = []
-    label_history = [] if cfg.track_labels else None
+    n_epochs = cfg.warmup_epochs + cfg.epochs
+    label_history = ({key: np.empty((n_epochs, train_ds.n)) for key in ("y", "y_cm", "y_im")}
+                     if cfg.track_labels else None)
     largest = _largest_batch(train_ds.n, cfg.batch_size)
     work = np.empty(2 * largest * largest)
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
-    for epoch in range(cfg.warmup_epochs + cfg.epochs):
+    for epoch in range(n_epochs):
         loss = train_epoch(state, train_ds, cfg, work)
         retr = evaluate_retrieval(state.nets, dev_ds)
         y_run = combined_labels(state.labels)
@@ -435,12 +440,10 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
             "det_auc": det.auc,
         })
         if label_history is not None:
-            label_history.append({
-                "epoch": epoch,
-                "y_cm": np.mean([lb.y_cm for lb in state.labels], axis=0),
-                "y_im": np.mean([lb.y_im for lb in state.labels], axis=0),
-                "y": y_run,
-            })
+            label_history["y"][epoch] = y_run
+            for key in ("y_cm", "y_im"):
+                label_history[key][epoch] = np.mean([getattr(lb, key) for lb in state.labels],
+                                                    axis=0)
         if retr.recall_sum > best_recall_sum:
             best_recall_sum = retr.recall_sum
             best_epoch = epoch

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import io
 import json
 import os
 
@@ -9,7 +8,7 @@ import pytest
 
 from gsc import cli, trainer
 from gsc.losses import grad_total
-from gsc.model import encoder_from_json
+from gsc.model import load_encoder
 from gsc.numerics import MIN_COSINE_TEMPERATURE, NumericalError
 
 
@@ -92,9 +91,9 @@ def test_checkpoints_load_back_to_the_reported_test_retrieval(tmp_path):
                    "--batch-size", "32", "--seed", "5") == 0
     nets = []
     for name in "AB":
-        docs = [json.loads((out / f"ckpt_{name}_{m}.json").read_text()) for m in ("img", "txt")]
-        assert all(sorted(doc) == ["biases", "dims", "weights"] for doc in docs)
-        nets.append(trainer.Network(name, *map(encoder_from_json, docs)))
+        paths = [out / f"ckpt_{name}_{m}.json" for m in ("img", "txt")]
+        assert all(sorted(json.loads(path.read_text())) == ["dims"] for path in paths)
+        nets.append(trainer.Network(name, *map(load_encoder, paths)))
     retr = trainer.evaluate_retrieval(nets, cli.load_splits(str(data))[2])
     reported = json.loads((out / "report.json").read_text())["retrieval"]
     assert [getattr(retr, f"r{k}_{d}") for d in ("i2t", "t2i") for k in (1, 5, 10)] == [
@@ -301,19 +300,37 @@ def test_train_no_ensemble_maps_to_long_warmup(tmp_path):
     assert len(rows) == 5 + 2  # 5 warm-up epochs replace ensembling
 
 
-def test_train_dump_labels(tmp_path):
+LABEL_FILES = ["labels.json", "labels.y.npy", "labels.y_cm.npy", "labels.y_im.npy"]
+
+
+def test_train_dump_labels(tmp_path, monkeypatch):
+    results = []
+
+    def keeping(*args):
+        results.append(cli_run(*args))
+        return results[-1]
+
+    cli_run = cli.run
+    monkeypatch.setattr(cli, "run", keeping)
     out = tmp_path / "run"
-    code = run_cli("train", *FAST_TRAIN, "--rho", "0.5", "--out", str(out),
-                   "--dump-labels")
-    assert code == 0
-    rows = read_jsonl(out / "labels.jsonl")
+    assert run_cli("train", *FAST_TRAIN, "--rho", "0.5", "--out", str(out),
+                   "--dump-labels") == 0
+    assert sorted(p.name for p in out.glob("labels.*")) == sorted(LABEL_FILES)
+    head = json.loads((out / "labels.json").read_text())
+    assert sorted(head) == ["noise_mask"]
     n_train = 128  # 160 * default f_train 0.8
-    assert len(rows) == 3 * n_train
-    assert {"epoch", "idx", "y_cm", "y_im", "y", "is_noisy_gt"} == set(rows[0])
-    assert any(r["is_noisy_gt"] for r in rows)
-    lines = (out / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines == [_label_row_oracle(r["epoch"], r["idx"], r["y_cm"], r["y_im"], r["y"],
-                                       r["is_noisy_gt"]) for r in rows]
+    assert len(head["noise_mask"]) == n_train and any(head["noise_mask"])
+    (result,) = results
+    for key in ("y", "y_cm", "y_im"):
+        dumped = np.load(out / f"labels.{key}.npy", allow_pickle=False)
+        assert dumped.dtype == np.float64 and dumped.shape == (3, n_train)  # 1 warm-up + 2
+        assert np.array_equal(dumped, result.label_history[key])
+    # a rerun writes the same bytes
+    again = tmp_path / "again"
+    assert run_cli("train", *FAST_TRAIN, "--rho", "0.5", "--out", str(again),
+                   "--dump-labels") == 0
+    for name in LABEL_FILES:
+        assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):
@@ -323,10 +340,11 @@ def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):
     args = [*FAST_TRAIN, "--rho", "0.5"]
     assert run_cli("train", *args, "--dump-labels", "--out", str(by_flag)) == 0
     assert run_cli("train", *args, "--config", str(cfg_path), "--out", str(by_config)) == 0
-    assert (by_config / "labels.jsonl").read_bytes() == (by_flag / "labels.jsonl").read_bytes()
+    for name in LABEL_FILES:
+        assert (by_config / name).read_bytes() == (by_flag / name).read_bytes()
     cfg_path.write_text(json.dumps({"track_labels": False}))
     assert run_cli("train", *args, "--config", str(cfg_path), "--out", str(off)) == 0
-    assert not (off / "labels.jsonl").exists()
+    assert not any(off.glob("labels.*"))
 
 
 # argparse dests of gen, train and sweep that are not config keys
@@ -350,31 +368,6 @@ def test_a_flag_overrides_its_config_key(tmp_path):
     assert (cfg["n_clusters"], cfg["warmup_epochs"], cfg["track_labels"]) == (3, 0, False)
     args = cli.build_parser().parse_args(["gen", "--clusters", "4", "--config", str(cfg_path)])
     assert cli.load_config(args)["n_clusters"] == 4
-
-
-def _label_row_oracle(epoch, i, y_cm, y_im, y, noisy):
-    """The per-row ``json.dumps`` that labels.jsonl was first written with."""
-    return json.dumps({
-        "epoch": epoch, "idx": i,
-        "y_cm": float(y_cm),
-        "y_im": float(y_im),
-        "y": float(y),
-        "is_noisy_gt": bool(noisy),
-    }, sort_keys=True) + "\n"
-
-
-def test_label_rows_format_like_json_dumps():
-    edge = np.array([5e-324, 1.0, 0.1, 1e-05, 0.30000000000000004, 2.5e-16, 0.999999])
-    rng = np.random.default_rng(3)
-    history = [{"epoch": e, "y_cm": rng.permutation(edge), "y_im": rng.permutation(edge),
-                "y": rng.permutation(edge)} for e in (0, 1, 12)]
-    mask = np.arange(edge.size) % 3 == 0
-    buf = io.StringIO()
-    cli._write_label_rows(buf, history, mask)
-    want = "".join(_label_row_oracle(h["epoch"], i, h["y_cm"][i], h["y_im"][i], h["y"][i],
-                                     mask[i])
-                   for h in history for i in range(edge.size))
-    assert buf.getvalue() == want
 
 
 @pytest.mark.parametrize("n, split_cfg, split_name, minimum", [
@@ -574,17 +567,21 @@ def test_sweep_rejects_unknown_mode(tmp_path):
     assert run_cli("sweep", "--modes", "gsc,wat", "--out", str(tmp_path)) == 2
 
 
-@pytest.mark.parametrize("config, key", [
-    ({"mode": "wat", "rho": 0.9}, "mode"), ({"mode": "gsc"}, "mode"), ({"rho": 0.2}, "rho"),
-])
-def test_sweep_rejects_a_config_key_its_grid_sets(tmp_path, capsys, config, key):
+GRID = "its grid comes from --modes and --rhos"
+
+
+@pytest.mark.parametrize("config, key, reason", [
+    ({"mode": "wat", "rho": 0.9}, "mode", GRID), ({"mode": "gsc"}, "mode", GRID),
+    ({"rho": 0.2}, "rho", GRID), ({"track_labels": True}, "track_labels",
+                                  "it writes no label dump"),
+], ids=["config0-mode", "config1-mode", "config2-rho", "config3-track_labels"])
+def test_sweep_rejects_a_config_key_its_grid_sets(tmp_path, capsys, config, key, reason):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "s"
     assert run_cli("sweep", "--config", str(path), "--rhos", "0", "--modes", "baseline",
                    "--n", "120", "--epochs", "1", "--out", str(out)) == 2
-    assert (f"{path}: sweep ignores config key {key!r}; its grid comes from --modes "
-            "and --rhos") in capsys.readouterr().err
+    assert f"{path}: sweep ignores config key {key!r}; {reason}" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
 
 
@@ -644,8 +641,9 @@ def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, case):
         "out-a-file": (tmp_path / "a-file", ["train", *FAST_TRAIN, "--out"]),
     }[case]
     assert run_cli(*argv, str(target)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("cannot write output: ") and str(target) in err
+    captured = capsys.readouterr()  # nothing printed before the output path failed
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ") and str(target) in captured.err
 
 
 def _without_r5(report):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gsc.model import (EmbeddingBatch, Encoder, encode, encoder_from_json, encoder_to_json,
-                       param_layout, param_views, sim_matrix)
+from gsc.model import (EmbeddingBatch, Encoder, encode, load_encoder, param_layout, param_views,
+                       save_encoder, sim_matrix)
 from gsc.numerics import derive_rng
 
 N_CASES = 100
@@ -114,18 +114,23 @@ def test_sim_matrix_hand_computed_2x2():
         sim_matrix(a, EmbeddingBatch(matrix=np.ones((2, 3))))
 
 
-def test_encoder_checkpoint_round_trip():
+def test_encoder_checkpoint_round_trip(tmp_path):
     rng = derive_rng(5, "model-ckpt")
     enc = Encoder.init([4, 6, 3], rng)
-    obj = json.loads(json.dumps(encoder_to_json(enc)))
-    assert sorted(obj) == ["biases", "dims", "weights"]
-    back = encoder_from_json(obj)
+    enc.theta[0] = 5e-324  # the smallest subnormal survives too
+    path = tmp_path / "ckpt.json"
+    save_encoder(enc, path)
+    back = load_encoder(path)
     assert back.dims == enc.dims
+    assert back.theta.dtype == np.float64 and back.theta.tobytes() == enc.theta.tobytes()
     for w1, w2 in zip(back.weights, enc.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(back.biases, enc.biases):
         assert np.array_equal(b1, b2)
-    assert np.array_equal(back.theta, enc.theta)
+    save_encoder(back, tmp_path / "again.json")
+    for suffix in (".json", ".theta.npy"):
+        assert ((tmp_path / f"again{suffix}").read_bytes()
+                == (tmp_path / f"ckpt{suffix}").read_bytes())
 
 
 def test_encoder_init_bounds_and_validation():
@@ -162,19 +167,17 @@ def test_encoder_copy_owns_its_arrays():
     assert dup.theta[30] == enc.theta[30] + 1.0
 
 
-def test_checkpoint_lists_are_per_layer_slices():
+def test_checkpoint_is_dims_and_the_flat_theta(tmp_path):
     dims = [3, 5, 2]
-    rng = derive_rng(9, "model-ckpt-layout")
-    enc = Encoder.init(dims, rng)
-    obj = encoder_to_json(enc)
-    assert [np.shape(w) for w in obj["weights"]] == [(3, 5), (5, 2)]
-    assert [np.shape(b) for b in obj["biases"]] == [(5,), (2,)]
-    assert obj["weights"][0] == enc.theta[0:15].reshape(3, 5).tolist()
-    assert obj["biases"][0] == enc.theta[15:20].tolist()
-    assert obj["weights"][1] == enc.theta[20:30].reshape(5, 2).tolist()
-    assert obj["biases"][1] == enc.theta[30:32].tolist()
-    obj["weights"][1] = obj["weights"][1][:4]
-    with pytest.raises(ValueError, match="inconsistent"):
-        encoder_from_json(obj)
+    enc = Encoder.init(dims, derive_rng(9, "model-ckpt-layout"))
+    path = tmp_path / "ckpt_A_img.json"
+    save_encoder(enc, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_A_img.json",
+                                                          "ckpt_A_img.theta.npy"]
+    assert json.loads(path.read_text()) == {"dims": dims}
+    # theta is a plain .npy vector laid out W0, b0, W1, b1, as param_layout says
+    theta = np.load(tmp_path / "ckpt_A_img.theta.npy", allow_pickle=False)
+    assert np.array_equal(theta, enc.theta) and theta.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+    assert np.array_equal(theta[15:20], enc.biases[0])
     with pytest.raises(ValueError):
         Encoder(dims, np.zeros(3 * 5 + 5 + 5 * 2 + 2 + 1))

@@ -6,18 +6,20 @@ Five readers: the `--config` file, a `--data` manifest, a split's head, a
 bad input: text that is not JSON, a top level that is not an object, a
 missing key, and a value of the wrong JSON type or a non-finite number. A
 command exits 2 and a checkpoint read raises ValueError, and the message
-names the file and, where there is one, the key.
+names the file and, where there is one, the key. A checkpoint's head names
+its ``.npy`` vector too, whose errors name both files.
 """
 
 import json
 import math
+import os
 import shutil
 
+import numpy as np
 import pytest
 
 from gsc import cli
-from gsc.model import encoder_from_json
-from gsc.numerics import read_json_object
+from gsc.model import load_encoder
 
 GEN_ARGS = ["--n", "120", "--clusters", "6", "--d-latent", "6",
             "--d-img", "10", "--d-txt", "9", "--seed", "7", "--rho", "0.4"]
@@ -78,14 +80,35 @@ def _exit_2(argv, capsys):
 
 def _checkpoint(root, path, capsys):
     with pytest.raises(ValueError) as exc:
-        encoder_from_json(read_json_object(path), path)
+        load_encoder(path)
     return str(exc.value)
 
 
+class _MakesDir:
+    """An object whose unpickling creates the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def _theta(make):
+    """A corruption that saves ``make(theta, path)`` in place of the
+    checkpoint's theta vector."""
+    def corrupt(path):
+        npy = path.with_suffix(".theta.npy")
+        np.save(npy, make(np.load(npy), path), allow_pickle=True)
+    return corrupt
+
+
 def _set_first_weight(value):
-    def edit(doc):
-        doc["weights"][0][0][0] = value
-    return edit
+    return _theta(lambda theta, _: np.where(np.arange(theta.size) == 0, value, theta))
+
+
+# ckpt_A_img of GEN_ARGS: dims [10, 64, 32], so 10 * 64 + 64 + 64 * 32 + 32 parameters
+THETA = "ckpt_A_img.theta.npy: expected a float64 vector of shape (2784,)"
 
 
 READERS = {
@@ -107,6 +130,11 @@ CASES = {
     ("config", "wrong-type"): (_config('{"lr": "0.1"}'), ": lr must be a real number, got '0.1'"),
     ("config", "integer-key-float"): (_config('{"epochs": 1.5}'),
                                       ": epochs must be an integer, got 1.5"),
+    ("config", "bool-key-string"): (_config('{"track_labels": "no"}'),
+                                    ": track_labels must be true or false, got 'no'"),
+    ("config", "hidden-dims-number"): (_config('{"hidden_dims": 5}'),
+                                       ": hidden_dims must be a list of integers or a "
+                                       "comma-separated string, got 5"),
     ("manifest", "not-json"): (_text(lambda t: t[:-7]), ": Expecting"),
     ("manifest", "not-an-object"): (_text(lambda t: f"[{t}]"), " must hold a JSON object, got [{"),
     ("manifest", "missing-key"): (_doc(lambda d: d["files"].pop("test")), ": missing key 'test'"),
@@ -137,17 +165,25 @@ CASES = {
                                      ": 'detection' must be a JSON object or null, got []"),
     ("checkpoint", "not-json"): (_text(lambda t: t[:len(t) // 2]), ": Expecting"),
     ("checkpoint", "not-an-object"): (_text(lambda t: f"[{t}]"), " must hold a JSON object"),
-    ("checkpoint", "missing-key"): (_doc(lambda d: d.pop("biases")), ": missing key 'biases'"),
-    ("checkpoint", "wrong-type"): (_doc(lambda d: d.update(biases={})),
-                                   ": 'biases' must be a JSON list, got {}"),
-    ("checkpoint", "non-finite"): (_doc(_set_first_weight(math.nan)),
-                                   ": 'weights' must hold finite numbers only"),
-    ("checkpoint", "infinite"): (_doc(_set_first_weight(-math.inf)),
-                                 ": 'weights' must hold finite numbers only"),
-    ("checkpoint", "a-bool"): (_doc(_set_first_weight(True)),
-                               ": 'weights' must hold finite numbers only"),
-    ("checkpoint", "ragged-row"): (_doc(lambda d: d["weights"][0][1].pop()),
-                                   ": 'weights' inconsistent with dims"),
+    ("checkpoint", "missing-key"): (_doc(lambda d: d.pop("dims")), ": missing key 'dims'"),
+    ("checkpoint", "wrong-type"): (_doc(lambda d: d.update(dims={})),
+                                   ": 'dims' must be a JSON list, got {}"),
+    ("checkpoint", "dims-entry-a-float"): (_doc(lambda d: d["dims"].__setitem__(1, 64.0)),
+                                           ": encoder dim must be an integer >= 1, got 64.0"),
+    ("checkpoint", "non-finite"): (_set_first_weight(math.nan),
+                                   ": ckpt_A_img.theta.npy: theta contains non-finite entries"),
+    ("checkpoint", "infinite"): (_set_first_weight(-math.inf),
+                                 ": ckpt_A_img.theta.npy: theta contains non-finite entries"),
+    ("checkpoint", "float32"): (_theta(lambda t, _: t.astype(np.float32)),
+                                f": {THETA}, got float32 of shape (2784,)"),
+    ("checkpoint", "a-bool"): (_theta(lambda t, _: t > 0), f": {THETA}, got bool of shape (2784,)"),
+    ("checkpoint", "wrong-length"): (_theta(lambda t, _: t[:-1]),
+                                     f": {THETA}, got float64 of shape (2783,)"),
+    ("checkpoint", "missing-npy"): (lambda path: path.with_suffix(".theta.npy").unlink(),
+                                    ": ckpt_A_img.theta.npy: No such file or directory"),
+    ("checkpoint", "pickled-object"): (
+        _theta(lambda _, path: np.array([_MakesDir(path.parent / "unpickled")], dtype=object)),
+        ": ckpt_A_img.theta.npy: Object arrays cannot be loaded when allow_pickle=False"),
 }
 
 
@@ -160,6 +196,7 @@ def test_a_bad_input_file_is_refused_naming_it(tmp_path, capsys, pristine, reade
     corrupt(path)
     assert f"{path}{message}" in read(tmp_path, path, capsys)
     assert not (tmp_path / "out" / "report.json").exists()
+    assert not any(tmp_path.rglob("unpickled"))
 
 
 def test_every_reader_meets_every_kind_of_bad_input():
@@ -170,9 +207,12 @@ def test_every_reader_meets_every_kind_of_bad_input():
         assert seen & {"wrong-type", "non-finite"}, reader
 
 
-def test_encoder_from_json_names_a_top_level_that_is_not_an_object():
-    with pytest.raises(ValueError, match=r"^ckpt\.json must hold a JSON object, got \[1, 2\]$"):
-        encoder_from_json([1, 2], "ckpt.json")
+def test_load_encoder_names_a_top_level_that_is_not_an_object(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError) as exc:
+        load_encoder(path)
+    assert str(exc.value) == f"{path} must hold a JSON object, got [1, 2]"
 
 
 @pytest.mark.parametrize("reader", list(READERS))
@@ -187,8 +227,9 @@ def test_a_good_input_file_reads(tmp_path, capsys, pristine, reader):
     elif reader == "report":
         argv = ["report", str(path)]
     elif reader == "checkpoint":
-        enc = encoder_from_json(read_json_object(path), path)
+        enc = load_encoder(path)
         assert enc.dims == json.loads(path.read_text())["dims"]
+        assert np.array_equal(enc.theta, np.load(path.with_suffix(".theta.npy")))
         return
     else:
         argv = ["train", "--data", str(tmp_path / "d"), *TRAIN_ARGS,

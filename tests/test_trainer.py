@@ -390,7 +390,13 @@ def test_run_history_shape_and_determinism():
         assert set(row) == expected_keys
     assert res1.history == res2.history  # bit-exact
     assert res1.best_recall_sum == max(r["recall_sum"] for r in res1.history)
-    assert len(res1.label_history) == len(res1.history)
+    assert sorted(res1.label_history) == ["y", "y_cm", "y_im"]
+    for key, rows in res1.label_history.items():
+        assert rows.shape == (len(res1.history), train.n)
+        assert np.array_equal(rows, res2.label_history[key])
+    # the last row is the run's final labels, the mean over the networks
+    final = np.mean([lb.y for lb in res1.labels], axis=0)
+    assert np.array_equal(res1.label_history["y"][-1], final)
 
 
 def test_run_best_checkpoint_reproduces_best_dev_score():

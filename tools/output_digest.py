@@ -11,15 +11,22 @@ split's ``.json`` file holds (``json.dumps(json.load(f), sort_keys=True)``;
 the matrices are in the ``.npy`` files beside it), and one
 ``<sha256>  <split file>:<field>`` line per array that
 ``gsc.synthdata.load_dataset`` returns (the digest covers the array's dtype,
-shape and bytes), then for each ``ckpt_*.json`` one
-``<sha256>  <path>:weights`` line, the digest of its trained weights alone
-(``json.dumps`` with ``sort_keys=True`` of the document's ``dims``,
-``weights`` and ``biases``), then for each train cell's ``report.json`` one
+shape and bytes), then for each checkpoint ``ckpt_*.json`` one
+``<sha256>  <path>:theta`` line, the array digest of its flat parameter
+vector, then for each train cell with a label dump one
+``<sha256>  <cell>/labels.json:<field>`` line per field (``y``, ``y_cm``,
+``y_im``, each an (epochs, n) float64 array, and the ``noise_mask``), then
+for each train cell's ``report.json`` one
 ``<sha256>  <cell>/report.json:quality`` line, the digest of its test
 ``retrieval`` and its detection ``accuracy`` and ``auc`` (null without a
-detection report). A change of the checkpoint container alone changes only
-the file lines, and one of the split files' layout only the file lines and
-the splits' ``:json`` lines; a change that reassociates floats shows by the
+detection report). The checkpoint and label lines are read from either
+layout ``gsc`` has written: a checkpoint as ``{dims}`` plus
+``<stem>.theta.npy`` or as ``{dims, weights, biases}`` lists (theta is
+W0, b0, W1, b1, ... flattened), the labels as ``labels.json`` plus
+``labels.<field>.npy`` or as one ``labels.jsonl`` row per (epoch,
+sample). So a change of either container alone changes only the file
+lines, and one of the split files' layout only the file lines and the
+splits' ``:json`` lines; a change that reassociates floats shows by the
 ``:quality`` lines whether the quality fields moved. It exits 1,
 naming the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
 ``Infinity`` token, which ``json.dumps`` writes but JSON does not allow. A pure refactor leaves every byte of every output and every
@@ -54,7 +61,7 @@ SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "3
                "--seed", "7", "--dump-labels"]
 DATA = "data"
 SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
-CKPT_WEIGHT_KEYS = ("dims", "weights", "biases")
+LABEL_FIELDS = ("y", "y_cm", "y_im")
 WORKLOAD_TRAIN = {
     "gsc_desk": ["--mode", "gsc", "--batch-size", "128", "--dump-labels"],
     "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
@@ -85,6 +92,42 @@ def array_digest(arr) -> str:
     """sha256 of an array's dtype, shape and C-order bytes."""
     head = f"{arr.dtype.str} {arr.shape}\n".encode("ascii")
     return hashlib.sha256(head + arr.tobytes(order="C")).hexdigest()
+
+
+def checkpoint_theta(path: Path):
+    """The flat parameter vector of the checkpoint ``path`` in either layout."""
+    import numpy as np
+
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if "weights" not in doc:
+        return np.load(path.with_suffix(".theta.npy"), allow_pickle=False)
+    return np.concatenate([np.asarray(part, dtype=float).ravel()
+                           for layer in zip(doc["weights"], doc["biases"]) for part in layer])
+
+
+def label_arrays(cell: Path) -> dict:
+    """``{y, y_cm, y_im, noise_mask}`` of the label dump in ``cell``, from
+    ``labels.json`` and its ``.npy`` files or from ``labels.jsonl``."""
+    import numpy as np
+
+    head = cell / "labels.json"
+    if head.exists():
+        with open(head, "r", encoding="utf-8") as fh:
+            arrays = {"noise_mask": np.array(json.load(fh)["noise_mask"], dtype=bool)}
+        for name in LABEL_FIELDS:
+            arrays[name] = np.load(head.with_suffix(f".{name}.npy"), allow_pickle=False)
+        return arrays
+    with open(cell / "labels.jsonl", "r", encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    shape = (max(r["epoch"] for r in rows) + 1, max(r["idx"] for r in rows) + 1)
+    arrays = {name: np.empty(shape) for name in LABEL_FIELDS}
+    arrays["noise_mask"] = np.empty(shape[1], dtype=bool)
+    for r in rows:
+        for name in LABEL_FIELDS:
+            arrays[name][r["epoch"], r["idx"]] = r[name]
+        arrays["noise_mask"][r["idx"]] = r["is_noisy_gt"]
+    return arrays
 
 
 def _reject_constant(token):
@@ -150,11 +193,12 @@ def main(argv=None) -> int:
         for name in SPLIT_ARRAYS:
             print(f"{array_digest(getattr(ds, name))}  {DATA}/{tag}.json:{name}")
     for path in sorted(out.rglob("ckpt_*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        weights = json.dumps({k: doc[k] for k in CKPT_WEIGHT_KEYS}, sort_keys=True)
-        print(f"{hashlib.sha256(weights.encode('utf-8')).hexdigest()}  "
-              f"{path.relative_to(out).as_posix()}:weights")
+        print(f"{array_digest(checkpoint_theta(path))}  {path.relative_to(out).as_posix()}:theta")
+    for cell in sorted({p.parent for p in out.rglob("labels.json*")}):
+        arrays = label_arrays(cell)
+        for name in (*LABEL_FIELDS, "noise_mask"):
+            print(f"{array_digest(arrays[name])}  "
+                  f"{(cell / 'labels.json').relative_to(out).as_posix()}:{name}")
     for path in sorted(out.rglob("report.json")):
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
