@@ -69,7 +69,9 @@ def load_config(args, ignored=None) -> dict:
                 require_int(value, where)
             elif kind is bool and type(value) is not bool:
                 raise ValueError(f"{where} must be true or false, got {value!r}")
-            elif kind is tuple and not isinstance(value, (list, str)):
+            elif kind is tuple and isinstance(value, str):
+                file_cfg[key] = comma_list(value, int, where)
+            elif kind is tuple and not isinstance(value, list):
                 raise ValueError(f"{where} must be a list of integers or a comma-separated "
                                  f"string, got {value!r}")
         cfg.update(file_cfg)
@@ -77,12 +79,28 @@ def load_config(args, ignored=None) -> dict:
     return cfg
 
 
+_PIECE_KINDS = {int: "an integer", float: "a number"}  # a str piece always converts
+
+
+def comma_list(text: str, kind, where: str) -> list:
+    """The non-blank pieces of the comma-separated ``text``, stripped and
+    converted by ``kind``, one of int, float and str; a ValueError names
+    ``where`` (a flag, or a config file and key), the piece and ``text`` if a
+    piece does not convert."""
+    values = []
+    for piece in (tok.strip() for tok in text.split(",")):
+        if piece:
+            try:
+                values.append(kind(piece))
+            except ValueError:
+                raise ValueError(f"{where}: {piece!r} in {text!r} is not "
+                                 f"{_PIECE_KINDS[kind]}") from None
+    return values
+
+
 def train_config_from(cfg: dict) -> TrainConfig:
-    hidden = cfg["hidden_dims"]  # a tuple, a list or a string, as load_config checked
-    if isinstance(hidden, str):
-        hidden = [int(tok) for tok in hidden.split(",") if tok.strip()]
     tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
-                     hidden_dims=tuple(hidden))
+                     hidden_dims=tuple(cfg["hidden_dims"]))  # load_config splits a string
     tc.validate()
     return tc
 
@@ -206,10 +224,10 @@ SWEEP_IGNORES = {"mode": "its grid comes from --modes and --rhos",
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args, SWEEP_IGNORES)
-    rhos = [float(tok) for tok in args.rhos.split(",") if tok.strip()]
+    rhos = comma_list(args.rhos, float, "--rhos")
     for rho in rhos:
         require_unit_interval(rho, "rho")
-    modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
+    modes = comma_list(args.modes, str, "--modes")
     for mode in modes:  # every cell's configuration is checked before the first trains
         train_config_from({**cfg, "mode": mode})
     out = out_root(args)
@@ -235,7 +253,7 @@ def cmd_fdcheck(args) -> int:
     require_int(args.batch, "--batch", 2)
     require_positive(args.h, "--h")
     require_positive(args.tol, "--tol")
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    dims = comma_list(args.dims, int, "--dims")
     worst = None
     all_pass = True
     for seed in range(args.seeds):

@@ -168,13 +168,19 @@ class GmmModel:
     loglik: list = field(default_factory=list)
 
 
-def _e_step(weights, means, variances, x):
-    """Log joint density (component x score) of ``x`` and its log marginal."""
-    log_joint = np.log(weights)[:, None] - 0.5 * (
-        np.log(2.0 * np.pi * variances[:, None])
-        + (x[None, :] - means[:, None]) ** 2 / variances[:, None])
+def _e_step(weights, variances, sq, log_joint, tmp):
+    """Log marginal density of the scores, from the squared deviations ``sq``
+    of the scores from the component means (component x score); the log
+    joint density is written into ``log_joint``, and ``tmp``, which may be
+    ``sq``, is overwritten."""
+    np.divide(sq, variances[:, None], out=log_joint)
+    log_joint += np.log(2.0 * np.pi * variances)[:, None]
+    log_joint *= 0.5
+    np.subtract(np.log(weights)[:, None], log_joint, out=log_joint)
     shift = log_joint.max(axis=0)
-    return log_joint, shift + np.log(np.exp(log_joint - shift).sum(axis=0))
+    np.subtract(log_joint, shift, out=tmp)
+    np.exp(tmp, out=tmp)
+    return shift + np.log(tmp.sum(axis=0))
 
 
 def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> GmmModel:
@@ -204,18 +210,26 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> 
     variances = np.maximum(np.array([order[:half].var(), order[half:].var()]), floor)
     weights = np.array([0.5, 0.5])
     ll_hist: list = []
+    # the (2, n) arrays of the fit; the M-step's squared deviations from the
+    # new means are the next E-step's
+    sq = np.square(np.subtract(x, means[:, None]))
+    log_joint = np.empty_like(sq)
+    resp = np.empty_like(sq)
     for _ in range(iters):
-        log_joint, log_total = _e_step(weights, means, variances, x)
+        log_total = _e_step(weights, variances, sq, log_joint, resp)
         ll = float(log_total.sum())
         ll_hist.append(ll)
         if len(ll_hist) >= 2 and ll - ll_hist[-2] < tol:
             break
-        resp = np.exp(log_joint - log_total)
+        np.subtract(log_joint, log_total, out=resp)
+        np.exp(resp, out=resp)
         nk = np.maximum(resp.sum(axis=1), 1e-12)
         weights = nk / nk.sum()
         means = (resp @ x) / nk
-        variances = np.maximum(
-            ((x[None, :] - means[:, None]) ** 2 * resp).sum(axis=1) / nk, floor)
+        np.subtract(x, means[:, None], out=sq)
+        np.square(sq, out=sq)
+        resp *= sq
+        variances = np.maximum(resp.sum(axis=1) / nk, floor)
     return GmmModel(weights=weights, means=means, variances=variances,
                     clean_component=int(np.argmax(means)), loglik=ll_hist)
 
@@ -226,8 +240,10 @@ def gmm_posterior(model: GmmModel, s):
     Accepts a scalar or an array (flattened); the result stays strictly
     inside (0, 1) even when one component's density underflows.
     """
-    log_joint, log_total = _e_step(model.weights, model.means, model.variances,
-                                   as_vector(s, name="scores"))
+    x = as_vector(s, name="scores")
+    sq = (x[None, :] - model.means[:, None]) ** 2
+    log_joint = np.empty_like(sq)
+    log_total = _e_step(model.weights, model.variances, sq, log_joint, sq)
     post = np.exp(log_joint[model.clean_component] - log_total)
     post = np.clip(post, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return float(post[0]) if np.ndim(s) == 0 else post

@@ -23,16 +23,26 @@ rows keeps its own max shift. The structure backward needs only
 X = g_w E_T and Y = g_w^T E_I, two B^2 d products, for all four of its terms
 (see ``_embedding_grads``).
 
-A step uses two B x B buffers: the exp of the pair logits becomes the
-pair-similarity gradient in place, and the other buffer holds the outer sum
-of its row and column weights and then the intra-modal logits and their
-gradient. The buffers belong to the run (``trainer.run`` allocates them once
-and every step and label estimate reuses them), not to the step: glibc
-serves an allocation above its mmap threshold (128 KiB at start; a B x B
-float64 array at B = 400 is 1.28 MB) with a fresh mapping whose pages fault
-in on first touch, and whether a freed one is reused or returned to the
-system depends on a dynamic threshold that earlier, unrelated frees raise,
-so per-step allocation would make the step's speed depend on that history.
+A step uses one B x B buffer, in two passes. The structure block runs first:
+the intra-modal logits, their softmax and their gradient g_w fill the
+buffer, and X and Y, taken from it, are summed into the two B x d embedding
+gradients. The cross-modal block then overwrites the buffer with the exp of
+the pair logits and turns that into the pair-similarity gradient in place,
+weighting it a fixed block of rows at a time (``GRAD_ROW_BLOCK``) through a
+small temporary instead of a second B x B array; its two B x d products are
+added last. They were added last too when the cross-modal block ran first,
+with a second buffer, so each B x d sum adds the same terms in the same
+order and moving the block changes no bit of a gradient. The buffer belongs
+to the run (``trainer.run`` allocates it once and every step and label
+estimate reuses it), not to the step: glibc serves an allocation above its
+mmap threshold (128 KiB at start; a B x B float64 array at B = 400 is 1.28
+MB) with a fresh mapping whose pages fault in on first touch, and whether a
+freed one is reused or returned to the system depends on a dynamic threshold
+that earlier, unrelated frees raise, so per-step allocation would make the
+step's speed depend on that history. The B x d arrays of a step are still
+allocated per step; the encoder's forward and backward pass write what they
+can in place (``model.encode``, ``_backprop_encoder``).
+
 ``loss_cm``, ``loss_im`` and ``structure_logits`` keep the direct B x B
 form, with max-shifted softmaxes (``numerics.softmax_into``), as the
 reference. Label estimation uses the same shift for the cross-modal
@@ -59,8 +69,12 @@ import numpy as np
 
 from .model import (Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair, param_layout,
                     param_views)
-from .numerics import (as_matrix, as_vector, bxb_views, exp_cosines_into, require_computed,
-                       require_positive, softmax_into)
+from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_computed,
+                       require_cosine_temperature, require_positive, softmax_into)
+
+# rows of the pair-logit gradient weighted per pass: a 32 x B float64 block
+# stays below glibc's initial 128 KiB mmap threshold up to B = 512
+GRAD_ROW_BLOCK = 32
 
 __all__ = [
     "FdCheckReport",
@@ -126,25 +140,30 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
                      work: np.ndarray | None = None):
     """Loss report plus gradients w.r.t. the two embedding matrices.
 
-    The cross-modal block takes E = exp((S - 1) / tau1) once
+    Both blocks write their B x B quantities, in turn, into the one
+    ``bxb_view`` of the flat ``work`` array (allocated when None),
+    overwritten in place. The structure block runs first. It goes through
+    the d x d core M = E_I^T diag(y^2) E_T: the logits are
+    (E_I (M / tau2)) E_T^T, whose rows keep their own max shift, since |w|
+    reaches sum(y^2) / tau2. With g_w the gradient w.r.t. w, X = g_w E_T and
+    Y = g_w^T E_I carry the whole structure backward: the image side is
+    X M^T + y^2 * (E_T (E_T^T Y)) and the text side
+    Y M + y^2 * (E_I (E_I^T X)), two B^2 d products where the terms taken
+    one by one need four.
+
+    The cross-modal block then takes E = exp((S - 1) / tau1) once
     (``exp_cosines_into``) and reads both softmaxes off its row sums r and
     column sums c. Its gradient g_s = -(y_i (I - P) + (I - Q) y_j) /
     (2 B tau1), with P = E / r_i and Q = E / c_j, is
-    E * (y_i / r_i + y_j / c_j) - 2 diag(y), scaled by 1 / (2 B tau1); that
-    factor is applied to g_s's B x d products, not to the B x B matrix,
-    which saves a B x B pass and keeps the row weights finite: r_i is at
-    least B exp(-2 / tau1), so y_i / r_i fits a double at the tau1 floor,
-    while y_i / (2 B tau1 r_i) can overflow there for a tiny batch.
-
-    The structure term goes through the d x d core M = E_I^T diag(y^2) E_T:
-    the logits are (E_I (M / tau2)) E_T^T, whose rows keep their own max
-    shift, since |w| reaches sum(y^2) / tau2. With g_w the gradient w.r.t.
-    w, X = g_w E_T and Y = g_w^T E_I carry the whole structure backward:
-    the image side is X M^T + y^2 * (E_T (E_T^T Y)) and the text side
-    Y M + y^2 * (E_I (E_I^T X)), two B^2 d products where the terms taken
-    one by one need four. Every B x B quantity lives in one of the two
-    ``bxb_views`` of the flat ``work`` array (allocated when None),
-    overwritten in place. A non-finite loss raises NumericalError.
+    E * (y_i / r_i + y_j / c_j) - 2 diag(y), scaled by 1 / (2 B tau1). The
+    weights y_i / r_i + y_j / c_j are formed ``GRAD_ROW_BLOCK`` rows at a
+    time, each entry as one sum, as the whole B x B outer sum would give it.
+    The scale is applied to g_s's B x d products, added last, not to the
+    B x B matrix, which saves a B x B pass and keeps the row weights finite:
+    r_i is at least B exp(-2 / tau1), so y_i / r_i fits a double at the tau1
+    floor, while y_i / (2 B tau1 r_i) can overflow there for a tiny batch.
+    Each loss is checked as soon as it exists; a non-finite one raises
+    NumericalError.
     """
     require_positive(tau2, "tau2")
     require_positive(gamma, "gamma", allow_zero=True)
@@ -152,28 +171,24 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     et = e_txt.matrix
     b = ei.shape[0]
     yv = as_vector(y, b, "labels")
+    require_cosine_temperature(tau1, "tau1")  # before the structure block runs
     on_diag = np.s_[::b + 1]  # the diagonal of a flattened B x B matrix
-
-    g_s, g_w = bxb_views(work, b)
-    diag, rows, cols = exp_cosines_into(ei, et, tau1, g_s)  # g_s holds E
-    l_cm = -(yv @ (diag - np.log(rows)) + yv @ (diag - np.log(cols))) / (2.0 * b)
-    np.add.outer(yv / rows, yv / cols, out=g_w)
-    g_s *= g_w
-    g_s.flat[on_diag] -= 2.0 * yv
+    buf = bxb_view(work, b)
 
     w2 = yv * yv
     core = ei.T @ (w2[:, None] * et)
-    w = np.matmul(ei @ (core / tau2), et.T, out=g_w)  # the logits w / tau2
+    w = np.matmul(ei @ (core / tau2), et.T, out=buf)  # the logits w / tau2
     shift = w.max(axis=1)
     diag = w.diagonal() - shift
     w -= shift[:, None]
     np.exp(w, out=w)
     total = w.sum(axis=1)
     l_im = -(diag - np.log(total)).mean()
-    require_computed("the loss", l_cm, l_im)
+    require_computed("the loss", l_im)
     # g_w = -(gamma / (B tau2)) (I - R), R the row softmax of w / tau2
     w *= (gamma / (b * tau2) / total)[:, None]
     w.flat[on_diag] -= gamma / (b * tau2)
+    g_w = w
 
     # gx = X and gy = Y, summed in place in this order, so at most four B x d
     # arrays are alive at once
@@ -188,6 +203,21 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     np.matmul(ei, ei.T @ gx, out=gx)
     gx *= w2[:, None]
     g_et += gx
+
+    diag, rows, cols = exp_cosines_into(ei, et, tau1, buf)  # buf holds E
+    l_cm = -(yv @ (diag - np.log(rows)) + yv @ (diag - np.log(cols))) / (2.0 * b)
+    require_computed("the loss", l_cm)
+    g_s = buf
+    row_w = yv / rows
+    col_w = yv / cols
+    block = np.empty((min(GRAD_ROW_BLOCK, b), b))
+    for start in range(0, b, GRAD_ROW_BLOCK):
+        part = g_s[start:start + GRAD_ROW_BLOCK]
+        weights = block[:len(part)]
+        weights[...] = col_w  # broadcast by assignment, which needs no iterator buffer
+        weights += row_w[start:start + GRAD_ROW_BLOCK, None]
+        part *= weights
+    g_s.flat[on_diag] -= 2.0 * yv
     scale = 1.0 / (2.0 * b * tau1)
     np.matmul(g_s, et, out=gx)
     gx *= scale
@@ -200,18 +230,26 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
 
 def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
                       g_emb: np.ndarray) -> np.ndarray:
-    """Chain rule through L2 normalization and the tanh/affine stack, into a flat gradient."""
+    """Chain rule through L2 normalization and the tanh/affine stack, into a flat gradient.
+
+    Consumes ``g_emb`` and the cache's tanh outputs: the gradient w.r.t. the
+    last affine output is formed in ``g_emb``'s memory, and 1 - a^2 in that
+    of each tanh output a once its weight gradient is taken. The encoder
+    input ``cache.inputs[0]`` is only read."""
     grad = np.empty_like(enc.theta)
     views = param_views(grad, enc.dims)
     inner = (g_emb * emb).sum(axis=1, keepdims=True)
-    dz = (g_emb - inner * emb) / cache.norms[:, None]
+    dz = np.subtract(g_emb, inner * emb, out=g_emb)
+    dz /= cache.norms[:, None]
     for l in range(len(enc.weights) - 1, -1, -1):
         a = cache.inputs[l]
         dz.sum(axis=0, out=views[2 * l + 1])  # bias
         np.matmul(a.T, dz, out=views[2 * l])  # weight
         if l > 0:
-            da = dz @ enc.weights[l].T
-            dz = da * (1.0 - a * a)   # a is tanh output entering layer l
+            dz = dz @ enc.weights[l].T
+            a *= a  # a is the tanh output entering layer l, not needed after this
+            np.subtract(1.0, a, out=a)
+            dz *= a
     return grad
 
 
@@ -221,8 +259,9 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
 
     Returns (LossReport, GradSet). Labels are constants; gradients flow
     through similarity matrices, both losses, the row normalization, and the
-    MLP layers only. ``work`` is the flat array of at least 2 B^2 float64
-    entries the B x B intermediates are written into (allocated when None).
+    MLP layers only. ``work`` is the flat array of at least B^2 float64
+    entries the B x B intermediates are written into, one after the other
+    (allocated when None).
     """
     e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)

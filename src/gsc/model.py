@@ -116,7 +116,12 @@ class Encoder:
 
 
 def encode(enc: Encoder, x) -> EmbeddingBatch:
-    """Forward pass: affine/tanh stack, then row-wise L2 normalization."""
+    """Forward pass: affine/tanh stack, then row-wise L2 normalization.
+
+    Each layer's bias and tanh, and the final division by the row norms, are
+    applied in the memory of the layer's matmul output, so the cache's
+    activations and the returned matrix are arrays of their own that
+    `losses`' backward pass may overwrite."""
     a = as_matrix(x, "encoder input")
     if a.shape[1] != enc.dims[0]:
         raise ValueError(f"input dim {a.shape[1]} != encoder input dim {enc.dims[0]}")
@@ -124,11 +129,15 @@ def encode(enc: Encoder, x) -> EmbeddingBatch:
     last = len(enc.weights) - 1
     for l, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         inputs.append(a)
-        z = a @ w + b
-        a = np.tanh(z) if l < last else z
-    norms = np.maximum(np.linalg.norm(a, axis=1), NORM_FLOOR)
+        z = a @ w
+        z += b
+        if l < last:
+            np.tanh(z, out=z)
+        a = z
+    # exactly np.linalg.norm(a, axis=1), without its extra B x d copy of a
+    norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=1)), NORM_FLOOR)
     with np.errstate(invalid="ignore"):  # non-finite rows are caught downstream
-        matrix = a / norms[:, None]
+        matrix = np.divide(a, norms[:, None], out=a)
     return EmbeddingBatch(matrix=matrix, cache=ForwardCache(inputs=inputs, norms=norms))
 
 

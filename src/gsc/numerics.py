@@ -17,8 +17,7 @@ and accepts only float64 of the expected shape. ``softmax_into`` is the
 max-shifted softmax kernel of a general matrix; ``exp_cosines_into`` is the
 kernel of a cosine matrix, whose known bound lets one exp give both its row
 and its column softmax.
-``bxb_views`` cuts a run's flat work array into the two B x B buffers of a
-batch.
+``bxb_view`` cuts a batch's one B x B buffer from a run's flat work array.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = [
     "array_path",
     "as_matrix",
     "as_vector",
-    "bxb_views",
+    "bxb_view",
     "cosine",
     "derive_rng",
     "exp_cosines_into",
@@ -279,14 +278,14 @@ def softmax_rows(m, tau: float) -> np.ndarray:
     return z
 
 
-def bxb_views(work: np.ndarray | None, b: int) -> tuple:
-    """Two C-contiguous (b, b) float64 views of the first 2 b^2 entries of
-    the flat array ``work``, which is allocated here when None."""
+def bxb_view(work: np.ndarray | None, b: int) -> np.ndarray:
+    """A C-contiguous (b, b) float64 view of the first b^2 entries of the
+    flat array ``work``, which is allocated here when None."""
     if work is None:
-        work = np.empty(2 * b * b)
-    if work.size < 2 * b * b:
-        raise ValueError(f"work buffer has {work.size} entries, a batch of {b} needs {2 * b * b}")
-    return work[:b * b].reshape(b, b), work[b * b:2 * b * b].reshape(b, b)
+        work = np.empty(b * b)
+    if work.size < b * b:
+        raise ValueError(f"work buffer has {work.size} entries, a batch of {b} needs {b * b}")
+    return work[:b * b].reshape(b, b)
 
 
 def cosine(u, v, return_degenerate: bool = False):

@@ -94,9 +94,10 @@ class PairDataset:
     def is_clean(self) -> bool:
         return not bool(self.noise_mask.any())
 
-    def paired_txt(self) -> np.ndarray:
-        """Text features in presentation order: row i pairs with img row i."""
-        return self.txt[self.match_perm]
+    def paired_txt(self, idx) -> np.ndarray:
+        """Text features of the samples ``idx`` in presentation order: row k
+        pairs with img row idx[k]."""
+        return self.txt[self.match_perm[idx]]
 
     def validate(self) -> None:
         n = self.n

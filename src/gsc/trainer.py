@@ -14,18 +14,22 @@ Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 ``warmup_epochs`` values of that counter. The learning-rate decay epoch is
 measured on the same counter. ``MODE_SPECS`` says what each mode runs.
 
-``run`` owns the two B x B work buffers of the run, as one flat float64
-array of 2 B^2 entries (B the largest batch of the schedule): every training
-step and every cross-modal indicator writes its B x B intermediates into
-views of it instead of allocating them. The indicator is the embedding form,
-``embedding_indicator``: one exp of the batch's cosine matrix into one of
-the views, where the similarity form takes a similarity matrix and two
-softmaxes. A fresh 1.28 MB array per step (at B = 400) would lie above
-glibc's mmap threshold, so it would be mapped and page-faulted anew unless
-an earlier large free had happened to raise that dynamic threshold (see
-`losses`); with the run's buffers the step's speed does not depend on what
-was freed before it. ``train_epoch`` called without them allocates its own
-per call.
+``run`` owns the one B x B work buffer of the run, as a flat float64 array
+of B^2 entries (B the largest batch of the schedule): every training step
+and every cross-modal indicator writes its B x B intermediates into a view
+of it (``bxb_view``) instead of allocating them; a step fills it twice,
+first for the structure term and then for the cross-modal term (see
+`losses`). The indicator is the embedding form, ``embedding_indicator``:
+one exp of the batch's cosine matrix into the view, where the similarity
+form takes a similarity matrix and two softmaxes. A fresh 1.28 MB array per
+step (at B = 400) would lie above glibc's mmap threshold, so it would be
+mapped and page-faulted anew unless an earlier large free had happened to
+raise that dynamic threshold; with the run's buffer the step's speed does
+not depend on what was freed before it. ``train_epoch`` called without it
+allocates one per call. A batch's features are gathered from the split as
+it is needed, the texts through ``PairDataset.paired_txt``, so no epoch
+copies the presented texts, and label estimation keeps one batch's
+embeddings alive at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
                           retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import (AdamState, NumericalError, adam_step, bxb_views, derive_rng,
+from .numerics import (AdamState, NumericalError, adam_step, bxb_view, derive_rng,
                        require_cosine_temperature, require_int, require_positive,
                        require_unit_interval)
 from .synthdata import PairDataset
@@ -252,17 +256,18 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay if epoch >= cfg.lr_decay_epoch else cfg.lr
 
 
-def _train_net_over(net: Network, adam, x_img, x_txt, y_full, schedule, lr, cfg,
+def _train_net_over(net: Network, adam, ds: PairDataset, y_full, schedule, lr, cfg,
                     epoch: int, work):
-    """Adam-train one network across a batch schedule, ``adam`` its (image,
-    text) state pair; returns loss sums. A non-finite loss, gradient or Adam
-    moment raises NumericalError naming the epoch, the network and the batch."""
+    """Adam-train one network across a batch schedule of ``ds``, ``adam`` its
+    (image, text) state pair; returns loss sums. A non-finite loss, gradient
+    or Adam moment raises NumericalError naming the epoch, the network and
+    the batch."""
     adam_img, adam_txt = adam
     cm_sum, im_sum = 0.0, 0.0
     for b_i, idx in enumerate(schedule):
         try:
             report, grads = grad_total(net.img_enc, net.txt_enc,
-                                       x_img[idx], x_txt[idx], y_full[idx],
+                                       ds.img[idx], ds.paired_txt(idx), y_full[idx],
                                        cfg.tau1, cfg.tau2, cfg.gamma, work)
             adam_step(net.img_enc.theta, grads.img, adam_img, lr)
             adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
@@ -274,7 +279,7 @@ def _train_net_over(net: Network, adam, x_img, x_txt, y_full, schedule, lr, cfg,
     return cm_sum, im_sum
 
 
-def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
+def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule,
                      cfg: TrainConfig, beta1: float, beta2: float,
                      epoch: int, work) -> SoftLabels:
     """Next label store from estimates on ``src``'s embeddings.
@@ -282,40 +287,42 @@ def _estimate_labels(labels: SoftLabels, src: Network, x_img, x_txt, schedule,
     The cross-modal indicator and the purified structure score are computed
     batch by batch from the embeddings (``embedding_indicator`` and
     ``embedding_structure_score``; each sample appears in exactly one
-    batch); the structure scores for the whole split then feed a single
-    mixture fit. An estimator
-    the mode leaves out contributes ones. Non-finite embeddings of ``src``
-    raise NumericalError naming the epoch, ``src``, the batch and this stage.
+    batch, and its embeddings are dropped before the next batch is encoded);
+    the structure scores for the whole split then feed a single mixture fit.
+    An estimator the mode leaves out contributes ones. Non-finite embeddings
+    of ``src`` raise NumericalError naming the epoch, ``src``, the batch and
+    this stage.
     """
     spec = MODE_SPECS[cfg.mode]
-    n = x_img.shape[0]
+    n = ds.n
     est_cm = np.ones(n)
     y_im = np.ones(n)
     scores = np.zeros(n)
     for b_i, idx in enumerate(schedule):
         try:
-            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, x_img[idx], x_txt[idx])
+            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, ds.img[idx], ds.paired_txt(idx))
         except NumericalError as err:
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
         if spec.use_cm:
-            s, _ = bxb_views(work, idx.size)
-            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1, s)
+            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1,
+                                              bxb_view(work, idx.size))
         if spec.use_im:
             scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
+        del e_i, e_t
     if spec.use_im:
         gmm = gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor)
         y_im = gmm_posterior(gmm, scores)
     return ensemble_update(labels, est_cm, y_im, beta1, beta2)
 
 
-def _next_labels(state: RunState, x_img, x_txt, schedules, cfg: TrainConfig,
+def _next_labels(state: RunState, ds: PairDataset, schedules, cfg: TrainConfig,
                  beta1: float, beta2: float, work) -> list:
     """Every network's next label store, network k's estimated from the
     network after it (itself when it is the only one) on ``schedules[k]``."""
     n_nets = len(state.nets)
-    return [_estimate_labels(state.labels[k], state.nets[(k + 1) % n_nets], x_img, x_txt,
-                             schedules[k], cfg, beta1, beta2, state.epoch, work)
+    return [_estimate_labels(state.labels[k], state.nets[(k + 1) % n_nets], ds, schedules[k],
+                             cfg, beta1, beta2, state.epoch, work)
             for k in range(n_nets)]
 
 
@@ -331,13 +338,12 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
     alone; after the last one, each store is seeded with raw estimates
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
     without estimators keep unit labels throughout. ``work`` is the run's
-    flat work array of at least 2 B^2 float64 entries for the largest batch
-    B; without it each step and estimate allocates its own buffers.
+    flat work array of at least B^2 float64 entries for the largest batch
+    B, the one B x B buffer that every step and estimate overwrites; without
+    it each step and estimate allocates its own.
     """
     cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]
-    x_img = train_ds.img
-    x_txt = train_ds.paired_txt()
     n = train_ds.n
     epoch = state.epoch
     lr = learning_rate(cfg, epoch)
@@ -345,18 +351,16 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
                  for k in range(len(state.nets))]
     new_labels = state.labels
     if spec.estimates and epoch >= cfg.warmup_epochs:
-        new_labels = _next_labels(state, x_img, x_txt, schedules, cfg,
-                                  cfg.beta1, cfg.beta2, work)
+        new_labels = _next_labels(state, train_ds, schedules, cfg, cfg.beta1, cfg.beta2, work)
     cm_sum, im_sum = 0.0, 0.0
     for net, adam, labels, schedule in zip(state.nets, state.adam, state.labels, schedules):
-        c, i = _train_net_over(net, adam, x_img, x_txt, labels.y, schedule, lr, cfg,
-                               epoch, work)
+        c, i = _train_net_over(net, adam, train_ds, labels.y, schedule, lr, cfg, epoch, work)
         cm_sum += c
         im_sum += i
     if spec.estimates and epoch == cfg.warmup_epochs - 1:
         seeding = [batch_schedule(n, cfg.batch_size, derive_rng(cfg.seed, "est-init", k))
                    for k in range(len(state.nets))]
-        new_labels = _next_labels(state, x_img, x_txt, seeding, cfg, 1.0, 1.0, work)
+        new_labels = _next_labels(state, train_ds, seeding, cfg, 1.0, 1.0, work)
     state.labels = new_labels
     state.epoch += 1
     n_batches = sum(len(schedule) for schedule in schedules)
@@ -421,7 +425,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     label_history = ({key: np.empty((n_epochs, train_ds.n)) for key in ("y", "y_cm", "y_im")}
                      if cfg.track_labels else None)
     largest = _largest_batch(train_ds.n, cfg.batch_size)
-    work = np.empty(2 * largest * largest)
+    work = np.empty(largest * largest)
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
     for epoch in range(n_epochs):
         loss = train_epoch(state, train_ds, cfg, work)

@@ -4,8 +4,9 @@ One row per (entry point, bad argument): a NaN temperature, rate, weight,
 floor or scale, a tau1 below the cosine-temperature floor, a bool, None or
 string in place of a number (a momentum coefficient, a recall cutoff k),
 a k that is not a whole number, a noise rate outside [0, 1], a non-square
-matrix, embedding rows of norm above 1, or a label vector of the wrong
-length. Each must raise ValueError before any computation.
+matrix, embedding rows of norm above 1, a label vector of the wrong length
+or a work array too short for one B x B buffer. Each must raise ValueError
+before any computation.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from gsc.discrimination import (SoftLabels, combine_labels, cross_modal_indicato
 from gsc.evalmetrics import detection_metrics, recall_at_k
 from gsc.losses import grad_total, loss_cm, loss_im, structure_logits
 from gsc.model import Encoder
-from gsc.numerics import (AdamState, adam_step, as_matrix, as_vector, derive_rng,
+from gsc.numerics import (AdamState, adam_step, as_matrix, as_vector, bxb_view, derive_rng,
                           require_positive, require_unit_interval, softmax_rows)
 from gsc.synthdata import GenSpec, generate, inject_noise, split
 from gsc.trainer import TrainConfig
@@ -44,6 +45,7 @@ def _adam(lr):
 CASES = {
     "as_matrix-non-square": lambda: as_matrix(RECT, square=True),
     "as_vector-length": lambda: as_vector(Y_SHORT, 3),
+    "bxb_view-short-work": lambda: bxb_view(np.empty(8), 3),
     "require_positive-nan": lambda: require_positive(NAN, "x"),
     "require_positive-zero": lambda: require_positive(0.0, "x"),
     "require_positive-inf-allow-zero": lambda: require_positive(np.inf, "x", allow_zero=True),

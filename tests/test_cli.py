@@ -608,6 +608,38 @@ def test_fdcheck_rejects_arguments_that_check_nothing(capsys, flag, value):
     assert "fdcheck passed" not in captured.out
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["train", "--n", "160"], {"hidden_dims": "64,x"},
+     "{config}: hidden_dims: 'x' in '64,x' is not an integer"),
+    (["train", "--n", "160"], {"hidden_dims": "16, 8.5"},
+     "{config}: hidden_dims: '8.5' in '16, 8.5' is not an integer"),
+    (["sweep", "--rhos", "0,x", "--modes", "baseline", "--n", "120", "--epochs", "1"], None,
+     "--rhos: 'x' in '0,x' is not a number"),
+    (["fdcheck", "--seeds", "1", "--dims", "8,x,4"], None,
+     "--dims: 'x' in '8,x,4' is not an integer"),
+], ids=["config-hidden_dims", "config-hidden_dims-float", "sweep-rhos", "fdcheck-dims"])
+def test_a_bad_piece_of_a_comma_separated_list_exits_2_naming_its_source(tmp_path, capsys,
+                                                                         argv, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg_path)]
+    out = tmp_path / "out"
+    if argv[0] != "fdcheck":
+        argv = [*argv, "--out", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert message.format(config=cfg_path) in captured.err
+    assert not out.exists() and "seed 0" not in captured.out
+
+
+def test_a_comma_separated_hidden_dims_in_a_config_file_is_split(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"hidden_dims": " 16, 8,"}))
+    cfg = cli.load_config(argparse.Namespace(config=str(cfg_path)))
+    assert cli.train_config_from(cfg).hidden_dims == (16, 8)
+
+
 def test_report_prints_and_merges(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("train", *FAST_TRAIN, "--rho", "0.4", "--out", str(out))

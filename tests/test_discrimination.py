@@ -7,7 +7,7 @@ from gsc.discrimination import (GmmModel, SoftLabels, combine_labels,
                                 cross_modal_indicator, embedding_indicator,
                                 embedding_structure_score, ensemble_update, gmm_fit,
                                 gmm_posterior, intra_structure_score)
-from gsc.numerics import MIN_COSINE_TEMPERATURE, bxb_views, derive_rng, softmax_rows
+from gsc.numerics import MIN_COSINE_TEMPERATURE, bxb_view, derive_rng, softmax_rows
 
 N_CASES = 100
 
@@ -102,9 +102,9 @@ def test_indicator_range_and_shape_errors():
 
 def test_indicator_bits_do_not_depend_on_the_work_buffer():
     rng = derive_rng(3, "ind-work")
-    work = np.full(2 * 401 * 401, np.nan)  # larger than any batch here, and stale
+    work = np.full(401 * 401, np.nan)  # larger than any batch here, and stale
     for b in (2, 9, 128, 400):
-        s, _ = bxb_views(work, b)
+        s = bxb_view(work, b)
         s[...] = rng.uniform(-1, 1, size=(b, b))
         got = cross_modal_indicator(s, 0.07)
         # the softmaxes of s and s.T each in a fresh array, as before the buffer

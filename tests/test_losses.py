@@ -222,7 +222,7 @@ def test_embedding_grads_bit_identical_to_allocating_kernel(b):
     e_img = encode(enc_img, rng.standard_normal((b, 10)))
     e_txt = encode(enc_txt, rng.standard_normal((b, 9)))
     labels = (rng.uniform(0.0, 1.0, size=b), np.zeros(b), np.ones(b))
-    work = np.full(2 * (b + 1) ** 2, np.nan)  # a run's buffer: larger, and reused
+    work = np.full((b + 1) ** 2, np.nan)  # a run's buffer: larger, and reused
     for y, tau2, buf in itertools.product(labels, (1.0, 0.7), (None, work)):
         report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, tau2, 0.01, buf)
         l_cm, l_im, ref_ei, ref_et = _embedding_grads_allocating(

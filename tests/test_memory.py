@@ -1,5 +1,5 @@
-"""Peak allocation of the per-step kernels, in B x B float64 arrays, and of
-loading a dataset split.
+"""Peak allocation of the per-step kernels and of a training epoch, in B x B
+float64 arrays, and of loading a dataset split.
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call,
 with its inputs allocated beforehand, counts the temporaries the call makes.
@@ -12,8 +12,9 @@ import numpy as np
 from gsc.discrimination import embedding_indicator, embedding_structure_score
 from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
-from gsc.numerics import bxb_views, derive_rng, softmax_rows
-from gsc.synthdata import GenSpec, generate, load_dataset, save_dataset
+from gsc.numerics import bxb_view, derive_rng, softmax_rows
+from gsc.synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset
+from gsc.trainer import TrainConfig, init_state, train_epoch
 
 B, D = 256, 32
 
@@ -40,12 +41,12 @@ def _unit_rows(rng):
     return e / np.linalg.norm(e, axis=1, keepdims=True)
 
 
-def test_loss_kernel_keeps_two_bxb_buffers():
+def test_loss_kernel_keeps_one_bxb_buffer():
     rng = derive_rng(0, "mem-grads")
     e_img = EmbeddingBatch(_unit_rows(rng))
     e_txt = EmbeddingBatch(_unit_rows(rng))
     y = rng.uniform(0.0, 1.0, size=B)
-    assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01) < 3.0
+    assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01) < 2.0
 
 
 def test_kernels_allocate_no_bxb_array_with_the_runs_buffers():
@@ -53,11 +54,24 @@ def test_kernels_allocate_no_bxb_array_with_the_runs_buffers():
     e_img = EmbeddingBatch(_unit_rows(rng))
     e_txt = EmbeddingBatch(_unit_rows(rng))
     y = rng.uniform(0.0, 1.0, size=B)
-    work = np.empty(2 * B * B)
+    work = np.empty(B * B)  # exactly one B x B buffer
     results = 2 * B * D / (B * B)  # the two B x d embedding gradients
     assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01, work) < results + 0.5
-    s, _ = bxb_views(work, B)
+    s = bxb_view(work, B)
     assert _peak_bxb(embedding_indicator, e_img.matrix, e_txt.matrix, 0.07, s) < 0.5
+
+
+def test_training_epoch_at_batch_400_allocates_little_beside_the_runs_buffer():
+    # the train split and batch size of the gsc_bigbatch benchmark workload
+    ds = inject_noise(generate(GenSpec(n=2000, seed=3)), 0.4, derive_rng(3, "noise"))
+    cfg = TrainConfig(batch_size=400, warmup_epochs=0, seed=3)
+    state = init_state(cfg, ds)
+    work = np.empty(400 * 400)
+    # Measured: 1.27 B x B (1.63 MB), the step's B x d arrays and one
+    # estimation batch. With a run buffer of two B x B arrays, one presented
+    # copy of every text per epoch, two estimation batches alive at once and
+    # fresh encode and backprop temporaries, it was 2.31.
+    assert _peak(train_epoch, state, ds, cfg, work) / work.nbytes < 1.5
 
 
 def test_softmax_rows_allocates_only_its_result():

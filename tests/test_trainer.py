@@ -86,7 +86,7 @@ def test_batch_schedule_covers_and_merges_singleton():
     assert np.array_equal(np.sort(seen), np.arange(33))
     again = batch_schedule(33, 16, derive_rng(0, "sched"))
     assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
-    # the run's work buffers are sized for the largest batch
+    # the run's work buffer is sized for the largest batch
     for n, size in itertools.product((2, 3, 16, 17, 33, 48, 2000, 2001), (2, 16, 128, 400)):
         largest = max(c.size for c in batch_schedule(n, size, rng))
         assert _largest_batch(n, size) == largest

@@ -12,9 +12,16 @@ number of pairs each side won (ties count for neither), the median gap in
 the metric's better direction, the parent's interquartile range and
 ``claim_holds``: whether CHANGE is better by the benchmark's rule for a
 claimed gain, better in at least 9 of 10 pairs and by a median gap larger
-than the parent's interquartile range. It holds the environment the
-benchmark printed too (Python, numpy, the BLAS build and thread count), and
-the script prints one line per workload and metric with the same verdict.
+than the parent's interquartile range. Beside it, ``no_regression`` applies
+the benchmark's rule for a regression, with the metric's ``bound`` in
+BENCHMARK.json read as a fraction of the parent's median: "holds" when every
+run of CHANGE is better than every run of the parent, else "unresolved" when
+the parent's interquartile range is wider than the bound, since the runs then
+cannot show a regression of that size, else "holds" when CHANGE's median is
+worse than the parent's by at most the bound and "fails" when by more. It
+holds the environment the benchmark printed too (Python, numpy, the BLAS
+build and thread count), and the script prints one line per workload and
+metric with both verdicts.
 A run that exits non-zero stops the script with its standard error.
 """
 
@@ -57,6 +64,20 @@ def verdict(row: dict, pairs: int) -> dict:
     return {"median_gap": gap, "parent_iqr": iqr, "claim_holds": holds}
 
 
+def no_regression(row: dict, bound: float) -> str:
+    """The regression rule for one metric's ``row`` after ``verdict``:
+    "holds", "fails" or "unresolved" (see the module docstring); ``bound``
+    is a fraction of the parent's median."""
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    if min(sign * c for c in row["change"]["values"]) > max(sign * p for p in
+                                                             row["parent"]["values"]):
+        return "holds"
+    allowed = bound * abs(row["parent"]["median"])
+    if row["parent_iqr"] > allowed:
+        return "unresolved"
+    return "holds" if -row["median_gap"] <= allowed else "fails"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -69,7 +90,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     runs = {w: {"parent": [], "change": []} for w in workloads}
     env = None
     for i in range(args.pairs):
@@ -86,7 +107,8 @@ def main(argv=None) -> int:
               "environment": env, "workloads": {}}
     for workload, sides in runs.items():
         rows = {}
-        for name, direction in better.items():
+        for name, metric in end_to_end.items():
+            direction = metric["better"]
             parent = [m[name] for m in sides["parent"]]
             change = [m[name] for m in sides["change"]]
             sign = 1.0 if direction == "higher" else -1.0
@@ -98,11 +120,13 @@ def main(argv=None) -> int:
                 "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             }
             row.update(verdict(row, args.pairs))
+            row["no_regression"] = no_regression(row, metric["bound"])
             rows[name] = row
             print(f"{workload} {name}: median {row['parent']['median']:.4g} -> "
                   f"{row['change']['median']:.4g} (parent IQR {row['parent_iqr']:.4g}), "
                   f"change better in {row['change_wins']}/{args.pairs} pairs, claim "
-                  f"{'holds' if row['claim_holds'] else 'does not hold'}")
+                  f"{'holds' if row['claim_holds'] else 'does not hold'}, no regression "
+                  f"{row['no_regression']}")
         record["workloads"][workload] = rows
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
