@@ -12,7 +12,7 @@ from .model import EmbeddingBatch, Encoder, encode, sim_matrix
 from .discrimination import (GmmModel, SoftLabels, combine_labels, cross_modal_indicator,
                              embedding_structure_score, ensemble_update, gmm_fit, gmm_posterior,
                              intra_structure_score)
-from .losses import GradSet, LossReport, fd_check, grad_total, loss_cm, loss_im
+from .losses import LossReport, fd_check, grad_total, loss_cm, loss_im
 from .evalmetrics import (DetectionReport, RetrievalReport, assemble_report,
                           detection_metrics, recall_at_k, retrieval_report)
 from .trainer import (MODE_SPECS, MODES, ModeSpec, RunResult, TrainConfig, evaluate_retrieval,

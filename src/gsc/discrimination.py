@@ -39,6 +39,12 @@ __all__ = [
 
 
 GMM_MIN_SCORES = 4  # fewer scores than this cannot seed two components
+# EM exponents are floored here before np.exp: below about -708 its result is
+# subnormal and takes up to a hundred times as long. In the E-step each floored
+# term is added to exp(0) = 1, of which exp(-37) is already below half an ulp,
+# so the log-likelihood does not move; a responsibility below exp(-500) is lost
+# beside the other terms of each M-step sum, as the subnormal one was.
+EM_EXP_FLOOR = -500.0
 
 
 @dataclass
@@ -52,14 +58,6 @@ class SoftLabels:
     @classmethod
     def ones(cls, n: int) -> "SoftLabels":
         return cls(y_cm=np.ones(n), y_im=np.ones(n), y=np.ones(n))
-
-    @classmethod
-    def from_estimates(cls, y_cm, y_im) -> "SoftLabels":
-        """Raw initialization (no ensembling); equals ``ensemble_update``
-        of a unit store with both momentum coefficients 1."""
-        cm = np.asarray(y_cm, dtype=float).copy()
-        im = np.asarray(y_im, dtype=float).copy()
-        return cls(y_cm=cm, y_im=im, y=combine_labels(cm, im))
 
 
 def cross_modal_indicator(s, tau1: float) -> np.ndarray:
@@ -179,6 +177,7 @@ def _e_step(weights, variances, sq, log_joint, tmp):
     np.subtract(np.log(weights)[:, None], log_joint, out=log_joint)
     shift = log_joint.max(axis=0)
     np.subtract(log_joint, shift, out=tmp)
+    np.maximum(tmp, EM_EXP_FLOOR, out=tmp)
     np.exp(tmp, out=tmp)
     return shift + np.log(tmp.sum(axis=0))
 
@@ -222,6 +221,7 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> 
         if len(ll_hist) >= 2 and ll - ll_hist[-2] < tol:
             break
         np.subtract(log_joint, log_total, out=resp)
+        np.maximum(resp, EM_EXP_FLOOR, out=resp)
         np.exp(resp, out=resp)
         nk = np.maximum(resp.sum(axis=1), 1e-12)
         weights = nk / nk.sum()

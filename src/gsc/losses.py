@@ -51,9 +51,11 @@ score through d x d Grams (``discrimination.embedding_structure_score``,
 O(B d^2) with no B x B matrix).
 
 The backward pass goes similarity matrices -> losses -> row normalization ->
-tanh/affine stack into one flat gradient per encoder, laid out like its
-``theta`` (`model`'s ``param_layout``), and ``fd_check`` validates it against
-central finite differences coordinate by coordinate of ``theta``.
+tanh/affine stack into one flat gradient for the encoder pair: the image
+encoder's part, then the text encoder's, each laid out like that encoder's
+``theta`` (`model`'s ``param_layout``), which is the layout of
+`trainer`'s ``Network.theta``. ``fd_check`` validates it against central
+finite differences coordinate by coordinate of both encoders' ``theta``.
 
 Arguments are checked by the ``numerics`` helpers (``as_matrix``,
 ``as_vector``, ``require_positive``, ``require_cosine_temperature``) and
@@ -78,7 +80,6 @@ GRAD_ROW_BLOCK = 32
 
 __all__ = [
     "FdCheckReport",
-    "GradSet",
     "LossReport",
     "fd_check",
     "grad_total",
@@ -94,14 +95,6 @@ class LossReport:
 
     l_cm: float
     l_im: float
-
-
-@dataclass
-class GradSet:
-    """Flat gradients laid out like each encoder's ``theta``."""
-
-    img: np.ndarray
-    txt: np.ndarray
 
 
 def loss_cm(s, y, tau1: float) -> float:
@@ -229,14 +222,14 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
 
 
 def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
-                      g_emb: np.ndarray) -> np.ndarray:
-    """Chain rule through L2 normalization and the tanh/affine stack, into a flat gradient.
+                      g_emb: np.ndarray, grad: np.ndarray) -> None:
+    """Chain rule through L2 normalization and the tanh/affine stack, into
+    ``grad``, a flat vector laid out like ``enc.theta``.
 
     Consumes ``g_emb`` and the cache's tanh outputs: the gradient w.r.t. the
     last affine output is formed in ``g_emb``'s memory, and 1 - a^2 in that
     of each tanh output a once its weight gradient is taken. The encoder
     input ``cache.inputs[0]`` is only read."""
-    grad = np.empty_like(enc.theta)
     views = param_views(grad, enc.dims)
     inner = (g_emb * emb).sum(axis=1, keepdims=True)
     dz = np.subtract(g_emb, inner * emb, out=g_emb)
@@ -250,26 +243,28 @@ def _backprop_encoder(enc: Encoder, cache: ForwardCache, emb: np.ndarray,
             a *= a  # a is the tanh output entering layer l, not needed after this
             np.subtract(1.0, a, out=a)
             dz *= a
-    return grad
 
 
 def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
                tau1: float, tau2: float, gamma: float, work: np.ndarray | None = None):
     """Analytic gradient of the total loss w.r.t. every encoder parameter.
 
-    Returns (LossReport, GradSet). Labels are constants; gradients flow
-    through similarity matrices, both losses, the row normalization, and the
-    MLP layers only. ``work`` is the flat array of at least B^2 float64
-    entries the B x B intermediates are written into, one after the other
-    (allocated when None).
+    Returns (LossReport, gradient), the gradient one flat vector: the part
+    of ``enc_img.theta``, then that of ``enc_txt.theta``. Labels are
+    constants; gradients flow through similarity matrices, both losses, the
+    row normalization, and the MLP layers only. ``work`` is the flat array
+    of at least B^2 float64 entries the B x B intermediates are written
+    into, one after the other (allocated when None).
     """
     e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)
-    g_img = _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei)
-    g_txt = _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et)
-    require_computed("image-encoder gradients", g_img)
-    require_computed("text-encoder gradients", g_txt)
-    return report, GradSet(img=g_img, txt=g_txt)
+    cut = enc_img.theta.size
+    grad = np.empty(cut + enc_txt.theta.size)
+    _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei, grad[:cut])
+    _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et, grad[cut:])
+    require_computed("image-encoder gradients", grad[:cut])
+    require_computed("text-encoder gradients", grad[cut:])
+    return report, grad
 
 
 def _dense_loss_value(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
@@ -295,23 +290,24 @@ class FdCheckReport:
 def fd_check(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
              tau1: float, tau2: float, gamma: float,
              h: float = 1e-5, tol: float = 1e-4,
-             grads: GradSet | None = None) -> FdCheckReport:
+             grad: np.ndarray | None = None) -> FdCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Every parameter coordinate is perturbed by +-h. The relative error uses
     denominator max(|analytic|, |fd|, 1e-6), so coordinates whose gradient
     sits below 1e-6 are compared at that absolute scale instead of being
-    amplified into noise. ``grads`` defaults to the analytic gradients;
-    passing a perturbed set turns this into a sensitivity check of the
-    harness itself. Intended for small instances only (runtime is linear in
-    parameter count times batch cost).
+    amplified into noise. ``grad``, laid out as ``grad_total`` returns it,
+    defaults to the analytic gradient; passing a perturbed one turns this
+    into a sensitivity check of the harness itself. Intended for small
+    instances only (runtime is linear in parameter count times batch cost).
     """
-    if grads is None:
-        _, grads = grad_total(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
+    if grad is None:
+        _, grad = grad_total(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
     worst_err = 0.0
     worst_name = ""
     n_coords = 0
-    for side, enc, grad in (("img", enc_img, grads.img), ("txt", enc_txt, grads.txt)):
+    cut = enc_img.theta.size
+    for side, enc, part_grad in (("img", enc_img, grad[:cut]), ("txt", enc_txt, grad[cut:])):
         theta = enc.theta
         for name, part, shape in param_layout(enc.dims):
             for i in range(part.start, part.stop):
@@ -322,7 +318,7 @@ def fd_check(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
                 down = _dense_loss_value(enc_img, enc_txt, x_img, x_txt, y, tau1, tau2, gamma)
                 theta[i] = orig
                 fd = (up - down) / (2.0 * h)
-                a = grad[i]
+                a = part_grad[i]
                 rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
                 n_coords += 1
                 if rel > worst_err:

@@ -7,10 +7,12 @@ the intermediate activations needed for the hand-derived backward pass in
 
 An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
 b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
-``biases`` are C-contiguous views of it. An encoder is its weights: the
-flat gradient of `losses` and the optimizer moments that `trainer` keeps
-share the layout, so one optimizer step covers an encoder. A checkpoint is
-that too: ``save_encoder`` writes the head ``{dims}`` and ``theta`` as one
+``biases`` are C-contiguous views of it. An encoder is its weights, and
+``theta`` may itself be a view: `trainer`'s ``Network`` keeps the image and
+the text encoder's vectors end to end in one ``theta`` of its own, the
+layout of `losses`' flat gradient and of the optimizer moments `trainer`
+keeps, so one optimizer step covers both encoders. A checkpoint is one
+encoder: ``save_encoder`` writes the head ``{dims}`` and ``theta`` as one
 ``.npy`` vector beside it, and ``load_encoder`` reads them back bit for bit.
 """
 
@@ -82,7 +84,8 @@ class Encoder:
     """MLP parameters: layer widths ``dims`` and one flat vector ``theta``.
 
     ``weights[l]`` and ``biases[l]`` are views of ``theta``. A missing
-    ``theta`` is zeros.
+    ``theta`` is zeros; a given one is kept, not copied, so it may be a view
+    of a larger vector.
     """
 
     dims: list

@@ -1,9 +1,9 @@
 """Deterministic numerical primitives shared across the package.
 
 Plain numpy throughout: argument checks, the softmax kernels, cosine
-similarity, an in-place Adam step over one flat parameter vector (the layout
-of `model`'s ``theta``; the moments are an ``AdamState`` that `trainer`
-owns), and helpers for deriving independent seeded random generators. No
+similarity, an in-place Adam step over one flat parameter vector (a
+network's ``theta`` in `trainer`; the moments are an ``AdamState`` that
+`trainer` owns), and helpers for deriving independent seeded random generators. No
 GPU, no autodiff; gradients are hand-derived in `losses`. Each argument
 condition of the package's public functions is checked by one function here
 (``as_matrix``, ``as_vector``, ``require_cosine_temperature``,

@@ -1,6 +1,8 @@
 """Dual-network co-training loop with per-epoch label estimation.
 
-Two independently initialized encoder pairs train side by side. The labels
+Two independently initialized encoder pairs train side by side, each a
+``Network`` whose two encoders are views of one flat parameter vector, so a
+batch is one gradient of the total loss and one Adam step. The labels
 weighting each network's losses are always estimated from the other
 network's embeddings as they stand at epoch start: every network's next
 labels are estimated before either network trains, so no network is copied
@@ -161,14 +163,27 @@ class TrainConfig:
 
 @dataclass
 class Network:
-    """One encoder pair; the unit being co-trained."""
+    """One encoder pair; the unit being co-trained.
+
+    Its parameters are one flat float64 vector ``theta``: the image
+    encoder's ``theta``, then the text encoder's, the layout of the gradient
+    ``grad_total`` returns. The encoders are rebuilt as views of it, so a
+    network built from two encoders copies their parameters and shares no
+    memory with them, and one optimizer step covers the network.
+    """
 
     name: str
     img_enc: Encoder
     txt_enc: Encoder
 
+    def __post_init__(self):
+        self.theta = np.concatenate([self.img_enc.theta, self.txt_enc.theta])
+        cut = self.img_enc.theta.size
+        self.img_enc = Encoder(self.img_enc.dims, self.theta[:cut])
+        self.txt_enc = Encoder(self.txt_enc.dims, self.theta[cut:])
+
     def copy(self) -> "Network":
-        return Network(self.name, self.img_enc.copy(), self.txt_enc.copy())
+        return Network(self.name, self.img_enc, self.txt_enc)  # one copy of theta
 
 
 @dataclass
@@ -176,8 +191,8 @@ class RunState:
     """Mutable training state: networks, their optimizer state and label
     stores, epoch counter.
 
-    ``adam[k]`` is the (image, text) ``AdamState`` pair that trains
-    ``nets[k]``; a checkpoint copies the networks' weights only.
+    ``adam[k]`` is the ``AdamState`` over ``nets[k].theta``; a checkpoint
+    copies the networks' weights only.
     ``labels[k]`` weights the losses of ``nets[k]`` and is estimated from
     the other network's outputs (from its own in single-network mode).
     """
@@ -207,8 +222,7 @@ def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
             img_enc=Encoder.init(dims_img, derive_rng(cfg.seed, "init", k, "img")),
             txt_enc=Encoder.init(dims_txt, derive_rng(cfg.seed, "init", k, "txt")),
         ))
-    adam = [tuple(AdamState(m=np.zeros_like(enc.theta), v=np.zeros_like(enc.theta))
-                  for enc in (net.img_enc, net.txt_enc)) for net in nets]
+    adam = [AdamState(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta)) for net in nets]
     return RunState(nets=nets, adam=adam, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
 
 
@@ -256,21 +270,18 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay if epoch >= cfg.lr_decay_epoch else cfg.lr
 
 
-def _train_net_over(net: Network, adam, ds: PairDataset, y_full, schedule, lr, cfg,
-                    epoch: int, work):
-    """Adam-train one network across a batch schedule of ``ds``, ``adam`` its
-    (image, text) state pair; returns loss sums. A non-finite loss, gradient
-    or Adam moment raises NumericalError naming the epoch, the network and
-    the batch."""
-    adam_img, adam_txt = adam
+def _train_net_over(net: Network, adam: AdamState, ds: PairDataset, y_full, schedule, lr,
+                    cfg, epoch: int, work):
+    """Adam-train one network across a batch schedule of ``ds``, one step
+    per batch; returns loss sums. A non-finite loss, gradient or Adam moment
+    raises NumericalError naming the epoch, the network and the batch."""
     cm_sum, im_sum = 0.0, 0.0
     for b_i, idx in enumerate(schedule):
         try:
-            report, grads = grad_total(net.img_enc, net.txt_enc,
-                                       ds.img[idx], ds.paired_txt(idx), y_full[idx],
-                                       cfg.tau1, cfg.tau2, cfg.gamma, work)
-            adam_step(net.img_enc.theta, grads.img, adam_img, lr)
-            adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
+            report, grad = grad_total(net.img_enc, net.txt_enc,
+                                      ds.img[idx], ds.paired_txt(idx), y_full[idx],
+                                      cfg.tau1, cfg.tau2, cfg.gamma, work)
+            adam_step(net.theta, grad, adam, lr)
         except NumericalError as err:
             raise NumericalError(
                 f"epoch {epoch}, net {net.name}, batch {b_i}: {err}") from err

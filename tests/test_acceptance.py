@@ -224,7 +224,8 @@ def test_criterion_4_invariant_suite():
         a, b_vec = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         y = combine_labels(a, b_vec)
         assert np.all(y <= a) and np.all(y <= b_vec)
-        labels = SoftLabels.from_estimates(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+        labels = ensemble_update(SoftLabels.ones(n), rng.uniform(0, 1, n),
+                                 rng.uniform(0, 1, n), 1.0, 1.0)
         out = ensemble_update(labels, a, b_vec, float(rng.uniform(0, 1)),
                               float(rng.uniform(0, 1)))
         assert np.all(out.y_cm >= np.minimum(labels.y_cm, a) - 1e-12)

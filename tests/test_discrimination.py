@@ -326,6 +326,86 @@ def test_gmm_fit_loglik_nondecreasing_over_seeds():
         assert np.all(diffs >= -1e-9)
 
 
+def _unfloored_e_step(weights, variances, sq, log_joint, tmp, lowest):
+    """``discrimination._e_step`` with no floor on its exponents."""
+    np.divide(sq, variances[:, None], out=log_joint)
+    log_joint += np.log(2.0 * np.pi * variances)[:, None]
+    log_joint *= 0.5
+    np.subtract(np.log(weights)[:, None], log_joint, out=log_joint)
+    shift = log_joint.max(axis=0)
+    np.subtract(log_joint, shift, out=tmp)
+    lowest.append(tmp.min())
+    np.exp(tmp, out=tmp)
+    return shift + np.log(tmp.sum(axis=0))
+
+
+def _unfloored_fit(x, iters=50, floor=1e-4, tol=1e-8):
+    """``gmm_fit`` and ``gmm_posterior`` as they were before their exponents
+    were floored: (weights, means, variances, loglik, posterior, lowest
+    exponent taken)."""
+    lowest = []
+    order = np.sort(x)
+    half = x.size // 2
+    means = np.array([order[:half].mean(), order[half:].mean()])
+    variances = np.maximum(np.array([order[:half].var(), order[half:].var()]), floor)
+    weights = np.array([0.5, 0.5])
+    ll_hist = []
+    sq = np.square(np.subtract(x, means[:, None]))
+    log_joint = np.empty_like(sq)
+    resp = np.empty_like(sq)
+    for _ in range(iters):
+        log_total = _unfloored_e_step(weights, variances, sq, log_joint, resp, lowest)
+        ll = float(log_total.sum())
+        ll_hist.append(ll)
+        if len(ll_hist) >= 2 and ll - ll_hist[-2] < tol:
+            break
+        np.subtract(log_joint, log_total, out=resp)
+        lowest.append(resp.min())
+        np.exp(resp, out=resp)
+        nk = np.maximum(resp.sum(axis=1), 1e-12)
+        weights = nk / nk.sum()
+        means = (resp @ x) / nk
+        np.subtract(x, means[:, None], out=sq)
+        np.square(sq, out=sq)
+        resp *= sq
+        variances = np.maximum(resp.sum(axis=1) / nk, floor)
+    sq = (x[None, :] - means[:, None]) ** 2
+    log_total = _unfloored_e_step(weights, variances, sq, log_joint, sq, lowest)
+    post = np.exp(log_joint[int(np.argmax(means))] - log_total)
+    post = np.clip(post, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return weights, means, variances, ll_hist, post, min(lowest)
+
+
+def test_gmm_fit_floored_exponents_leave_every_bit():
+    # exponents below -708 make np.exp subnormal and slow; the floor must not
+    # move a weight, mean, variance, log-likelihood or posterior bit
+    rng = derive_rng(12, "gmm-floor")
+    below = 0
+    for case in range(300):
+        n = int(rng.integers(4, 400))
+        kind = case % 3
+        if kind == 0:  # two separated clusters
+            lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
+            spread = float(10.0 ** rng.uniform(-4, -1))
+            scores = np.where(rng.uniform(size=n) < rng.uniform(0.1, 0.9),
+                              rng.normal(lo, spread, n), rng.normal(hi, spread, n))
+        elif kind == 1:  # near-constant
+            scores = float(rng.uniform(-1, 1)) + rng.normal(0.0, 1e-6, n)
+        else:  # a tight cluster with a few outliers
+            scores = rng.normal(float(rng.uniform(-0.5, 0.5)), 0.01, n)
+            scores[rng.integers(0, n, 1 + n // 50)] = rng.uniform(-1, 1, 1 + n // 50)
+        scores = np.clip(scores, -1.0, 1.0)
+        weights, means, variances, loglik, post, lowest = _unfloored_fit(scores)
+        below += lowest < -708.4
+        model = gmm_fit(scores)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.variances, variances)
+        assert model.loglik == loglik
+        assert np.array_equal(gmm_posterior(model, scores), post)
+    assert below >= 100  # the cases reach the subnormal range of np.exp
+
+
 def test_gmm_fit_requires_enough_scores():
     with pytest.raises(ValueError):
         gmm_fit(np.array([0.1, 0.9, 0.5]))
@@ -417,7 +497,8 @@ def test_ensemble_update_is_convex_combination():
     rng = derive_rng(11, "ens-prop")
     for _ in range(N_CASES):
         n = int(rng.integers(1, 20))
-        labels = SoftLabels.from_estimates(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+        labels = ensemble_update(SoftLabels.ones(n), rng.uniform(0, 1, n),
+                                 rng.uniform(0, 1, n), 1.0, 1.0)
         new_cm = rng.uniform(0, 1, n)
         new_im = rng.uniform(0, 1, n)
         b1 = float(rng.uniform(0, 1))

@@ -251,10 +251,10 @@ def test_loss_values_unchanged_by_in_place_softmax():
 def test_grad_total_zero_labels_give_zero_gradients():
     rng = derive_rng(6, "grad-zero")
     enc_img, enc_txt, x_img, x_txt, _ = _random_instance(rng)
-    _, grads = grad_total(enc_img, enc_txt, x_img, x_txt,
-                          np.zeros(x_img.shape[0]), 0.07, 1.0, 0.01)
-    for g in (grads.img, grads.txt):
-        assert np.all(g == 0.0)
+    _, grad = grad_total(enc_img, enc_txt, x_img, x_txt,
+                         np.zeros(x_img.shape[0]), 0.07, 1.0, 0.01)
+    assert grad.shape == (enc_img.theta.size + enc_txt.theta.size,)
+    assert np.all(grad == 0.0)
 
 
 def test_grad_total_im_part_scales_linearly_with_gamma():
@@ -263,8 +263,7 @@ def test_grad_total_im_part_scales_linearly_with_gamma():
     _, g0 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.0)
     _, g1 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.5)
     _, g2 = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 1.0)
-    for a, b, c in zip((g0.img, g0.txt), (g1.img, g1.txt), (g2.img, g2.txt)):
-        assert np.allclose(c - a, 2.0 * (b - a), atol=1e-12)
+    assert np.allclose(g2 - g0, 2.0 * (g1 - g0), atol=1e-12)
 
 
 def test_grad_total_matches_finite_differences_three_seeds():
@@ -291,12 +290,12 @@ def test_fd_check_linear_encoders_tight_tolerance():
 def test_fd_check_detects_perturbed_gradient():
     rng = derive_rng(4, "grad-perturb")
     enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=4)
-    _, grads = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
+    _, grad = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
     # scale the largest-magnitude weight gradient by 1%
-    flat = grads.img[:enc_img.weights[0].size]  # W0's coordinates
+    flat = grad[:enc_img.weights[0].size]  # the image encoder's W0 comes first
     worst = int(np.argmax(np.abs(flat)))
     flat[worst] *= 1.01
-    report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grads=grads)
+    report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grad=grad)
     assert not report.passed
     assert report.max_rel_err > 1e-3
     row, col = divmod(worst, enc_img.weights[0].shape[1])
@@ -307,14 +306,14 @@ def test_fd_check_detects_perturbed_gradient():
 def test_fd_check_names_the_perturbed_coordinate(side, name):
     rng = derive_rng(4, "grad-perturb")
     enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=4)
-    _, grads = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
-    enc = enc_img if side == "img" else enc_txt
+    _, grad = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
+    enc, offset = (enc_img, 0) if side == "img" else (enc_txt, enc_img.theta.size)
     layout = {n: (part, shape) for n, part, shape in param_layout(enc.dims)}
     part, shape = layout[name]
-    flat = getattr(grads, side)[part]
+    flat = grad[offset + part.start:offset + part.stop]  # the text part follows the image's
     worst = int(np.argmax(np.abs(flat)))
     flat[worst] *= 1.01
-    report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grads=grads)
+    report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01, grad=grad)
     idx = [int(d) for d in np.unravel_index(worst, shape)]
     assert report.worst_param == f"{side}.{name}{idx}"
 

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from gsc.discrimination import SoftLabels, ensemble_update, gmm_fit, gmm_posterior
+from gsc import trainer
+from gsc.discrimination import ensemble_update, gmm_fit, gmm_posterior
 from gsc.discrimination import cross_modal_indicator, intra_structure_score
 from gsc.losses import grad_total
-from gsc.model import encode, sim_matrix
+from gsc.model import Encoder, encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
 from gsc.trainer import (MODES, Network, TrainConfig, _largest_batch, batch_schedule,
@@ -111,14 +112,33 @@ def test_init_state_networks_differ_and_labels_cross():
                               state.nets[1].img_enc.weights[0])
     assert len(state.labels) == 2
     assert all(np.all(lb.y == 1.0) for lb in state.labels)
-    # one zero Adam state per encoder, laid out like its theta
-    for net, pair in zip(state.nets, state.adam):
-        for enc, adam in zip((net.img_enc, net.txt_enc), pair):
-            assert adam.step == 0 and adam.m.shape == adam.v.shape == enc.theta.shape
-            assert not np.any(adam.m) and not np.any(adam.v)
-    assert state.adam[0][0].m is not state.adam[1][0].m
+    # one zero Adam state per network, laid out like its theta
+    for net, adam in zip(state.nets, state.adam):
+        assert adam.step == 0 and adam.m.shape == adam.v.shape == net.theta.shape
+        assert not np.any(adam.m) and not np.any(adam.v)
+    assert state.adam[0].m is not state.adam[1].m
     single = init_state(small_cfg(mode="single_net"), train)
     assert len(single.nets) == 1 and len(single.labels) == 1 and len(single.adam) == 1
+
+
+def test_network_is_one_theta_with_encoder_views():
+    rng = derive_rng(2, "network-theta")
+    img, txt = Encoder.init([10, 12, 8], rng), Encoder.init([9, 12, 8], rng)
+    net = Network("A", img, txt)
+    # the image encoder's parameters, then the text encoder's, copied once
+    assert np.array_equal(net.theta, np.concatenate([img.theta, txt.theta]))
+    assert not np.shares_memory(net.theta, img.theta)
+    assert not np.shares_memory(net.theta, txt.theta)
+    for enc, part in ((net.img_enc, net.theta[:img.theta.size]),
+                      (net.txt_enc, net.theta[img.theta.size:])):
+        assert np.shares_memory(enc.theta, net.theta) and np.array_equal(enc.theta, part)
+    net.theta[-1] = 7.0
+    assert net.txt_enc.biases[-1][-1] == 7.0
+    dup = net.copy()
+    assert np.array_equal(dup.theta, net.theta) and not np.shares_memory(dup.theta, net.theta)
+    assert np.shares_memory(dup.img_enc.weights[0], dup.theta)
+    dup.img_enc.weights[0][0, 0] += 1.0
+    assert dup.theta[0] == net.theta[0] + 1.0
 
 
 def train_warmup_epochs(state, train_ds, cfg):
@@ -232,8 +252,6 @@ def _reference_estimate(labels, src, x_img, x_txt, batches, cfg, use_cm, use_im,
     if use_im:
         y_im = gmm_posterior(gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor),
                              scores)
-    if beta is None:  # raw seeding right after warm-up
-        return SoftLabels.from_estimates(est_cm, y_im)
     return ensemble_update(labels, est_cm, y_im, *beta)
 
 
@@ -249,7 +267,7 @@ def _reference_epoch(state, train_ds, cfg):
     warm = state.epoch < cfg.warmup_epochs
     sources = [net.copy() for net in state.nets]
     new_labels = list(state.labels)
-    for k, (net, (adam_img, adam_txt)) in enumerate(zip(state.nets, state.adam)):
+    for k, (net, adam) in enumerate(zip(state.nets, state.adam)):
         batches = _reference_batches(derive_rng(cfg.seed, "batches", state.epoch, k),
                                      n, cfg.batch_size)
         y_frozen = state.labels[k].y
@@ -258,16 +276,15 @@ def _reference_epoch(state, train_ds, cfg):
                 state.labels[k], sources[(k + 1) % len(sources)], x_img, x_txt,
                 batches, cfg, use_cm, use_im, (cfg.beta1, cfg.beta2))
         for idx in batches:
-            _, grads = grad_total(net.img_enc, net.txt_enc, x_img[idx], x_txt[idx],
-                                  y_frozen[idx], cfg.tau1, cfg.tau2, cfg.gamma)
-            adam_step(net.img_enc.theta, grads.img, adam_img, lr)
-            adam_step(net.txt_enc.theta, grads.txt, adam_txt, lr)
+            _, grad = grad_total(net.img_enc, net.txt_enc, x_img[idx], x_txt[idx],
+                                 y_frozen[idx], cfg.tau1, cfg.tau2, cfg.gamma)
+            adam_step(net.theta, grad, adam, lr)
     if estimate and state.epoch == cfg.warmup_epochs - 1:
         new_labels = [
             _reference_estimate(
                 state.labels[k], state.nets[(k + 1) % len(state.nets)], x_img, x_txt,
                 _reference_batches(derive_rng(cfg.seed, "est-init", k), n, cfg.batch_size),
-                cfg, use_cm, use_im, None)
+                cfg, use_cm, use_im, (1.0, 1.0))  # raw seeding right after warm-up
             for k in range(len(state.nets))]
     state.labels = new_labels
     state.epoch += 1
@@ -278,11 +295,10 @@ def _assert_states_match(state, ref_state):
     for net, ref in zip(state.nets, ref_state.nets):
         for enc, ref_enc in ((net.img_enc, ref.img_enc), (net.txt_enc, ref.txt_enc)):
             assert np.max(np.abs(enc.theta - ref_enc.theta)) < 1e-10
-    for pair, ref_pair in zip(state.adam, ref_state.adam):
-        for adam, ref_adam in zip(pair, ref_pair):
-            assert adam.step == ref_adam.step
-            assert np.max(np.abs(adam.m - ref_adam.m)) < 1e-10
-            assert np.max(np.abs(adam.v - ref_adam.v)) < 1e-10
+    for adam, ref_adam in zip(state.adam, ref_state.adam):
+        assert adam.step == ref_adam.step
+        assert np.max(np.abs(adam.m - ref_adam.m)) < 1e-10
+        assert np.max(np.abs(adam.v - ref_adam.v)) < 1e-10
     for lb, ref_lb in zip(state.labels, ref_state.labels):
         assert np.max(np.abs(lb.y - ref_lb.y)) < 1e-10
         assert np.max(np.abs(lb.y_cm - ref_lb.y_cm)) < 1e-10
@@ -364,6 +380,24 @@ def test_co_training_epoch_copies_no_network(monkeypatch, mode):
     train_epoch(state, train, cfg)
     assert copies == []
     assert all(not np.array_equal(lb.y, y) for lb, y in zip(state.labels, seeded))
+
+
+@pytest.mark.parametrize("mode", ["gsc", "single_net"])
+def test_co_training_epoch_makes_one_adam_step_per_network_and_batch(monkeypatch, mode):
+    train, _, _ = small_data()
+    cfg = small_cfg(mode=mode)
+    state = init_state(cfg, train)
+    train_warmup_epochs(state, train, cfg)
+    steps = []
+    step = trainer.adam_step
+    monkeypatch.setattr(trainer, "adam_step",
+                        lambda theta, *args: steps.append(theta) or step(theta, *args))
+    train_epoch(state, train, cfg)
+    n_batches = len(batch_schedule(train.n, cfg.batch_size, derive_rng(0, "count")))
+    assert len(steps) == len(state.nets) * n_batches
+    for k, net in enumerate(state.nets):  # every step covers the whole network
+        assert all(theta is net.theta for theta in steps[k * n_batches:(k + 1) * n_batches])
+        assert state.adam[k].step == (cfg.warmup_epochs + 1) * n_batches
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ worse than the parent's by at most the bound and "fails" when by more. It
 holds the environment the benchmark printed too (Python, numpy, the BLAS
 build and thread count), and the script prints one line per workload and
 metric with both verdicts.
-A run that exits non-zero stops the script with its standard error.
+
+Each run is written as it finishes, one JSON line ``{pair, workload, side,
+metrics, env}`` in ``OUT.runs.jsonl`` beside OUT.json, and the record is
+built from those lines, so a run that fails or a summary that raises keeps
+every run finished before it. A run that exits non-zero stops the script
+with its standard error.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple:
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     result = json.loads(lines[-1])
     return {k: v["value"] for k, v in result["metrics"].items()}, env
+
+
+def runs_path(out: Path) -> Path:
+    """The file beside ``out`` that holds one JSON line per finished run."""
+    return out.with_suffix(".runs.jsonl")
 
 
 def summary(values: list) -> dict:
@@ -91,16 +101,24 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
-    runs = {w: {"parent": [], "change": []} for w in workloads}
-    env = None
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in workloads:
-            for side in order:
-                metrics, env = run_once(getattr(args, side), workload, args.seed, seconds)
-                runs[workload][side].append(metrics)
-                print(f"pair {i} {workload} {side} train_s={metrics['train_s']:.3f}", flush=True)
+    with open(runs_path(args.out), "w", encoding="utf-8") as fh:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    metrics, env = run_once(getattr(args, side), workload, args.seed, seconds)
+                    fh.write(json.dumps({"pair": i, "workload": workload, "side": side,
+                                         "metrics": metrics, "env": env}, sort_keys=True) + "\n")
+                    fh.flush()
+                    print(f"pair {i} {workload} {side} train_s={metrics['train_s']:.3f}",
+                          flush=True)
 
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    with open(runs_path(args.out), "r", encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            runs[row["workload"]][row["side"]].append(row["metrics"])
+            env = row["env"]
     record = {"command": "python3 tools/bench_pairs.py PARENT CHANGE OUT.json "
                          f"--pairs {args.pairs} --seed {args.seed}",
               "seed": args.seed, "pairs": args.pairs, "run_seconds": seconds,

@@ -19,14 +19,11 @@ vector, then for each train cell with a label dump one
 for each train cell's ``report.json`` one
 ``<sha256>  <cell>/report.json:quality`` line, the digest of its test
 ``retrieval`` and its detection ``accuracy`` and ``auc`` (null without a
-detection report). The checkpoint and label lines are read from either
-layout ``gsc`` has written: a checkpoint as ``{dims}`` plus
-``<stem>.theta.npy`` or as ``{dims, weights, biases}`` lists (theta is
-W0, b0, W1, b1, ... flattened), the labels as ``labels.json`` plus
-``labels.<field>.npy`` or as one ``labels.jsonl`` row per (epoch,
-sample). So a change of either container alone changes only the file
-lines, and one of the split files' layout only the file lines and the
-splits' ``:json`` lines; a change that reassociates floats shows by the
+detection report). The checkpoint lines are read from ``<stem>.theta.npy``
+beside each checkpoint head and the label lines from ``labels.json`` and
+the ``labels.<field>.npy`` files beside it, so a change of how either is
+stored changes only the file lines, and one of the split files' layout
+only the file lines and the splits' ``:json`` lines; a change that reassociates floats shows by the
 ``:quality`` lines whether the quality fields moved. It exits 1,
 naming the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
 ``Infinity`` token, which ``json.dumps`` writes but JSON does not allow. A pure refactor leaves every byte of every output and every
@@ -95,38 +92,22 @@ def array_digest(arr) -> str:
 
 
 def checkpoint_theta(path: Path):
-    """The flat parameter vector of the checkpoint ``path`` in either layout."""
+    """The flat parameter vector of the checkpoint ``path``."""
     import numpy as np
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "weights" not in doc:
-        return np.load(path.with_suffix(".theta.npy"), allow_pickle=False)
-    return np.concatenate([np.asarray(part, dtype=float).ravel()
-                           for layer in zip(doc["weights"], doc["biases"]) for part in layer])
+    return np.load(path.with_suffix(".theta.npy"), allow_pickle=False)
 
 
 def label_arrays(cell: Path) -> dict:
     """``{y, y_cm, y_im, noise_mask}`` of the label dump in ``cell``, from
-    ``labels.json`` and its ``.npy`` files or from ``labels.jsonl``."""
+    ``labels.json`` and its ``.npy`` files."""
     import numpy as np
 
     head = cell / "labels.json"
-    if head.exists():
-        with open(head, "r", encoding="utf-8") as fh:
-            arrays = {"noise_mask": np.array(json.load(fh)["noise_mask"], dtype=bool)}
-        for name in LABEL_FIELDS:
-            arrays[name] = np.load(head.with_suffix(f".{name}.npy"), allow_pickle=False)
-        return arrays
-    with open(cell / "labels.jsonl", "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh]
-    shape = (max(r["epoch"] for r in rows) + 1, max(r["idx"] for r in rows) + 1)
-    arrays = {name: np.empty(shape) for name in LABEL_FIELDS}
-    arrays["noise_mask"] = np.empty(shape[1], dtype=bool)
-    for r in rows:
-        for name in LABEL_FIELDS:
-            arrays[name][r["epoch"], r["idx"]] = r[name]
-        arrays["noise_mask"][r["idx"]] = r["is_noisy_gt"]
+    with open(head, "r", encoding="utf-8") as fh:
+        arrays = {"noise_mask": np.array(json.load(fh)["noise_mask"], dtype=bool)}
+    for name in LABEL_FIELDS:
+        arrays[name] = np.load(head.with_suffix(f".{name}.npy"), allow_pickle=False)
     return arrays
 
 
@@ -194,7 +175,7 @@ def main(argv=None) -> int:
             print(f"{array_digest(getattr(ds, name))}  {DATA}/{tag}.json:{name}")
     for path in sorted(out.rglob("ckpt_*.json")):
         print(f"{array_digest(checkpoint_theta(path))}  {path.relative_to(out).as_posix()}:theta")
-    for cell in sorted({p.parent for p in out.rglob("labels.json*")}):
+    for cell in sorted(p.parent for p in out.rglob("labels.json")):
         arrays = label_arrays(cell)
         for name in (*LABEL_FIELDS, "noise_mask"):
             print(f"{array_digest(arrays[name])}  "
