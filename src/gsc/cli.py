@@ -118,6 +118,8 @@ def seed_and_rho(cfg: dict) -> tuple:
 
 
 def out_root(args) -> Path:
+    """The output directory, created; called once the inputs are checked, so
+    a rejected command leaves no directory behind."""
     base = args.out or os.environ.get("GSC_OUT_DIR") or "runs"
     path = Path(base)
     path.mkdir(parents=True, exist_ok=True)
@@ -136,8 +138,8 @@ def build_splits(cfg: dict, seed: int, rho: float):
 def cmd_gen(args) -> int:
     cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
-    out = out_root(args)
     train, dev, test = build_splits(cfg, seed, rho)
+    out = out_root(args)
     files = {}
     for tag, ds in (("train", train), ("dev", dev), ("test", test)):
         path = out / f"{tag}.json"
@@ -168,24 +170,31 @@ def load_splits(data_path: str):
     return tuple(load_dataset(path.parent / name) for name in names)
 
 
-def _run_cell(cfg: dict, mode: str, rho: float, seed: int, splits=None):
-    """Train one configuration and evaluate its best checkpoint on test."""
+def _cell_inputs(cfg: dict, mode: str, rho: float, seed: int, splits=None):
+    """The checked training config and (train, dev, test) splits of one cell."""
     tc = train_config_from({**cfg, "mode": mode, "seed": seed})
-    train, dev, test = splits if splits is not None else build_splits(cfg, seed, rho)
-    check_split_sizes(mode, train, dev, test)
+    splits = splits if splits is not None else build_splits(cfg, seed, rho)
+    check_split_sizes(mode, *splits)
+    return tc, splits
+
+
+def _run_cell(tc: TrainConfig, splits):
+    """Train one cell and evaluate its best checkpoint on test."""
+    train, dev, test = splits
     result = run(tc, train, dev)
-    return result, evaluate_retrieval(result.best_nets, test), (train, dev, test)
+    return result, evaluate_retrieval(result.best_nets, test)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
-    out = out_root(args)
     mode = str(cfg["mode"])
     splits = load_splits(args.data) if args.data else None
     if splits is not None:
         rho = float(splits[0].meta.get("rho", rho))
-    result, test_retr, (train, _, _) = _run_cell(cfg, mode, rho, seed, splits)
+    tc, splits = _cell_inputs(cfg, mode, rho, seed, splits)
+    out = out_root(args)  # before training, so an unwritable --out exits 2 at once
+    result, test_retr = _run_cell(tc, splits)
 
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for row in result.history:
@@ -201,7 +210,7 @@ def cmd_train(args) -> int:
         for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
             save_encoder(enc, out / f"ckpt_{net.name}_{modality}.json")
     if result.label_history is not None:  # kept when the merged ``track_labels`` is true
-        write_arrays(out / "labels.json", {"noise_mask": train.noise_mask.tolist()},
+        write_arrays(out / "labels.json", {"noise_mask": splits[0].noise_mask.tolist()},
                      result.label_history)
     print(f"mode={mode} rho={rho} seed={seed} "
           f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
@@ -239,7 +248,7 @@ def cmd_sweep(args) -> int:
         for rho in rhos:
             for mode in modes:
                 seed = _cell_seed(cfg["seed"], rho, mode)
-                result, test_retr, _ = _run_cell(cfg, mode, rho, seed)
+                result, test_retr = _run_cell(*_cell_inputs(cfg, mode, rho, seed))
                 writer.writerow(csv_row(mode, rho, test_retr, result.detection))
                 fh.flush()
                 print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (as_matrix, as_vector, exp_cosines_into, require_int, require_positive,
-                       require_unit_interval, require_unit_rows, softmax_rows)
+from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_int,
+                       require_positive, require_unit_interval, require_unit_rows, softmax_rows)
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -39,6 +39,7 @@ __all__ = [
 
 
 GMM_MIN_SCORES = 4  # fewer scores than this cannot seed two components
+GMM_TOL = 1e-8  # EM stops once the log-likelihood improves by less than this
 # EM exponents are floored here before np.exp: below about -708 its result is
 # subnormal and takes up to a hundred times as long. In the E-step each floored
 # term is added to exp(0) = 1, of which exp(-37) is already below half an ulp,
@@ -80,9 +81,10 @@ def embedding_indicator(e_img, e_txt, tau1: float, work: np.ndarray | None = Non
     With E = exp((E_I E_T^T - 1) / tau1), row sums r and column sums c
     (``exp_cosines_into``), entry i is 0.5 E_ii (1 / r_i + 1 / c_i): the
     cosines' bound fixes the shift, so the row and the column softmax share
-    one exp. E is written into ``work``, a (B, B) float64 array (allocated
-    when None). A row of norm above 1 beyond rounding, which would leave that
-    bound, raises ValueError, as does a ``tau1`` below
+    one exp. E is written into the ``bxb_view`` of ``work``, the flat array
+    of at least B^2 float64 entries that `losses`' ``grad_total`` also takes
+    (allocated when None). A row of norm above 1 beyond rounding, which
+    would leave that bound, raises ValueError, as does a ``tau1`` below
     ``numerics.MIN_COSINE_TEMPERATURE``. Values agree with the reference to
     rounding, with the same clip into (0, 1].
     """
@@ -92,21 +94,20 @@ def embedding_indicator(e_img, e_txt, tau1: float, work: np.ndarray | None = Non
         raise ValueError(f"embedding shapes differ: {ei.shape} vs {et.shape}")
     require_unit_rows(ei, "image embeddings")
     require_unit_rows(et, "text embeddings")
-    if work is None:
-        work = np.empty((ei.shape[0], ei.shape[0]))
-    _, rows, cols = exp_cosines_into(ei, et, tau1, work)
-    hit = work.diagonal()
+    buf = bxb_view(work, ei.shape[0])
+    _, rows, cols = exp_cosines_into(ei, et, tau1, buf)
+    hit = buf.diagonal()
     out = 0.5 * (hit / rows + hit / cols)
     return np.clip(out, np.nextafter(0.0, 1.0), 1.0)
 
 
-def intra_structure_score(s_ii, s_tt, y, return_degenerate: bool = False):
+def intra_structure_score(s_ii, s_tt, y) -> np.ndarray:
     """Weighted cosine between image-side and text-side structure rows.
 
     Per-neighbor weights y[j] multiply both sides, so suspected mismatches
     cannot distort the comparison: the numerator is sum_j y_j^2 * a_ij * b_ij
     and each denominator is the norm of the y-weighted row. Rows whose
-    weighted norm vanishes score 0 and are flagged degenerate.
+    weighted norm vanishes score 0.
     """
     a = as_matrix(s_ii, "image structure", square=True)
     b = as_matrix(s_tt, "text structure", square=True)
@@ -114,16 +115,16 @@ def intra_structure_score(s_ii, s_tt, y, return_degenerate: bool = False):
         raise ValueError(f"structure shapes differ: {a.shape} vs {b.shape}")
     yv = as_vector(y, a.shape[0], "labels")
     w = yv * yv
-    return _weighted_cosine((a * b) @ w, (a * a) @ w, (b * b) @ w, return_degenerate)
+    return _weighted_cosine((a * b) @ w, (a * a) @ w, (b * b) @ w)
 
 
-def embedding_structure_score(e_img, e_txt, y, return_degenerate: bool = False):
+def embedding_structure_score(e_img, e_txt, y) -> np.ndarray:
     """``intra_structure_score(E_I E_I^T, E_T E_T^T, y)`` in O(B d^2), no B x B matrix.
 
     With M = E_I^T diag(y^2) E_T and the weighted Grams G_I = E_I^T diag(y^2)
     E_I, G_T = E_T^T diag(y^2) E_T, row i's numerator is the i-th row sum of
     (E_I M) * E_T and its squared weighted norms are the row sums of
-    (E_I G_I) * E_I and (E_T G_T) * E_T. The same degenerate rule and clip
+    (E_I G_I) * E_I and (E_T G_T) * E_T. The same zero-norm rule and clip
     apply; the products are reassociated, so values agree with the B x B form
     to rounding.
     """
@@ -137,18 +138,17 @@ def embedding_structure_score(e_img, e_txt, y, return_degenerate: bool = False):
     wt = w * et
     return _weighted_cosine(((ei @ (wi.T @ et)) * et).sum(axis=1),
                             ((ei @ (wi.T @ ei)) * ei).sum(axis=1),
-                            ((et @ (wt.T @ et)) * et).sum(axis=1), return_degenerate)
+                            ((et @ (wt.T @ et)) * et).sum(axis=1))
 
 
-def _weighted_cosine(num, sq_i, sq_t, return_degenerate: bool):
+def _weighted_cosine(num, sq_i, sq_t) -> np.ndarray:
     """Clipped num / (|I_i| |T_i|) from squared norms (rounded below 0 -> 0);
-    a zero-norm row scores 0 and is flagged degenerate."""
+    a zero-norm row scores 0."""
     den = np.sqrt(np.maximum(sq_i, 0.0)) * np.sqrt(np.maximum(sq_t, 0.0))
-    degenerate = den <= 0.0
     scores = np.zeros(num.shape[0])
-    ok = ~degenerate
+    ok = den > 0.0
     scores[ok] = np.clip(num[ok] / den[ok], -1.0, 1.0)
-    return (scores, degenerate) if return_degenerate else scores
+    return scores
 
 
 @dataclass
@@ -182,13 +182,13 @@ def _e_step(weights, variances, sq, log_joint, tmp):
     return shift + np.log(tmp.sum(axis=0))
 
 
-def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> GmmModel:
+def gmm_fit(scores, iters: int = 50, floor: float = 1e-4) -> GmmModel:
     """EM fit of a two-component 1-D Gaussian mixture.
 
     Initialization is a deterministic median split (component means/variances
     from the two halves, equal weights), so labeling never depends on a seed.
     Variances are clamped at ``floor``; iteration stops early once the
-    log-likelihood improves by less than ``tol``.
+    log-likelihood improves by less than ``GMM_TOL``.
 
     If every score is equal, the two components are identical (equal means,
     variances at ``floor``, equal weights), the log-likelihood does not move,
@@ -202,7 +202,6 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> 
         raise ValueError(f"need at least {GMM_MIN_SCORES} scores to fit, got {x.size}")
     require_positive(floor, "variance floor")
     require_int(iters, "iters", 1)
-    require_positive(tol, "tol", allow_zero=True)
     order = np.sort(x)
     half = x.size // 2
     means = np.array([order[:half].mean(), order[half:].mean()])
@@ -218,7 +217,7 @@ def gmm_fit(scores, iters: int = 50, floor: float = 1e-4, tol: float = 1e-8) -> 
         log_total = _e_step(weights, variances, sq, log_joint, resp)
         ll = float(log_total.sum())
         ll_hist.append(ll)
-        if len(ll_hist) >= 2 and ll - ll_hist[-2] < tol:
+        if len(ll_hist) >= 2 and ll - ll_hist[-2] < GMM_TOL:
             break
         np.subtract(log_joint, log_total, out=resp)
         np.maximum(resp, EM_EXP_FLOOR, out=resp)

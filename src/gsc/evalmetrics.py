@@ -134,31 +134,28 @@ def detection_metrics(y, mask) -> DetectionReport:
                            mean_clean=mean_clean, mean_noisy=mean_noisy)
 
 
-def assemble_report(retrieval: RetrievalReport, detection: DetectionReport | None,
-                    meta: dict) -> dict:
-    """JSON-ready report; detection may be None for clean runs."""
-    out = {
+def assemble_report(retrieval: RetrievalReport, detection: DetectionReport, meta: dict) -> dict:
+    """JSON-ready report of a run: its meta, test retrieval and detection."""
+    return {
         "meta": dict(meta),
         "retrieval": {
             "i2t": {"r1": retrieval.r1_i2t, "r5": retrieval.r5_i2t, "r10": retrieval.r10_i2t},
             "t2i": {"r1": retrieval.r1_t2i, "r5": retrieval.r5_t2i, "r10": retrieval.r10_t2i},
             "recall_sum": retrieval.recall_sum,
         },
-        "detection": None,
-    }
-    if detection is not None:
-        out["detection"] = {
+        "detection": {
             "accuracy": detection.accuracy,
             "auc": detection.auc,
             "mean_clean": detection.mean_clean,
             "mean_noisy": detection.mean_noisy,
-        }
-    return out
+        },
+    }
 
 
 def csv_row(mode: str, noise: float, retrieval: RetrievalReport,
             detection: DetectionReport | None) -> list:
-    """One summary row matching CSV_COLUMNS; undefined AUC becomes ''."""
+    """One summary row matching CSV_COLUMNS; an undefined AUC, or the
+    detection a ``report.json`` may leave null, becomes ''."""
     det_acc = "" if detection is None else detection.accuracy
     det_auc = "" if detection is None or detection.auc is None else detection.auc
     return [mode, noise, retrieval.r1_i2t, retrieval.r5_i2t, retrieval.r10_i2t,

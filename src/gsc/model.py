@@ -114,9 +114,6 @@ class Encoder:
             b[...] = rng.uniform(-bound, bound, size=b.shape)
         return enc
 
-    def copy(self) -> "Encoder":
-        return Encoder(self.dims, self.theta.copy())
-
 
 def encode(enc: Encoder, x) -> EmbeddingBatch:
     """Forward pass: affine/tanh stack, then row-wise L2 normalization.

@@ -288,23 +288,19 @@ def bxb_view(work: np.ndarray | None, b: int) -> np.ndarray:
     return work[:b * b].reshape(b, b)
 
 
-def cosine(u, v, return_degenerate: bool = False):
+def cosine(u, v) -> float:
     """Cosine similarity of two equal-length vectors, clipped into [-1, 1].
 
-    A zero-norm input yields 0.0 with the degenerate flag set instead of an
-    error; embeddings are unit-normalized upstream, so this corner only
-    arises in synthetic inputs.
+    A zero-norm input yields 0.0 instead of an error; embeddings are
+    unit-normalized upstream, so this corner only arises in synthetic inputs.
     """
     a = as_vector(u, name="u")
     b = as_vector(v, a.shape[0], "v")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
-        value, degenerate = 0.0, True
-    else:
-        value = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-        degenerate = False
-    return (value, degenerate) if return_degenerate else value
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 ADAM_BETA1 = 0.9  # decay of the first moment

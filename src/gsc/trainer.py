@@ -17,21 +17,22 @@ Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 measured on the same counter. ``MODE_SPECS`` says what each mode runs.
 
 ``run`` owns the one B x B work buffer of the run, as a flat float64 array
-of B^2 entries (B the largest batch of the schedule): every training step
-and every cross-modal indicator writes its B x B intermediates into a view
-of it (``bxb_view``) instead of allocating them; a step fills it twice,
-first for the structure term and then for the cross-modal term (see
-`losses`). The indicator is the embedding form, ``embedding_indicator``:
-one exp of the batch's cosine matrix into the view, where the similarity
-form takes a similarity matrix and two softmaxes. A fresh 1.28 MB array per
-step (at B = 400) would lie above glibc's mmap threshold, so it would be
-mapped and page-faulted anew unless an earlier large free had happened to
-raise that dynamic threshold; with the run's buffer the step's speed does
-not depend on what was freed before it. ``train_epoch`` called without it
-allocates one per call. A batch's features are gathered from the split as
-it is needed, the texts through ``PairDataset.paired_txt``, so no epoch
-copies the presented texts, and label estimation keeps one batch's
-embeddings alive at a time.
+of B^2 entries (B the largest batch ``batch_schedule`` cuts): every training
+step (``grad_total``) and every cross-modal indicator
+(``embedding_indicator``) is handed the flat array and writes its B x B
+intermediates into its own ``bxb_view`` of it instead of allocating them; a
+step fills it twice, first for the structure term and then for the
+cross-modal term (see `losses`). The indicator is the embedding form: one
+exp of the batch's cosine matrix into the view, where the similarity form
+takes a similarity matrix and two softmaxes. A fresh 1.28 MB array per step
+(at B = 400) would lie above glibc's mmap threshold, so it would be mapped
+and page-faulted anew unless an earlier large free had happened to raise
+that dynamic threshold; with the run's buffer the step's speed does not
+depend on what was freed before it. ``train_epoch`` called without it has
+each step and estimate allocate its own. A batch's features are gathered
+from the split as it is needed, the texts through
+``PairDataset.paired_txt``, so no epoch copies the presented texts, and
+label estimation keeps one batch's embeddings alive at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection
                           retrieval_report)
 from .losses import grad_total
 from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import (AdamState, NumericalError, adam_step, bxb_view, derive_rng,
+from .numerics import (AdamState, NumericalError, adam_step, derive_rng,
                        require_cosine_temperature, require_int, require_positive,
                        require_unit_interval)
 from .synthdata import PairDataset
@@ -258,13 +259,6 @@ def batch_schedule(n: int, batch_size: int, rng: np.random.Generator) -> list:
     return chunks
 
 
-def _largest_batch(n: int, batch_size: int) -> int:
-    """Rows in the largest batch ``batch_schedule`` cuts from ``n`` samples."""
-    if n <= batch_size:
-        return n
-    return batch_size + (n % batch_size == 1)  # a merged trailing singleton
-
-
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     """Step schedule: exactly lr * lr_decay from the decay epoch onward."""
     return cfg.lr * cfg.lr_decay if epoch >= cfg.lr_decay_epoch else cfg.lr
@@ -316,8 +310,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
         if spec.use_cm:
-            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1,
-                                              bxb_view(work, idx.size))
+            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1, work)
         if spec.use_im:
             scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
         del e_i, e_t
@@ -435,7 +428,8 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     n_epochs = cfg.warmup_epochs + cfg.epochs
     label_history = ({key: np.empty((n_epochs, train_ds.n)) for key in ("y", "y_cm", "y_im")}
                      if cfg.track_labels else None)
-    largest = _largest_batch(train_ds.n, cfg.batch_size)
+    # a schedule's batch sizes do not depend on its generator
+    largest = max(idx.size for idx in batch_schedule(train_ds.n, cfg.batch_size, derive_rng(0)))
     work = np.empty(largest * largest)
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
     for epoch in range(n_epochs):

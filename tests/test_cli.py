@@ -291,6 +291,18 @@ def test_train_missing_dataset_exits_2(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--tau1", "-1"],
+    ["gen", "--n", "0"],
+    ["train", "--n", "50"],  # a dev split of 5, below the 10 that Recall@10 needs
+    ["train", "--data", "nowhere"],
+], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data"])
+def test_a_rejected_command_creates_no_out_directory(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # "nowhere" names no file in it
+    assert run_cli(*argv, "--out", "X") == 2
+    assert not (tmp_path / "X").exists()
+
+
 def test_train_no_ensemble_maps_to_long_warmup(tmp_path):
     out = tmp_path / "run"
     code = run_cli("train", *FAST_TRAIN, "--mode", "no_ensemble", "--rho", "0.4",

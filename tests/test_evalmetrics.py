@@ -241,12 +241,6 @@ def test_assemble_report_sums_six_recalls():
     assert rep["meta"]["mode"] == "gsc"
 
 
-def test_assemble_report_allows_empty_detection():
-    retr, _ = _sample_reports()
-    rep = assemble_report(retr, None, {})
-    assert rep["detection"] is None
-
-
 def test_csv_row_matches_columns():
     retr, det = _sample_reports()
     row = csv_row("gsc", 0.4, retr, det)

@@ -157,16 +157,6 @@ def test_parameters_are_views_of_one_flat_vector():
     assert enc.biases[0][0] == 5.0
 
 
-def test_encoder_copy_owns_its_arrays():
-    enc = Encoder.init([4, 6, 3], derive_rng(8, "model-copy"))
-    dup = enc.copy()
-    assert dup.dims == enc.dims and np.array_equal(dup.theta, enc.theta)
-    dup.weights[1][0, 0] += 1.0
-    assert np.shares_memory(dup.weights[1], dup.theta)
-    assert not np.shares_memory(dup.theta, enc.theta)
-    assert dup.theta[30] == enc.theta[30] + 1.0
-
-
 def test_checkpoint_is_dims_and_the_flat_theta(tmp_path):
     dims = [3, 5, 2]
     enc = Encoder.init(dims, derive_rng(9, "model-ckpt-layout"))

@@ -92,10 +92,8 @@ def test_cosine_identity_orthogonal_analytic():
 
 
 def test_cosine_zero_norm_is_degenerate_not_error():
-    value, degenerate = cosine(np.zeros(3), np.ones(3), return_degenerate=True)
-    assert value == 0.0 and degenerate
-    value, degenerate = cosine(np.ones(3), np.ones(3), return_degenerate=True)
-    assert not degenerate
+    assert cosine(np.zeros(3), np.ones(3)) == 0.0
+    assert cosine(np.ones(3), np.zeros(3)) == 0.0
 
 
 def test_cosine_length_mismatch():

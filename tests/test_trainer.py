@@ -10,9 +10,8 @@ from gsc.losses import grad_total
 from gsc.model import Encoder, encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
 from gsc.synthdata import GenSpec, generate, inject_noise, split
-from gsc.trainer import (MODES, Network, TrainConfig, _largest_batch, batch_schedule,
-                         check_split_sizes, evaluate_retrieval, init_state, learning_rate,
-                         run, train_epoch)
+from gsc.trainer import (MODES, Network, TrainConfig, batch_schedule, check_split_sizes,
+                         evaluate_retrieval, init_state, learning_rate, run, train_epoch)
 
 
 def small_data(seed=0, n=160, rho=0.4):
@@ -87,10 +86,12 @@ def test_batch_schedule_covers_and_merges_singleton():
     assert np.array_equal(np.sort(seen), np.arange(33))
     again = batch_schedule(33, 16, derive_rng(0, "sched"))
     assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
-    # the run's work buffer is sized for the largest batch
+    # run sizes its work buffer by the largest batch of a schedule cut with
+    # any generator: the batch sizes depend on n and the batch size alone
     for n, size in itertools.product((2, 3, 16, 17, 33, 48, 2000, 2001), (2, 16, 128, 400)):
-        largest = max(c.size for c in batch_schedule(n, size, rng))
-        assert _largest_batch(n, size) == largest
+        sizes = [c.size for c in batch_schedule(n, size, rng)]
+        assert sizes == [c.size for c in batch_schedule(n, size, derive_rng(n, size))]
+        assert max(sizes) == min(n, size) + (n > size and n % size == 1)
 
 
 def test_learning_rate_decay_is_exact():

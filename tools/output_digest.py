@@ -35,9 +35,11 @@ loaded array unchanged, so the digests of two checkouts diff empty:
 
 The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 ``gsc train --dump-labels`` run, the same gsc run with every train pair
-mismatched (``--rho 1.0``, so one detection class is empty), one ``gsc gen``
-of the benchmark's dataset size, the benchmark's three workload command
-lines on that dataset, and ``gsc fdcheck --seeds 3``, whose stdout (each
+mismatched (``--rho 1.0``, so one detection class is empty), the
+benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
+dataset (``gen_argv``, ``train_argv`` and ``WORKLOADS``, taken from the
+``perfbench/run.py`` beside this tool, so the two cannot drift apart), and
+``gsc fdcheck --seeds 3``, whose stdout (each
 seed's worst finite-difference error and its coordinate) is written to
 ``OUT/fdcheck.txt``, so a change to the backward pass shows those errors
 equal to the last bit or not. BLAS is pinned to one thread before numpy
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -59,17 +62,26 @@ SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "3
 DATA = "data"
 SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
 LABEL_FIELDS = ("y", "y_cm", "y_im")
-WORKLOAD_TRAIN = {
-    "gsc_desk": ["--mode", "gsc", "--batch-size", "128", "--dump-labels"],
-    "baseline_desk": ["--mode", "baseline", "--batch-size", "128"],
-    "gsc_bigbatch": ["--mode", "gsc", "--batch-size", "400"],
-}
+BENCH_SEED = 11
 STDOUT_FILES = {"fdcheck": "fdcheck.txt"}  # subcommand -> file under OUT holding its stdout
+
+
+def load_benchmark():
+    """The module ``perfbench/run.py`` of this checkout, loaded by file path;
+    it imports its sibling modules, and nothing that loads numpy."""
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench_dir))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench_dir / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cells(out: Path) -> list:
     """(argv) of every cell, outputs under ``out``; ``gen`` precedes its users."""
     from gsc.trainer import MODES
+
+    bench = load_benchmark()
 
     argvs = [["train", "--mode", mode, "--warmup", str(warmup), *SMALL_TRAIN,
               "--out", str(out / f"train_{mode}_w{warmup}")]
@@ -77,10 +89,9 @@ def cells(out: Path) -> list:
     argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--rho", "1.0",
                   "--out", str(out / "train_gsc_rho1")])
     data = out / DATA
-    argvs.append(["gen", "--n", "2500", "--rho", "0.4", "--seed", "11", "--out", str(data)])
-    argvs += [["train", "--data", str(data), *extra, "--seed", "11", "--epochs", "20",
-               "--warmup", "1", "--out", str(out / name)]
-              for name, extra in WORKLOAD_TRAIN.items()]
+    argvs.append(bench.gen_argv(BENCH_SEED, data))
+    argvs += [[*bench.train_argv(name, BENCH_SEED, data), "--out", str(out / name)]
+              for name in bench.WORKLOADS]
     argvs.append(["fdcheck", "--seeds", "3"])
     return argvs
 
