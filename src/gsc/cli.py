@@ -237,21 +237,20 @@ def cmd_sweep(args) -> int:
     for rho in rhos:
         require_unit_interval(rho, "rho")
     modes = comma_list(args.modes, str, "--modes")
-    for mode in modes:  # every cell's configuration is checked before the first trains
-        train_config_from({**cfg, "mode": mode})
+    grid = [(mode, rho, _cell_seed(cfg["seed"], rho, mode)) for rho in rhos for mode in modes]
+    for cell in grid:  # every cell's configuration and splits, one cell's data at a time
+        _cell_inputs(cfg, *cell)
     out = out_root(args)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
-        for rho in rhos:
-            for mode in modes:
-                seed = _cell_seed(cfg["seed"], rho, mode)
-                result, test_retr = _run_cell(*_cell_inputs(cfg, mode, rho, seed))
-                writer.writerow(csv_row(mode, rho, test_retr, result.detection))
-                fh.flush()
-                print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")
+        for mode, rho, seed in grid:
+            result, test_retr = _run_cell(*_cell_inputs(cfg, mode, rho, seed))
+            writer.writerow(csv_row(mode, rho, test_retr, result.detection))
+            fh.flush()
+            print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")
     print(f"wrote {csv_path}")
     return 0
 

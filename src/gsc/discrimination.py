@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_int,
-                       require_positive, require_unit_interval, require_unit_rows, softmax_rows)
+                       require_positive, require_unit_interval, require_unit_rows,
+                       scale_rows_pow2, softmax_rows)
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -44,21 +45,26 @@ GMM_TOL = 1e-8  # EM stops once the log-likelihood improves by less than this
 # subnormal and takes up to a hundred times as long. In the E-step each floored
 # term is added to exp(0) = 1, of which exp(-37) is already below half an ulp,
 # so the log-likelihood does not move; a responsibility below exp(-500) is lost
-# beside the other terms of each M-step sum, as the subnormal one was.
+# beside the other terms of each M-step sum, as a subnormal one would be.
 EM_EXP_FLOOR = -500.0
 
 
 @dataclass
 class SoftLabels:
-    """Per-sample label state for one network; ``y`` is always min(y_cm, y_im)."""
+    """Per-sample label state for one network: the two smoothed estimates."""
 
     y_cm: np.ndarray
     y_im: np.ndarray
-    y: np.ndarray
+
+    @property
+    def y(self) -> np.ndarray:
+        """The combined label, the elementwise minimum of ``y_cm`` and
+        ``y_im``, computed anew on every read."""
+        return np.minimum(self.y_cm, self.y_im)
 
     @classmethod
     def ones(cls, n: int) -> "SoftLabels":
-        return cls(y_cm=np.ones(n), y_im=np.ones(n), y=np.ones(n))
+        return cls(y_cm=np.ones(n), y_im=np.ones(n))
 
 
 def cross_modal_indicator(s, tau1: float) -> np.ndarray:
@@ -83,8 +89,9 @@ def embedding_indicator(e_img, e_txt, tau1: float, work: np.ndarray | None = Non
     cosines' bound fixes the shift, so the row and the column softmax share
     one exp. E is written into the ``bxb_view`` of ``work``, the flat array
     of at least B^2 float64 entries that `losses`' ``grad_total`` also takes
-    (allocated when None). A row of norm above 1 beyond rounding, which
-    would leave that bound, raises ValueError, as does a ``tau1`` below
+    (allocated when None; `losses` says why a run passes its one buffer).
+    A row of norm above 1 beyond rounding, which would leave that bound,
+    raises ValueError, as does a ``tau1`` below
     ``numerics.MIN_COSINE_TEMPERATURE``. Values agree with the reference to
     rounding, with the same clip into (0, 1].
     """
@@ -107,13 +114,17 @@ def intra_structure_score(s_ii, s_tt, y) -> np.ndarray:
     Per-neighbor weights y[j] multiply both sides, so suspected mismatches
     cannot distort the comparison: the numerator is sum_j y_j^2 * a_ij * b_ij
     and each denominator is the norm of the y-weighted row. Rows whose
-    weighted norm vanishes score 0.
+    weighted norm vanishes score 0. Each row is scaled first
+    (``numerics.scale_rows_pow2``), which leaves its score as it is, so a
+    row of tiny entries is scored by its direction too.
     """
     a = as_matrix(s_ii, "image structure", square=True)
     b = as_matrix(s_tt, "text structure", square=True)
     if a.shape != b.shape:
         raise ValueError(f"structure shapes differ: {a.shape} vs {b.shape}")
     yv = as_vector(y, a.shape[0], "labels")
+    a = scale_rows_pow2(a)
+    b = scale_rows_pow2(b)
     w = yv * yv
     return _weighted_cosine((a * b) @ w, (a * a) @ w, (b * b) @ w)
 
@@ -249,9 +260,10 @@ def gmm_posterior(model: GmmModel, s):
 
 
 def combine_labels(y_cm, y_im) -> np.ndarray:
-    """Elementwise minimum of the two label vectors."""
+    """Elementwise minimum of the two label vectors: ``SoftLabels.y`` of
+    the checked vectors."""
     a = as_vector(y_cm, name="y_cm")
-    return np.minimum(a, as_vector(y_im, a.shape[0], "y_im"))
+    return SoftLabels(a, as_vector(y_im, a.shape[0], "y_im")).y
 
 
 def ensemble_update(labels: SoftLabels, new_cm, new_im,
@@ -266,4 +278,4 @@ def ensemble_update(labels: SoftLabels, new_cm, new_im,
     im = as_vector(new_im, labels.y_im.shape[0], "intra-modal estimates")
     y_cm = beta1 * cm + (1.0 - beta1) * labels.y_cm
     y_im = beta2 * im + (1.0 - beta2) * labels.y_im
-    return SoftLabels(y_cm=y_cm, y_im=y_im, y=combine_labels(y_cm, y_im))
+    return SoftLabels(y_cm=y_cm, y_im=y_im)

@@ -30,18 +30,17 @@ gradients. The cross-modal block then overwrites the buffer with the exp of
 the pair logits and turns that into the pair-similarity gradient in place,
 weighting it a fixed block of rows at a time (``GRAD_ROW_BLOCK``) through a
 small temporary instead of a second B x B array; its two B x d products are
-added last. They were added last too when the cross-modal block ran first,
-with a second buffer, so each B x d sum adds the same terms in the same
-order and moving the block changes no bit of a gradient. The buffer belongs
-to the run (``trainer.run`` allocates it once and every step and label
-estimate reuses it), not to the step: glibc serves an allocation above its
-mmap threshold (128 KiB at start; a B x B float64 array at B = 400 is 1.28
-MB) with a fresh mapping whose pages fault in on first touch, and whether a
-freed one is reused or returned to the system depends on a dynamic threshold
-that earlier, unrelated frees raise, so per-step allocation would make the
-step's speed depend on that history. The B x d arrays of a step are still
-allocated per step; the encoder's forward and backward pass write what they
-can in place (``model.encode``, ``_backprop_encoder``).
+added last. The buffer belongs to the run, not to the step:
+``trainer.init_state`` allocates it once as ``RunState.work``, and every
+step and label estimate of the run overwrites it. glibc serves an
+allocation above its mmap threshold (128 KiB at start; a B x B float64
+array at B = 400 is 1.28 MB) with a fresh mapping whose pages fault in on
+first touch, and whether a freed one is reused or returned to the system
+depends on a dynamic threshold that unrelated frees raise, so per-step
+allocation would make the step's speed depend on what was freed before it.
+The B x d arrays of a step are allocated per step; the encoder's forward
+and backward pass write what they can in place (``model.encode``,
+``_backprop_encoder``).
 
 ``loss_cm``, ``loss_im`` and ``structure_logits`` keep the direct B x B
 form, with max-shifted softmaxes (``numerics.softmax_into``), as the

@@ -17,7 +17,9 @@ and accepts only float64 of the expected shape. ``softmax_into`` is the
 max-shifted softmax kernel of a general matrix; ``exp_cosines_into`` is the
 kernel of a cosine matrix, whose known bound lets one exp give both its row
 and its column softmax.
-``bxb_view`` cuts a batch's one B x B buffer from a run's flat work array.
+``bxb_view`` cuts a batch's one B x B buffer from a run's flat work array
+(`losses` says why a run keeps one). ``scale_rows_pow2`` scales each row by
+a power of two so that its squares neither underflow nor overflow.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "require_real",
     "require_unit_interval",
     "require_unit_rows",
+    "scale_rows_pow2",
     "softmax_into",
     "softmax_rows",
     "write_arrays",
@@ -288,14 +291,29 @@ def bxb_view(work: np.ndarray | None, b: int) -> np.ndarray:
     return work[:b * b].reshape(b, b)
 
 
+def scale_rows_pow2(m: np.ndarray) -> np.ndarray:
+    """``m`` with each row (each vector, for a 1-D ``m``) multiplied by the
+    power of two that brings its largest magnitude into [0.5, 1).
+
+    A power-of-two factor is exact, so a quotient of products of the scaled
+    entries has every bit of the unscaled one wherever that one neither
+    underflows nor overflows; a row of 1e-170 entries, whose squares
+    underflow to 0, can be measured scaled. A zero row stays zero.
+    """
+    _, exponent = np.frexp(np.abs(m).max(axis=-1, keepdims=True))
+    return np.ldexp(m, -exponent)
+
+
 def cosine(u, v) -> float:
     """Cosine similarity of two equal-length vectors, clipped into [-1, 1].
 
     A zero-norm input yields 0.0 instead of an error; embeddings are
     unit-normalized upstream, so this corner only arises in synthetic inputs.
+    Each vector is scaled first (``scale_rows_pow2``), so a vector of tiny or
+    huge entries has the cosine of its direction.
     """
-    a = as_vector(u, name="u")
-    b = as_vector(v, a.shape[0], "v")
+    a = scale_rows_pow2(as_vector(u, name="u"))
+    b = scale_rows_pow2(as_vector(v, a.shape[0], "v"))
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:

@@ -74,22 +74,29 @@ class PairDataset:
     """Paired features with ground-truth correspondence bookkeeping.
 
     ``match_perm[i]`` is the index of the text presented as image i's
-    partner; the true partner is always text i, so ``noise_mask[i]`` is
-    exactly ``match_perm[i] != i``. Datasets are immutable by convention:
-    every operation returns a new instance.
+    partner; the true partner is always text i, so the noise mask is
+    derived from it, and the split name from ``meta``. Datasets are
+    immutable by convention: every operation returns a new instance.
     """
 
     img: np.ndarray
     txt: np.ndarray
     match_perm: np.ndarray
-    noise_mask: np.ndarray
     cluster_ids: np.ndarray
-    split_tag: str = "train"
     meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return int(self.img.shape[0])
+
+    @property
+    def noise_mask(self) -> np.ndarray:
+        """True where pair i is mismatched: ``match_perm[i] != i``."""
+        return self.match_perm != np.arange(self.n)
+
+    @property
+    def split_tag(self) -> str:
+        return self.meta.get("split", "train")
 
     def is_clean(self) -> bool:
         return not bool(self.noise_mask.any())
@@ -103,15 +110,11 @@ class PairDataset:
         n = self.n
         if self.txt.shape[0] != n:
             raise ValueError("img/txt row counts differ")
-        for name, arr in (("match_perm", self.match_perm),
-                          ("noise_mask", self.noise_mask),
-                          ("cluster_ids", self.cluster_ids)):
+        for name, arr in (("match_perm", self.match_perm), ("cluster_ids", self.cluster_ids)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
         if not np.array_equal(np.sort(self.match_perm), np.arange(n)):
             raise ValueError("match_perm is not a permutation")
-        if not np.array_equal(self.noise_mask, self.match_perm != np.arange(n)):
-            raise ValueError("noise_mask inconsistent with match_perm")
         require_finite(self.img, "image features")
         require_finite(self.txt, "text features")
 
@@ -137,9 +140,7 @@ def generate(spec: GenSpec, return_latent: bool = False):
         img=img,
         txt=txt,
         match_perm=np.arange(spec.n),
-        noise_mask=np.zeros(spec.n, dtype=bool),
         cluster_ids=cluster_ids.astype(int),
-        split_tag="train",
         meta={
             "N": spec.n,
             "dims": {"latent": spec.d_latent, "img": spec.d_img, "txt": spec.d_txt},
@@ -193,9 +194,7 @@ def inject_noise(ds: PairDataset, rho: float, rng: np.random.Generator) -> PairD
         img=ds.img.copy(),
         txt=ds.txt.copy(),
         match_perm=perm,
-        noise_mask=perm != np.arange(n),
         cluster_ids=ds.cluster_ids.copy(),
-        split_tag=ds.split_tag,
         meta=meta,
     )
 
@@ -208,9 +207,7 @@ def _subset(ds: PairDataset, idx: np.ndarray, tag: str) -> PairDataset:
         img=ds.img[idx].copy(),
         txt=ds.txt[idx].copy(),
         match_perm=np.arange(idx.size),
-        noise_mask=np.zeros(idx.size, dtype=bool),
         cluster_ids=ds.cluster_ids[idx].copy(),
-        split_tag=tag,
         meta=meta,
     )
 
@@ -258,7 +255,8 @@ def save_dataset(ds: PairDataset, path) -> None:
 
 def load_dataset(path) -> PairDataset:
     """Read a ``save_dataset`` split; a malformed one, or one in an earlier
-    layout, raises ValueError naming ``path``."""
+    layout, raises ValueError naming ``path``. The head's ``mask`` must
+    equal the mask its ``perm`` gives."""
     head = read_json_object(path)
     if any(key in head for key in _MATRIX_KEYS):
         raise ValueError(f"{path}: holds its matrices inline, the layout of an earlier "
@@ -278,12 +276,12 @@ def load_dataset(path) -> PairDataset:
         ds = PairDataset(
             **features,
             match_perm=np.asarray(perm, dtype=int),
-            noise_mask=np.asarray(mask, dtype=bool),
             cluster_ids=np.asarray(clusters, dtype=int),
-            split_tag=meta.get("split", "train"),
             meta=meta,
         )
         ds.validate()
+        if not np.array_equal(np.asarray(mask, dtype=bool), ds.noise_mask):
+            raise ValueError("mask inconsistent with perm")
         return ds
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None

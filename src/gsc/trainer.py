@@ -16,20 +16,12 @@ Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 ``warmup_epochs`` values of that counter. The learning-rate decay epoch is
 measured on the same counter. ``MODE_SPECS`` says what each mode runs.
 
-``run`` owns the one B x B work buffer of the run, as a flat float64 array
-of B^2 entries (B the largest batch ``batch_schedule`` cuts): every training
-step (``grad_total``) and every cross-modal indicator
-(``embedding_indicator``) is handed the flat array and writes its B x B
-intermediates into its own ``bxb_view`` of it instead of allocating them; a
-step fills it twice, first for the structure term and then for the
-cross-modal term (see `losses`). The indicator is the embedding form: one
-exp of the batch's cosine matrix into the view, where the similarity form
-takes a similarity matrix and two softmaxes. A fresh 1.28 MB array per step
-(at B = 400) would lie above glibc's mmap threshold, so it would be mapped
-and page-faulted anew unless an earlier large free had happened to raise
-that dynamic threshold; with the run's buffer the step's speed does not
-depend on what was freed before it. ``train_epoch`` called without it has
-each step and estimate allocate its own. A batch's features are gathered
+``RunState.work`` is the run's one B x B work buffer, a flat float64 array
+of B^2 entries (B the largest batch ``batch_schedule`` cuts) that
+``init_state`` allocates: every training step (``grad_total``) and every
+cross-modal indicator (``embedding_indicator``) writes its B x B
+intermediates into its own ``bxb_view`` of it; `losses` says why the buffer
+belongs to the run and not to the step. A batch's features are gathered
 from the split as it is needed, the texts through
 ``PairDataset.paired_txt``, so no epoch copies the presented texts, and
 label estimation keeps one batch's embeddings alive at a time.
@@ -190,23 +182,26 @@ class Network:
 @dataclass
 class RunState:
     """Mutable training state: networks, their optimizer state and label
-    stores, epoch counter.
+    stores, the B x B work buffer, epoch counter.
 
     ``adam[k]`` is the ``AdamState`` over ``nets[k].theta``; a checkpoint
     copies the networks' weights only.
     ``labels[k]`` weights the losses of ``nets[k]`` and is estimated from
     the other network's outputs (from its own in single-network mode).
+    ``work`` is the flat array of B^2 float64 entries, B the largest batch,
+    that every step and label estimate overwrites.
     """
 
     nets: list
     adam: list
     labels: list
+    work: np.ndarray
     epoch: int = 0
 
 
 def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
-    """Fresh networks (differing only by init stream), zero Adam moments and
-    all-ones labels.
+    """Fresh networks (differing only by init stream), zero Adam moments,
+    all-ones labels and the work buffer for ``cfg.batch_size`` over ``train_ds``.
 
     Validates ``cfg``, which need not be resolved: no mode override changes
     the networks.
@@ -224,7 +219,10 @@ def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
             txt_enc=Encoder.init(dims_txt, derive_rng(cfg.seed, "init", k, "txt")),
         ))
     adam = [AdamState(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta)) for net in nets]
-    return RunState(nets=nets, adam=adam, labels=[SoftLabels.ones(train_ds.n) for _ in nets])
+    # a schedule's batch sizes do not depend on its generator
+    largest = max(idx.size for idx in batch_schedule(train_ds.n, cfg.batch_size, derive_rng(0)))
+    return RunState(nets=nets, adam=adam, labels=[SoftLabels.ones(train_ds.n) for _ in nets],
+                    work=np.empty(largest * largest))
 
 
 def check_split_sizes(mode: str, train_ds: PairDataset, dev_ds: PairDataset,
@@ -303,6 +301,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     est_cm = np.ones(n)
     y_im = np.ones(n)
     scores = np.zeros(n)
+    y = labels.y
     for b_i, idx in enumerate(schedule):
         try:
             e_i, e_t = encode_pair(src.img_enc, src.txt_enc, ds.img[idx], ds.paired_txt(idx))
@@ -312,7 +311,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
         if spec.use_cm:
             est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1, work)
         if spec.use_im:
-            scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, labels.y[idx])
+            scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, y[idx])
         del e_i, e_t
     if spec.use_im:
         gmm = gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor)
@@ -321,17 +320,16 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
 
 
 def _next_labels(state: RunState, ds: PairDataset, schedules, cfg: TrainConfig,
-                 beta1: float, beta2: float, work) -> list:
+                 beta1: float, beta2: float) -> list:
     """Every network's next label store, network k's estimated from the
     network after it (itself when it is the only one) on ``schedules[k]``."""
     n_nets = len(state.nets)
     return [_estimate_labels(state.labels[k], state.nets[(k + 1) % n_nets], ds, schedules[k],
-                             cfg, beta1, beta2, state.epoch, work)
+                             cfg, beta1, beta2, state.epoch, state.work)
             for k in range(n_nets)]
 
 
-def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
-                work: np.ndarray | None = None) -> dict:
+def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dict:
     """Run epoch ``state.epoch`` of the schedule under ``cfg.resolved()``.
 
     Every network trains on its labels as they stand at epoch start. In a
@@ -341,10 +339,8 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
     and are smoothed by momentum. A warm-up epoch leaves the unit labels
     alone; after the last one, each store is seeded with raw estimates
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
-    without estimators keep unit labels throughout. ``work`` is the run's
-    flat work array of at least B^2 float64 entries for the largest batch
-    B, the one B x B buffer that every step and estimate overwrites; without
-    it each step and estimate allocates its own.
+    without estimators keep unit labels throughout. Every step and estimate
+    overwrites ``state.work``.
     """
     cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]
@@ -355,16 +351,16 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig,
                  for k in range(len(state.nets))]
     new_labels = state.labels
     if spec.estimates and epoch >= cfg.warmup_epochs:
-        new_labels = _next_labels(state, train_ds, schedules, cfg, cfg.beta1, cfg.beta2, work)
+        new_labels = _next_labels(state, train_ds, schedules, cfg, cfg.beta1, cfg.beta2)
     cm_sum, im_sum = 0.0, 0.0
     for net, adam, labels, schedule in zip(state.nets, state.adam, state.labels, schedules):
-        c, i = _train_net_over(net, adam, train_ds, labels.y, schedule, lr, cfg, epoch, work)
+        c, i = _train_net_over(net, adam, train_ds, labels.y, schedule, lr, cfg, epoch, state.work)
         cm_sum += c
         im_sum += i
     if spec.estimates and epoch == cfg.warmup_epochs - 1:
         seeding = [batch_schedule(n, cfg.batch_size, derive_rng(cfg.seed, "est-init", k))
                    for k in range(len(state.nets))]
-        new_labels = _next_labels(state, train_ds, seeding, cfg, 1.0, 1.0, work)
+        new_labels = _next_labels(state, train_ds, seeding, cfg, 1.0, 1.0)
     state.labels = new_labels
     state.epoch += 1
     n_batches = sum(len(schedule) for schedule in schedules)
@@ -428,12 +424,9 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
     n_epochs = cfg.warmup_epochs + cfg.epochs
     label_history = ({key: np.empty((n_epochs, train_ds.n)) for key in ("y", "y_cm", "y_im")}
                      if cfg.track_labels else None)
-    # a schedule's batch sizes do not depend on its generator
-    largest = max(idx.size for idx in batch_schedule(train_ds.n, cfg.batch_size, derive_rng(0)))
-    work = np.empty(largest * largest)
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
     for epoch in range(n_epochs):
-        loss = train_epoch(state, train_ds, cfg, work)
+        loss = train_epoch(state, train_ds, cfg)
         retr = evaluate_retrieval(state.nets, dev_ds)
         y_run = combined_labels(state.labels)
         det = detection_metrics(y_run, train_ds.noise_mask)

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,22 @@ def read_jsonl(path):
 GEN_ARGS = ["--n", "120", "--clusters", "6", "--d-latent", "6",
             "--d-img", "10", "--d-txt", "9", "--seed", "7"]
 FAST_TRAIN = ["--n", "160", "--epochs", "2", "--batch-size", "32", "--seed", "5"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),  # an explicit setting wins
+], ids=["unset", "openblas-2"])
+def test_importing_gsc_pins_blas_to_one_thread_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import os, gsc; print(' '.join(os.environ.get(v, '-') for v in {BLAS_VARS!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == want
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +315,9 @@ def test_train_missing_dataset_exits_2(tmp_path):
     ["gen", "--n", "0"],
     ["train", "--n", "50"],  # a dev split of 5, below the 10 that Recall@10 needs
     ["train", "--data", "nowhere"],
-], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data"])
+    ["sweep", "--n", "50", "--epochs", "1"],  # every cell's dev split has 5 samples
+], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data",
+        "sweep-small-split"])
 def test_a_rejected_command_creates_no_out_directory(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # "nowhere" names no file in it
     assert run_cli(*argv, "--out", "X") == 2

@@ -212,6 +212,20 @@ def test_structure_score_row_scale_invariance():
         assert scaled[i] == pytest.approx(base[i], abs=1e-10)
 
 
+def test_structure_score_scores_a_row_of_tiny_entries_by_its_direction():
+    rng = derive_rng(8, "ss-tiny")
+    a = rng.uniform(-1, 1, size=(5, 5))
+    c = rng.uniform(-1, 1, size=(5, 5))
+    y = rng.uniform(0.1, 1, size=5)
+    base = intra_structure_score(a, c, y)
+    tiny = a.copy()
+    tiny[2] *= 2.0 ** -565  # about 1e-170: its squares underflow to 0
+    assert np.array_equal(intra_structure_score(tiny, c, y), base)
+    a[2], tiny[2] = 1.0, 1e-170  # rows of one direction
+    assert intra_structure_score(tiny, c, y)[2] == pytest.approx(
+        intra_structure_score(a, c, y)[2], abs=1e-15)
+
+
 def test_structure_score_degenerate_flag():
     a = np.ones((3, 3))
     assert np.array_equal(intra_structure_score(a, a, np.zeros(3)), np.zeros(3))

@@ -65,12 +65,12 @@ def test_training_epoch_at_batch_400_allocates_little_beside_the_runs_buffer():
     ds = inject_noise(generate(GenSpec(n=2000, seed=3)), 0.4, derive_rng(3, "noise"))
     cfg = TrainConfig(batch_size=400, warmup_epochs=0, seed=3)
     state = init_state(cfg, ds)
-    work = np.empty(400 * 400)
+    assert state.work.size == 400 * 400
     # Measured: 1.27 B x B (1.63 MB), the step's B x d arrays and one
     # estimation batch. With a run buffer of two B x B arrays, one presented
     # copy of every text per epoch, two estimation batches alive at once and
     # fresh encode and backprop temporaries, it was 2.31.
-    assert _peak(train_epoch, state, ds, cfg, work) / work.nbytes < 1.5
+    assert _peak(train_epoch, state, ds, cfg) / state.work.nbytes < 1.5
 
 
 def test_softmax_rows_allocates_only_its_result():

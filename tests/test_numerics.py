@@ -96,6 +96,20 @@ def test_cosine_zero_norm_is_degenerate_not_error():
     assert cosine(np.ones(3), np.zeros(3)) == 0.0
 
 
+def test_cosine_of_tiny_or_huge_vectors_is_their_direction():
+    # the squares of 1e-300 underflow and those of 1e300 overflow
+    assert cosine(np.full(3, 1e-300), np.ones(3)) == pytest.approx(1.0, abs=1e-15)
+    assert cosine(np.ones(3), np.full(3, -1e-300)) == pytest.approx(-1.0, abs=1e-15)
+    assert cosine(np.full(3, 1e300), np.array([1.0, 0.0, 0.0])) == pytest.approx(
+        1.0 / math.sqrt(3.0), abs=1e-15)
+    # the scaling is by powers of two, so ordinary vectors keep every bit
+    rng = derive_rng(3, "cosine-bits")
+    for _ in range(N_CASES):
+        u, v = rng.standard_normal((2, 7)) * rng.uniform(0.01, 100.0, size=(2, 1))
+        plain = np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0)
+        assert cosine(u, v) == plain
+
+
 def test_cosine_length_mismatch():
     with pytest.raises(ValueError):
         cosine(np.ones(3), np.ones(4))

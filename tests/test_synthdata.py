@@ -202,9 +202,7 @@ def _load_oracle(path):
     img, txt = (np.load(path.with_suffix(f".{key}.npy"), allow_pickle=False)
                 for key in ("img", "txt"))
     return PairDataset(img=img, txt=txt, match_perm=np.asarray(head["perm"]),
-                       noise_mask=np.asarray(head["mask"]),
-                       cluster_ids=np.asarray(head["clusters"]),
-                       split_tag=head["meta"]["split"], meta=head["meta"])
+                       cluster_ids=np.asarray(head["clusters"]), meta=head["meta"])
 
 
 def _row_per_line(obj):
@@ -296,6 +294,7 @@ def test_load_dataset_equals_json_load(tmp_path, monkeypatch, tag, dump_kw, chun
     assert back.meta == oracle.meta
     for name in ARRAYS:
         assert np.array_equal(getattr(back, name), getattr(oracle, name)), name
+    assert back.noise_mask.tolist() == json.loads(path.read_text())["mask"]
     # the 0-row dev split keeps its width: (0, 48) and (0, 40)
     assert back.img.shape == (ds.n, 48) and back.txt.shape == (ds.n, 40)
     if dump_kw is not None:
@@ -384,6 +383,10 @@ LOADER_ERRORS = {
     "nan": (_resave("img", lambda m, _: np.where(m == m[3, 5], np.nan, m)),
             "image features contains non-finite entries"),
     "missing-key": (_edit_head(lambda h: h.pop("perm")), "missing key 'perm'"),
+    # the head's mask is a second copy of what its perm says
+    "mask-disagrees": (_edit_head(lambda h: h["mask"].__setitem__(3, True)),
+                       "mask inconsistent with"),
+    "mask-length": (_edit_head(lambda h: h["mask"].pop()), "mask"),
     "perm-not-a-list": (_edit_head(lambda h: h.__setitem__("perm", 5)),
                         "'perm' must be a JSON list, got 5"),
     "width-not-an-integer": (_edit_head(lambda h: h["meta"]["dims"].__setitem__("img", 48.0)),

@@ -86,8 +86,9 @@ def test_batch_schedule_covers_and_merges_singleton():
     assert np.array_equal(np.sort(seen), np.arange(33))
     again = batch_schedule(33, 16, derive_rng(0, "sched"))
     assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
-    # run sizes its work buffer by the largest batch of a schedule cut with
-    # any generator: the batch sizes depend on n and the batch size alone
+    # init_state sizes the run's work buffer by the largest batch of a
+    # schedule cut with any generator: the batch sizes depend on n and the
+    # batch size alone
     for n, size in itertools.product((2, 3, 16, 17, 33, 48, 2000, 2001), (2, 16, 128, 400)):
         sizes = [c.size for c in batch_schedule(n, size, rng)]
         assert sizes == [c.size for c in batch_schedule(n, size, derive_rng(n, size))]
@@ -120,6 +121,9 @@ def test_init_state_networks_differ_and_labels_cross():
     assert state.adam[0].m is not state.adam[1].m
     single = init_state(small_cfg(mode="single_net"), train)
     assert len(single.nets) == 1 and len(single.labels) == 1 and len(single.adam) == 1
+    # one B x B buffer for the largest batch, a trailing singleton merged in
+    for batch_size, largest in ((train.n, train.n), (train.n - 1, train.n), (16, 16)):
+        assert init_state(small_cfg(batch_size=batch_size), train).work.size == largest ** 2
 
 
 def test_network_is_one_theta_with_encoder_views():

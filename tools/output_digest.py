@@ -35,8 +35,9 @@ loaded array unchanged, so the digests of two checkouts diff empty:
 
 The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 ``gsc train --dump-labels`` run, the same gsc run with every train pair
-mismatched (``--rho 1.0``, so one detection class is empty), the
-benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
+mismatched (``--rho 1.0``, so one detection class is empty), a small
+``gsc sweep`` of two modes at two noise rates (``SMALL_SWEEP``, so its
+``summary.csv`` is digested too), the benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
 dataset (``gen_argv``, ``train_argv`` and ``WORKLOADS``, taken from the
 ``perfbench/run.py`` beside this tool, so the two cannot drift apart), and
 ``gsc fdcheck --seeds 3``, whose stdout (each
@@ -59,6 +60,8 @@ from pathlib import Path
 
 SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "32",
                "--seed", "7", "--dump-labels"]
+SMALL_SWEEP = ["--n", "300", "--rhos", "0,0.4", "--modes", "gsc,baseline", "--epochs", "2",
+               "--seed", "7"]
 DATA = "data"
 SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
 LABEL_FIELDS = ("y", "y_cm", "y_im")
@@ -88,6 +91,7 @@ def cells(out: Path) -> list:
              for mode in MODES for warmup in (0, 1, 2)]
     argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--rho", "1.0",
                   "--out", str(out / "train_gsc_rho1")])
+    argvs.append(["sweep", *SMALL_SWEEP, "--out", str(out / "sweep")])
     data = out / DATA
     argvs.append(bench.gen_argv(BENCH_SEED, data))
     argvs += [[*bench.train_argv(name, BENCH_SEED, data), "--out", str(out / name)]
