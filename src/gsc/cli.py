@@ -4,7 +4,10 @@ Subcommands: gen, train, sweep, fdcheck, report. A flat JSON config file can
 set any training or generation key; explicit flags override file values,
 which override the built-in defaults. Every float array a command writes
 (a split's matrices, a checkpoint's ``theta``, the ``--dump-labels`` arrays)
-is a ``.npy`` file beside a JSON head, written by ``numerics.write_arrays``.
+is a ``.npy`` file beside a JSON head, written by ``numerics.write_arrays``;
+the label dump is written as the run goes, one epoch's row at a time through
+``numerics.ArrayRowWriter``, so no more than one epoch's labels are held,
+and a ``train`` that fails leaves no ``labels.*`` file.
 Exit codes: 0 success, 1 check failure, 2 usage/input error or an output
 path that cannot be written, 3 numerical abort.
 """
@@ -12,6 +15,7 @@ path that cannot be written, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -24,8 +28,8 @@ from .evalmetrics import (CSV_COLUMNS, RECALL_KS, DetectionReport, RetrievalRepo
                           assemble_report, csv_row)
 from .losses import fd_check
 from .model import Encoder, save_encoder
-from .numerics import (NumericalError, derive_rng, json_entry, read_json_object, require_int,
-                       require_positive, require_real, require_unit_interval, write_arrays)
+from .numerics import (ArrayRowWriter, NumericalError, derive_rng, json_entry, read_json_object,
+                       require_int, require_positive, require_real, require_unit_interval)
 from .synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from .trainer import MODES, TrainConfig, check_split_sizes, evaluate_retrieval, run
 
@@ -41,6 +45,7 @@ DEFAULTS = {
     "f_test": 0.1,
     "rho": 0.0,
     **{k: getattr(TrainConfig(), k) for k in TRAIN_KEYS},
+    "track_labels": False,  # train writes the label dump (`_label_dump`)
 }
 
 
@@ -178,11 +183,22 @@ def _cell_inputs(cfg: dict, mode: str, rho: float, seed: int, splits=None):
     return tc, splits
 
 
-def _run_cell(tc: TrainConfig, splits):
+def _run_cell(tc: TrainConfig, splits, on_labels=None):
     """Train one cell and evaluate its best checkpoint on test."""
     train, dev, test = splits
-    result = run(tc, train, dev)
+    result = run(tc, train, dev, on_labels)
     return result, evaluate_retrieval(result.best_nets, test)
+
+
+def _label_dump(out: Path, tc: TrainConfig, train) -> ArrayRowWriter:
+    """The writer of the label dump in ``out``: ``labels.json`` holds the
+    train split's noise mask and ``labels.{y,y_cm,y_im}.npy`` one row per
+    epoch of ``tc``'s resolved schedule, each row appended by ``run``'s
+    ``on_labels`` sink as its epoch ends."""
+    resolved = tc.resolved()
+    return ArrayRowWriter(out / "labels.json", {"noise_mask": train.noise_mask.tolist()},
+                          ("y", "y_cm", "y_im"),
+                          (resolved.warmup_epochs + resolved.epochs, train.n))
 
 
 def cmd_train(args) -> int:
@@ -194,24 +210,23 @@ def cmd_train(args) -> int:
         rho = float(splits[0].meta.get("rho", rho))
     tc, splits = _cell_inputs(cfg, mode, rho, seed, splits)
     out = out_root(args)  # before training, so an unwritable --out exits 2 at once
-    result, test_retr = _run_cell(tc, splits)
-
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for row in result.history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    report = assemble_report(test_retr, result.detection, {
-        "mode": mode, "rho": rho, "seed": seed,
-        "best_epoch": result.best_epoch,
-        "best_dev_recall_sum": result.best_recall_sum,
-    })
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-    for net in result.best_nets:
-        for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
-            save_encoder(enc, out / f"ckpt_{net.name}_{modality}.json")
-    if result.label_history is not None:  # kept when the merged ``track_labels`` is true
-        write_arrays(out / "labels.json", {"noise_mask": splits[0].noise_mask.tolist()},
-                     result.label_history)
+    # the dump is deleted again if the command fails before its last output
+    dump = _label_dump(out, tc, splits[0]) if cfg["track_labels"] else None
+    with dump if dump is not None else contextlib.nullcontext():
+        result, test_retr = _run_cell(tc, splits, None if dump is None else dump.append)
+        with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
+            for row in result.history:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        report = assemble_report(test_retr, result.detection, {
+            "mode": mode, "rho": rho, "seed": seed,
+            "best_epoch": result.best_epoch,
+            "best_dev_recall_sum": result.best_recall_sum,
+        })
+        with open(out / "report.json", "w", encoding="utf-8") as fh:
+            json.dump(report, fh, sort_keys=True, indent=2)
+        for net in result.best_nets:
+            for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
+                save_encoder(enc, out / f"ckpt_{net.name}_{modality}.json")
     print(f"mode={mode} rho={rho} seed={seed} "
           f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
           f"-> {out / 'report.json'}")
@@ -360,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--beta2", type=float)
     p_train.add_argument("--warmup", type=int, dest="warmup_epochs")
     p_train.add_argument("--dump-labels", action="store_const", const=True, dest="track_labels",
-                         help="keep every epoch's labels and write them to labels.json "
-                         "and labels.{y,y_cm,y_im}.npy")
+                         help="write every epoch's labels, as the epoch ends, to "
+                         "labels.json and labels.{y,y_cm,y_im}.npy")
     p_train.add_argument("--config")
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)

@@ -11,12 +11,13 @@ condition of the package's public functions is checked by one function here
 ``require_unit_interval``, ``require_unit_rows``). Every JSON input file is
 read by ``read_json_object`` and its entries are taken by ``json_entry``;
 their errors name the file and the key. Every float array file is written
-by ``write_arrays``, a JSON head plus one ``np.save`` file per array beside
-it (``array_path``), and read back by ``read_array``, which never unpickles
-and accepts only float64 of the expected shape. ``softmax_into`` is the
-max-shifted softmax kernel of a general matrix; ``exp_cosines_into`` is the
-kernel of a cosine matrix, whose known bound lets one exp give both its row
-and its column softmax.
+by ``write_arrays``, a JSON head plus one ``.npy`` file per array beside
+it (``array_path``) in the bytes ``np.save`` writes, or row by row in the
+same bytes by ``ArrayRowWriter``, and read back by ``read_array``, which
+never unpickles and accepts only float64 of the expected shape.
+``softmax_into`` is the max-shifted softmax kernel of a general matrix;
+``exp_cosines_into`` is the kernel of a cosine matrix, whose known bound
+lets one exp give both its row and its column softmax.
 ``bxb_view`` cuts a batch's one B x B buffer from a run's flat work array
 (`losses` says why a run keeps one). ``scale_rows_pow2`` scales each row by
 a power of two so that its squares neither underflow nor overflow.
@@ -37,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "AdamState",
+    "ArrayRowWriter",
     "NumericalError",
     "adam_step",
     "array_path",
@@ -170,14 +172,101 @@ def array_path(path, key: str) -> Path:
     return Path(path).with_suffix(f".{key}.npy")
 
 
-def write_arrays(path, head: dict, arrays: dict) -> None:
-    """Write ``head`` as one line of JSON, keys sorted, to ``path`` and each
-    array of ``arrays``, as float64, beside it with ``np.save`` (``array_path``);
-    the same arguments write the same bytes."""
+_FLOAT64_DESCR = np.lib.format.dtype_to_descr(np.dtype(float))
+
+
+def _write_head(path, head: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, sort_keys=True) + "\n")
+
+
+def _open_npy(path, shape: tuple):
+    """``path`` opened for writing after the header ``np.save`` writes for a
+    C-order float64 array of ``shape``; the array's bytes, written in C order
+    with ``tofile``, complete the file."""
+    fh = open(path, "wb")
+    np.lib.format.write_array_header_1_0(fh, {"descr": _FLOAT64_DESCR, "fortran_order": False,
+                                              "shape": shape})
+    return fh
+
+
+def write_arrays(path, head: dict, arrays: dict) -> None:
+    """Write ``head`` as one line of JSON, keys sorted, to ``path`` and each
+    array of ``arrays``, as float64 in C order, beside it (``array_path``):
+    the bytes ``np.save`` writes for any array that is not Fortran-ordered.
+    The same arguments write the same bytes."""
+    _write_head(path, head)
     for key, arr in arrays.items():
-        np.save(array_path(path, key), np.asarray(arr, dtype=float))
+        arr = np.asarray(arr, dtype=float)
+        with _open_npy(array_path(path, key), arr.shape) as fh:
+            arr.tofile(fh)
+
+
+class ArrayRowWriter:
+    """The files ``write_arrays(path, head, arrays)`` writes, for arrays of
+    ``shape`` (rows, n) whose rows arrive one at a time, so that no row is
+    kept once written.
+
+    Opening writes ``head`` and each key's ``.npy`` header for ``shape``;
+    ``append`` writes the next row of every array, given as {key: n-vector}.
+    ``close`` after ``shape[0]`` rows leaves what ``write_arrays`` writes for
+    the stacked rows. A row of another length, a row after the last and
+    ``close`` before the last row raise ValueError and delete every file of
+    the set, as does leaving a ``with`` block by an exception.
+    """
+
+    def __init__(self, path, head: dict, keys, shape: tuple):
+        self.path = Path(path)
+        self.keys = tuple(keys)
+        self.shape = tuple(int(s) for s in shape)  # a numpy integer would print into the header
+        self.rows = 0
+        self.files = {}
+        try:
+            _write_head(self.path, head)
+            for key in self.keys:
+                self.files[key] = _open_npy(array_path(self.path, key), self.shape)
+        except BaseException:
+            self.discard()
+            raise
+
+    def _fail(self, message: str):
+        self.discard()
+        raise ValueError(f"{self.path.name}: {message}")
+
+    def append(self, rows: dict) -> None:
+        if self.rows == self.shape[0]:
+            self._fail(f"a row after the last of {self.shape[0]}")
+        rows = {key: np.asarray(rows[key], dtype=float) for key in self.keys}
+        for key, row in rows.items():
+            if row.shape != self.shape[1:]:
+                self._fail(f"row {self.rows} of {key!r} has shape {row.shape}, "
+                           f"expected {self.shape[1:]}")
+        for key, row in rows.items():
+            row.tofile(self.files[key])
+        self.rows += 1
+
+    def close(self) -> None:
+        if self.rows < self.shape[0]:
+            self._fail(f"closed after {self.rows} of {self.shape[0]} rows")
+        for fh in self.files.values():
+            fh.close()
+
+    def discard(self) -> None:
+        """Close and delete every file of the set."""
+        for fh in self.files.values():
+            fh.close()
+        for path in (self.path, *(array_path(self.path, key) for key in self.keys)):
+            if path.is_file():
+                path.unlink()
+
+    def __enter__(self) -> "ArrayRowWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
 
 def read_array(path, shape: tuple) -> np.ndarray:

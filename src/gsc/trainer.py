@@ -101,7 +101,10 @@ class TrainConfig:
 
     Defaults: temperatures (0.07, 1), loss balance 0.01, label momentum 0.7,
     batch 128, step decay x0.2 at epoch 15; learning rate and encoder sizes
-    are chosen for desk-scale synthetic data.
+    are chosen for desk-scale synthetic data. Recording the labels is not a
+    knob of the run: ``run`` hands each epoch's labels to its ``on_labels``
+    sink, through which ``gsc train --dump-labels`` writes them as the run
+    goes.
     """
 
     tau1: float = 0.07
@@ -121,7 +124,6 @@ class TrainConfig:
     hidden_dims: tuple = (64,)
     gmm_iters: int = 50
     gmm_floor: float = 1e-4
-    track_labels: bool = False
 
     def validate(self) -> None:
         require_cosine_temperature(self.tau1, "tau1")
@@ -229,13 +231,13 @@ def check_split_sizes(mode: str, train_ds: PairDataset, dev_ds: PairDataset,
                       test_ds: PairDataset | None = None) -> None:
     """Reject, before any training, a split too small for ``mode``.
 
-    Dev and test are scored by Recall@10, so each needs 10 samples; a mode
-    that fits the structure-score mixture over the train split needs
-    ``GMM_MIN_SCORES`` train samples. The ValueError names the first split
-    that falls short and its minimum.
+    Dev and test are scored by Recall@10, so each needs 10 samples; every
+    mode trains on at least 1 train sample, and a mode that fits the
+    structure-score mixture over the train split needs ``GMM_MIN_SCORES``.
+    The ValueError names the first split that falls short and its minimum.
     """
     n_eval = max(RECALL_KS)
-    minimums = (("train", train_ds, GMM_MIN_SCORES if MODE_SPECS[mode].use_im else 0),
+    minimums = (("train", train_ds, GMM_MIN_SCORES if MODE_SPECS[mode].use_im else 1),
                 ("dev", dev_ds, n_eval), ("test", test_ds, n_eval))
     for name, ds, minimum in minimums:
         if ds is not None and ds.n < minimum:
@@ -393,9 +395,8 @@ class RunResult:
     ``history`` has one row per epoch (warm-up included) with the keys
     {epoch, mode, loss_cm, loss_im, dev_r1_i2t, dev_r1_t2i, recall_sum,
     det_acc, det_auc}; ``detection`` is the last epoch's detection report.
-    ``label_history``, kept when ``track_labels`` is on, is {y, y_cm, y_im},
-    each an (epochs, n) float64 array: row e holds epoch e's labels (warm-up
-    included), the mean over the networks, and column i is train sample i.
+    Per-epoch labels are not kept here: ``run`` hands each epoch's to its
+    ``on_labels`` sink.
     """
 
     history: list
@@ -404,28 +405,31 @@ class RunResult:
     best_nets: list
     labels: list
     detection: DetectionReport
-    label_history: dict | None = None
 
 
-def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResult:
+def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
+        on_labels=None) -> RunResult:
     """Warm-up, cfg.epochs co-training epochs, per-epoch dev evaluation.
 
     Model selection keeps the network snapshot with the best dev recall sum;
     ``validate`` guarantees at least one epoch, and a recall sum is at least
     0, so the first epoch always sets one. Identical (cfg, data) reproduce the
-    metric history bit-exactly.
+    metric history bit-exactly. After each epoch (warm-up included) the sink
+    ``on_labels``, when given, is called with {y, y_cm, y_im}: that epoch's
+    combined, cross-modal and intra-modal labels, each the mean over the
+    networks as an n-vector indexed by train sample. ``run`` keeps none of
+    them, so a sink that writes each row out holds one epoch's labels at a
+    time.
     """
     train_ds.validate()
     dev_ds.validate()
-    state = init_state(cfg, train_ds)  # validates cfg
+    cfg.validate()
     check_split_sizes(cfg.mode, train_ds, dev_ds)
+    state = init_state(cfg, train_ds)
     cfg = cfg.resolved()
     history = []
-    n_epochs = cfg.warmup_epochs + cfg.epochs
-    label_history = ({key: np.empty((n_epochs, train_ds.n)) for key in ("y", "y_cm", "y_im")}
-                     if cfg.track_labels else None)
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
-    for epoch in range(n_epochs):
+    for epoch in range(cfg.warmup_epochs + cfg.epochs):
         loss = train_epoch(state, train_ds, cfg)
         retr = evaluate_retrieval(state.nets, dev_ds)
         y_run = combined_labels(state.labels)
@@ -441,15 +445,12 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset) -> RunResu
             "det_acc": det.accuracy,
             "det_auc": det.auc,
         })
-        if label_history is not None:
-            label_history["y"][epoch] = y_run
-            for key in ("y_cm", "y_im"):
-                label_history[key][epoch] = np.mean([getattr(lb, key) for lb in state.labels],
-                                                    axis=0)
+        if on_labels is not None:
+            on_labels({"y": y_run, **{key: np.mean([getattr(lb, key) for lb in state.labels],
+                                                   axis=0) for key in ("y_cm", "y_im")}})
         if retr.recall_sum > best_recall_sum:
             best_recall_sum = retr.recall_sum
             best_epoch = epoch
             best_nets = [net.copy() for net in state.nets]
     return RunResult(history=history, best_epoch=best_epoch, best_recall_sum=best_recall_sum,
-                     best_nets=best_nets, labels=state.labels, detection=det,
-                     label_history=label_history)
+                     best_nets=best_nets, labels=state.labels, detection=det)

@@ -316,10 +316,14 @@ def test_train_missing_dataset_exits_2(tmp_path):
     ["train", "--n", "50"],  # a dev split of 5, below the 10 that Recall@10 needs
     ["train", "--data", "nowhere"],
     ["sweep", "--n", "50", "--epochs", "1"],  # every cell's dev split has 5 samples
+    # no train sample at all, which even a mode without label estimation needs
+    ["train", "--mode", "baseline", "--n", "40", "--epochs", "1", "--config", "no-train.json"],
 ], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data",
-        "sweep-small-split"])
+        "sweep-small-split", "train-empty-train-split"])
 def test_a_rejected_command_creates_no_out_directory(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # "nowhere" names no file in it
+    (tmp_path / "no-train.json").write_text(json.dumps({"f_train": 0.0, "f_dev": 0.5,
+                                                        "f_test": 0.5}))
     assert run_cli(*argv, "--out", "X") == 2
     assert not (tmp_path / "X").exists()
 
@@ -336,34 +340,69 @@ def test_train_no_ensemble_maps_to_long_warmup(tmp_path):
 LABEL_FILES = ["labels.json", "labels.y.npy", "labels.y_cm.npy", "labels.y_im.npy"]
 
 
-def test_train_dump_labels(tmp_path, monkeypatch):
-    results = []
-
-    def keeping(*args):
-        results.append(cli_run(*args))
-        return results[-1]
-
-    cli_run = cli.run
-    monkeypatch.setattr(cli, "run", keeping)
+@pytest.mark.parametrize("mode, n_epochs", [
+    ("gsc", 1 + 2),
+    ("no_ensemble", 5 + 2),  # the mode's 5 warm-up epochs replace the configured 1
+], ids=["gsc", "no_ensemble"])
+def test_train_dump_labels(tmp_path, mode, n_epochs):
+    argv = ["train", *FAST_TRAIN, "--rho", "0.5", "--mode", mode, "--dump-labels"]
     out = tmp_path / "run"
-    assert run_cli("train", *FAST_TRAIN, "--rho", "0.5", "--out", str(out),
-                   "--dump-labels") == 0
+    assert run_cli(*argv, "--out", str(out)) == 0
     assert sorted(p.name for p in out.glob("labels.*")) == sorted(LABEL_FILES)
+    # the rows a direct run of the same cell hands its sink
+    cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    train, dev, _ = cli.build_splits(cfg, *cli.seed_and_rho(cfg))
+    rows = []
+    trainer.run(cli.train_config_from(cfg), train, dev, rows.append)
+    assert len(rows) == n_epochs
     head = json.loads((out / "labels.json").read_text())
-    assert sorted(head) == ["noise_mask"]
+    assert head == {"noise_mask": train.noise_mask.tolist()} and any(head["noise_mask"])
     n_train = 128  # 160 * default f_train 0.8
-    assert len(head["noise_mask"]) == n_train and any(head["noise_mask"])
-    (result,) = results
     for key in ("y", "y_cm", "y_im"):
         dumped = np.load(out / f"labels.{key}.npy", allow_pickle=False)
-        assert dumped.dtype == np.float64 and dumped.shape == (3, n_train)  # 1 warm-up + 2
-        assert np.array_equal(dumped, result.label_history[key])
+        assert dumped.dtype == np.float64 and dumped.shape == (n_epochs, n_train)
+        assert np.array_equal(dumped, np.stack([row[key] for row in rows]))
     # a rerun writes the same bytes
     again = tmp_path / "again"
-    assert run_cli("train", *FAST_TRAIN, "--rho", "0.5", "--out", str(again),
-                   "--dump-labels") == 0
+    assert run_cli(*argv, "--out", str(again)) == 0
     for name in LABEL_FILES:
         assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def _abort_at_epoch_2(monkeypatch, out):
+    """Make training raise NumericalError as epoch 2 starts, after the dump
+    has two rows on disk."""
+    train_epoch = trainer.train_epoch
+
+    def aborting(state, *args):
+        if state.epoch == 2:
+            row_bytes = (out / "labels.y.npy").stat().st_size - 128  # a 128-byte .npy header
+            assert row_bytes == 2 * 128 * 8  # two rows of the 128 train samples
+            raise NumericalError("epoch 2, net A, batch 0: non-finite values in the loss")
+        return train_epoch(state, *args)
+
+    monkeypatch.setattr(trainer, "train_epoch", aborting)
+
+
+def _report_is_a_directory(monkeypatch, out):
+    (out / "report.json").mkdir(parents=True)
+
+
+@pytest.mark.parametrize("argv, make_fail, code, message", [
+    (["--tau2", "1e-300"], None, 3, "numerical abort: epoch 0, net A, batch 0"),
+    ([], _abort_at_epoch_2, 3, "numerical abort: epoch 2, net A, batch 0"),
+    # the run ends, then an output cannot be written
+    ([], _report_is_a_directory, 2, "cannot write output: "),
+], ids=["abort-at-epoch-0", "abort-at-epoch-2", "unwritable-report"])
+def test_a_failed_train_leaves_no_label_dump(tmp_path, monkeypatch, capsys, argv, make_fail,
+                                             code, message):
+    out = tmp_path / "o"
+    if make_fail:
+        make_fail(monkeypatch, out)
+    with np.errstate(all="ignore"):
+        assert run_cli("train", *FAST_TRAIN, *argv, "--dump-labels", "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert out.is_dir() and not any(out.glob("labels.*"))
 
 
 def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):
@@ -407,6 +446,7 @@ def test_a_flag_overrides_its_config_key(tmp_path):
     (30, {}, "dev", 10),  # 24/3/3 samples
     (40, {"f_train": 0.4, "f_dev": 0.5, "f_test": 0.1}, "test", 10),  # 16/20/4
     (23, {"f_train": 0.1, "f_dev": 0.45, "f_test": 0.45}, "train", 4),  # 3/10/10
+    (40, {"mode": "baseline", "f_train": 0.0, "f_dev": 0.5, "f_test": 0.5}, "train", 1),  # 0/20/20
 ])
 def test_train_rejects_too_small_split_before_training(tmp_path, capsys, n, split_cfg,
                                                        split_name, minimum):

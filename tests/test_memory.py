@@ -1,5 +1,5 @@
 """Peak allocation of the per-step kernels and of a training epoch, in B x B
-float64 arrays, and of loading a dataset split.
+float64 arrays, of a whole run's label sink, and of loading a dataset split.
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call,
 with its inputs allocated beforehand, counts the temporaries the call makes.
@@ -8,13 +8,14 @@ with its inputs allocated beforehand, counts the temporaries the call makes.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from gsc.discrimination import embedding_indicator, embedding_structure_score
 from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
 from gsc.numerics import derive_rng, softmax_rows
-from gsc.synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset
-from gsc.trainer import TrainConfig, init_state, train_epoch
+from gsc.synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
+from gsc.trainer import TrainConfig, init_state, run, train_epoch
 
 B, D = 256, 32
 
@@ -71,6 +72,20 @@ def test_training_epoch_at_batch_400_allocates_little_beside_the_runs_buffer():
     # copy of every text per epoch, two estimation batches alive at once and
     # fresh encode and backprop temporaries, it was 2.31.
     assert _peak(train_epoch, state, ds, cfg) / state.work.nbytes < 1.5
+
+
+@pytest.mark.parametrize("epochs", [2, 24])
+def test_a_run_holds_no_epoch_of_labels_its_sink_has_dropped(epochs):
+    ds = generate(GenSpec(n=400, seed=5))
+    train, dev, _ = split(ds, 0.8, 0.1, 0.1, derive_rng(5, "split"))
+    train = inject_noise(train, 0.4, derive_rng(5, "noise"))
+    cfg = TrainConfig(epochs=epochs, batch_size=64, hidden_dims=(16,), embed_dim=8, seed=5)
+    without = _peak(run, cfg, train, dev)
+    with_sink = _peak(run, cfg, train, dev, lambda labels: None)
+    # Each epoch's three label vectors live only until the sink returns, so
+    # the sink's cost is a few n-vectors at any epoch count; a run that kept
+    # every epoch's labels would add 3 * (1 + epochs) of them.
+    assert with_sink - without < 4 * train.n * 8
 
 
 def test_softmax_rows_allocates_only_its_result():

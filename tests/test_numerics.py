@@ -1,11 +1,13 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from gsc.model import Encoder, param_views
-from gsc.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericalError,
-                          adam_step, cosine, derive_rng, softmax_rows)
+from gsc.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ArrayRowWriter,
+                          NumericalError, adam_step, array_path, cosine, derive_rng,
+                          read_array, softmax_rows, write_arrays)
 
 N_CASES = 120
 
@@ -221,3 +223,100 @@ def test_derived_rng_streams_are_stable_and_independent():
     c = derive_rng(42, "batches", 3, 1).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _saved_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def test_write_arrays_writes_the_bytes_of_np_save(tmp_path):
+    rng = derive_rng(6, "arrays")
+    m = rng.standard_normal((5, 7))
+    arrays = {"m": m, "v": rng.standard_normal(11), "cols": m[:, ::2], "ints": [1, 2, 3]}
+    write_arrays(tmp_path / "a.json", {"k": [1, 2]}, arrays)
+    assert (tmp_path / "a.json").read_text() == '{"k": [1, 2]}\n'
+    for key, arr in arrays.items():
+        expected = _saved_bytes(np.asarray(arr, dtype=float))
+        assert array_path(tmp_path / "a.json", key).read_bytes() == expected
+
+
+LABEL_KEYS = ("y", "y_cm", "y_im")
+
+
+def _label_rows(n_rows, n):
+    rng = derive_rng(n_rows, "rows")
+    return [{key: rng.uniform(0.0, 1.0, size=n) for key in LABEL_KEYS} for _ in range(n_rows)]
+
+
+def _files(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.mark.parametrize("n_rows", [1, 21])
+def test_row_writer_writes_what_write_arrays_writes_for_the_stacked_rows(tmp_path, n_rows):
+    n = 50
+    rows = _label_rows(n_rows, n)
+    head = {"noise_mask": [True, False]}
+    for name in ("rows", "whole"):
+        (tmp_path / name).mkdir()
+    with ArrayRowWriter(tmp_path / "rows" / "labels.json", head, LABEL_KEYS, (n_rows, n)) as writer:
+        for row in rows:
+            writer.append(row)
+    write_arrays(tmp_path / "whole" / "labels.json", head,
+                 {key: np.stack([row[key] for row in rows]) for key in LABEL_KEYS})
+    names = _files(tmp_path / "whole")
+    assert _files(tmp_path / "rows") == names == sorted(
+        ["labels.json", *(f"labels.{key}.npy" for key in LABEL_KEYS)])
+    for name in names:
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    for key in LABEL_KEYS:
+        read = read_array(tmp_path / "rows" / f"labels.{key}.npy", (n_rows, n))
+        assert np.array_equal(read[-1], rows[-1][key])
+
+
+def _short_row(writer, n):
+    writer.append({**_label_rows(1, n)[0], "y_cm": np.ones(n - 1)})
+
+
+def _long_row(writer, n):
+    writer.append({**_label_rows(1, n)[0], "y_im": np.ones(n + 1)})
+
+
+def _row_after_the_last(writer, n):
+    for row in _label_rows(4, n):
+        writer.append(row)
+
+
+def _early_close(writer, n):
+    writer.append(_label_rows(1, n)[0])
+    writer.close()
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (_short_row, r"row 0 of 'y_cm' has shape \(49,\), expected \(50,\)"),
+    (_long_row, r"row 0 of 'y_im' has shape \(51,\), expected \(50,\)"),
+    (_row_after_the_last, "a row after the last of 3"),
+    (_early_close, "closed after 1 of 3 rows"),
+], ids=["short-row", "long-row", "row-after-the-last", "early-close"])
+def test_row_writer_misuse_raises_and_leaves_no_file(tmp_path, misuse, message):
+    n = 50
+    writer = ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, n))
+    assert len(_files(tmp_path)) == 4
+    with pytest.raises(ValueError, match=f"labels.json: {message}"):
+        misuse(writer, n)
+    assert _files(tmp_path) == []
+
+
+def test_row_writer_leaves_no_file_when_its_block_raises(tmp_path):
+    with pytest.raises(NumericalError):
+        with ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, 5)) as writer:
+            writer.append(_label_rows(1, 5)[0])
+            raise NumericalError("epoch 1")
+    assert _files(tmp_path) == []
+    with pytest.raises(ValueError, match="closed after 2 of 3 rows"):
+        with ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, 5)) as writer:
+            for row in _label_rows(2, 5):
+                writer.append(row)
+    assert _files(tmp_path) == []

@@ -71,6 +71,11 @@ def test_run_rejects_small_splits_by_mode():
             run(small_cfg(mode=mode), tiny, dev)
     for mode in ("baseline", "cm_only"):
         assert len(run(small_cfg(mode=mode, epochs=1), tiny, dev).history) == 2
+    four = generate(GenSpec(n=4, n_clusters=2, d_latent=6, d_img=10, d_txt=9, seed=0))
+    empty, _, _ = split(four, 0.0, 0.5, 0.5, derive_rng(0, "split"))
+    for mode in ("baseline", "cm_only"):  # every mode needs a train sample
+        with pytest.raises(ValueError, match="train split has 0 samples.*at least 1"):
+            run(small_cfg(mode=mode), empty, dev)
     _, small_dev, _ = small_data(n=40)
     with pytest.raises(ValueError, match="dev split has 6 samples.*at least 10"):
         run(small_cfg(mode="baseline"), tiny, small_dev)
@@ -419,9 +424,10 @@ def test_run_zero_epochs_returns_warmup_state_only():
 
 def test_run_history_shape_and_determinism():
     train, dev, _ = small_data()
-    cfg = small_cfg(track_labels=True)
-    res1 = run(cfg, train, dev)
-    res2 = run(cfg, train, dev)
+    cfg = small_cfg()
+    rows1, rows2 = [], []
+    res1 = run(cfg, train, dev, rows1.append)
+    res2 = run(cfg, train, dev, rows2.append)
     assert len(res1.history) == cfg.warmup_epochs + cfg.epochs
     expected_keys = {"epoch", "mode", "loss_cm", "loss_im", "dev_r1_i2t",
                      "dev_r1_t2i", "recall_sum", "det_acc", "det_auc"}
@@ -429,13 +435,17 @@ def test_run_history_shape_and_determinism():
         assert set(row) == expected_keys
     assert res1.history == res2.history  # bit-exact
     assert res1.best_recall_sum == max(r["recall_sum"] for r in res1.history)
-    assert sorted(res1.label_history) == ["y", "y_cm", "y_im"]
-    for key, rows in res1.label_history.items():
-        assert rows.shape == (len(res1.history), train.n)
-        assert np.array_equal(rows, res2.label_history[key])
+    assert len(rows1) == len(res1.history)  # one sink call per epoch
+    for row, again in zip(rows1, rows2):
+        assert sorted(row) == ["y", "y_cm", "y_im"]
+        for key, labels in row.items():
+            assert labels.shape == (train.n,)
+            assert np.array_equal(labels, again[key])
     # the last row is the run's final labels, the mean over the networks
-    final = np.mean([lb.y for lb in res1.labels], axis=0)
-    assert np.array_equal(res1.label_history["y"][-1], final)
+    for key in ("y", "y_cm", "y_im"):
+        final = np.mean([getattr(lb, key) for lb in res1.labels], axis=0)
+        assert np.array_equal(rows1[-1][key], final)
+    assert run(cfg, train, dev).history == res1.history  # the sink changes nothing
 
 
 def test_run_best_checkpoint_reproduces_best_dev_score():
