@@ -6,8 +6,11 @@ which override the built-in defaults. Every float array a command writes
 (a split's matrices, a checkpoint's ``theta``, the ``--dump-labels`` arrays)
 is a ``.npy`` file beside a JSON head, written by ``numerics.write_arrays``;
 the label dump is written as the run goes, one epoch's row at a time through
-``numerics.ArrayRowWriter``, so no more than one epoch's labels are held,
-and a ``train`` that fails leaves no ``labels.*`` file.
+``numerics.ArrayRowWriter``, so no more than one epoch's labels are held.
+``gen`` and ``train`` write every output into a staging directory inside
+``--out`` and move the files into ``--out`` only when the command has
+succeeded (``staged``), so a failed ``gen`` or ``train`` leaves ``--out``
+holding the files it held before.
 Exit codes: 0 success, 1 check failure, 2 usage/input error or an output
 path that cannot be written, 3 numerical abort.
 """
@@ -20,7 +23,9 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -131,6 +136,30 @@ def out_root(args) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def staged(out: Path):
+    """A fresh staging directory ``out/.partial-*`` for a command's outputs.
+
+    When the block ends without an exception, each file of the staging
+    directory replaces its namesake in ``out``, after a check that none of
+    those names is a directory in ``out``; the staging directory is deleted
+    either way. So a command that fails, its outputs written or not, leaves
+    ``out`` holding the files it held before. This is the only code that
+    removes an output file.
+    """
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    try:
+        yield stage
+        names = sorted(p.name for p in stage.iterdir())
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(f"{out / name} is a directory")
+        for name in names:
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def build_splits(cfg: dict, seed: int, rho: float):
     """Generate, split, and inject noise into the train split only."""
     ds = generate(gen_spec_from(cfg, seed))
@@ -145,11 +174,7 @@ def cmd_gen(args) -> int:
     seed, rho = seed_and_rho(cfg)
     train, dev, test = build_splits(cfg, seed, rho)
     out = out_root(args)
-    files = {}
-    for tag, ds in (("train", train), ("dev", dev), ("test", test)):
-        path = out / f"{tag}.json"
-        save_dataset(ds, path)
-        files[tag] = path.name
+    files = {tag: f"{tag}.json" for tag in ("train", "dev", "test")}
     manifest = {
         "files": files,
         "rho": rho,
@@ -157,8 +182,11 @@ def cmd_gen(args) -> int:
         "spec": asdict(gen_spec_from(cfg, seed)),
         "splits": {k: cfg[k] for k in SPLIT_KEYS},
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True))
+    with staged(out) as stage:
+        for tag, ds in (("train", train), ("dev", dev), ("test", test)):
+            save_dataset(ds, stage / files[tag])
+        with open(stage / "manifest.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(manifest, sort_keys=True))
     print(f"wrote {out / 'manifest.json'} "
           f"(train={train.n}, dev={dev.n}, test={test.n}, "
           f"noisy={int(train.noise_mask.sum())})")
@@ -190,13 +218,13 @@ def _run_cell(tc: TrainConfig, splits, on_labels=None):
     return result, evaluate_retrieval(result.best_nets, test)
 
 
-def _label_dump(out: Path, tc: TrainConfig, train) -> ArrayRowWriter:
-    """The writer of the label dump in ``out``: ``labels.json`` holds the
+def _label_dump(directory: Path, tc: TrainConfig, train) -> ArrayRowWriter:
+    """The writer of the label dump in ``directory``: ``labels.json`` holds the
     train split's noise mask and ``labels.{y,y_cm,y_im}.npy`` one row per
     epoch of ``tc``'s resolved schedule, each row appended by ``run``'s
     ``on_labels`` sink as its epoch ends."""
     resolved = tc.resolved()
-    return ArrayRowWriter(out / "labels.json", {"noise_mask": train.noise_mask.tolist()},
+    return ArrayRowWriter(directory / "labels.json", {"noise_mask": train.noise_mask.tolist()},
                           ("y", "y_cm", "y_im"),
                           (resolved.warmup_epochs + resolved.epochs, train.n))
 
@@ -210,11 +238,12 @@ def cmd_train(args) -> int:
         rho = float(splits[0].meta.get("rho", rho))
     tc, splits = _cell_inputs(cfg, mode, rho, seed, splits)
     out = out_root(args)  # before training, so an unwritable --out exits 2 at once
-    # the dump is deleted again if the command fails before its last output
-    dump = _label_dump(out, tc, splits[0]) if cfg["track_labels"] else None
-    with dump if dump is not None else contextlib.nullcontext():
+    with staged(out) as stage:
+        dump = _label_dump(stage, tc, splits[0]) if cfg["track_labels"] else None
         result, test_retr = _run_cell(tc, splits, None if dump is None else dump.append)
-        with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
+        if dump is not None:
+            dump.close()
+        with open(stage / "metrics.jsonl", "w", encoding="utf-8") as fh:
             for row in result.history:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
         report = assemble_report(test_retr, result.detection, {
@@ -222,11 +251,11 @@ def cmd_train(args) -> int:
             "best_epoch": result.best_epoch,
             "best_dev_recall_sum": result.best_recall_sum,
         })
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
+        with open(stage / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
         for net in result.best_nets:
             for modality, enc in (("img", net.img_enc), ("txt", net.txt_enc)):
-                save_encoder(enc, out / f"ckpt_{net.name}_{modality}.json")
+                save_encoder(enc, stage / f"ckpt_{net.name}_{modality}.json")
     print(f"mode={mode} rho={rho} seed={seed} "
           f"test_rsum={test_retr.recall_sum:.1f} det_acc={result.detection.accuracy:.3f} "
           f"-> {out / 'report.json'}")
@@ -252,6 +281,9 @@ def cmd_sweep(args) -> int:
     for rho in rhos:
         require_unit_interval(rho, "rho")
     modes = comma_list(args.modes, str, "--modes")
+    for flag, values in (("--rhos", rhos), ("--modes", modes)):
+        if not values:
+            raise ValueError(f"{flag} names no value, so the grid has no cell")
     grid = [(mode, rho, _cell_seed(cfg["seed"], rho, mode)) for rho in rhos for mode in modes]
     for cell in grid:  # every cell's configuration and splits, one cell's data at a time
         _cell_inputs(cfg, *cell)

@@ -14,7 +14,9 @@ their errors name the file and the key. Every float array file is written
 by ``write_arrays``, a JSON head plus one ``.npy`` file per array beside
 it (``array_path``) in the bytes ``np.save`` writes, or row by row in the
 same bytes by ``ArrayRowWriter``, and read back by ``read_array``, which
-never unpickles and accepts only float64 of the expected shape.
+never unpickles and accepts only float64 of the expected shape. Neither
+writer removes a file it wrote; what a failed command leaves is decided by
+its caller (`cli.staged`).
 ``softmax_into`` is the max-shifted softmax kernel of a general matrix;
 ``exp_cosines_into`` is the kernel of a cosine matrix, whose known bound
 lets one exp give both its row and its column softmax.
@@ -208,11 +210,12 @@ class ArrayRowWriter:
     kept once written.
 
     Opening writes ``head`` and each key's ``.npy`` header for ``shape``;
-    ``append`` writes the next row of every array, given as {key: n-vector}.
-    ``close`` after ``shape[0]`` rows leaves what ``write_arrays`` writes for
-    the stacked rows. A row of another length, a row after the last and
-    ``close`` before the last row raise ValueError and delete every file of
-    the set, as does leaving a ``with`` block by an exception.
+    ``append`` adds the next row of every array, given as {key: n-vector},
+    to the end of its file, which is open only during the call. ``close``
+    after ``shape[0]`` rows leaves what ``write_arrays`` writes for the
+    stacked rows. A row of another length, a row after the last and
+    ``close`` before the last row raise ValueError naming the head; the
+    files written so far stay, and removing them is the caller's part.
     """
 
     def __init__(self, path, head: dict, keys, shape: tuple):
@@ -220,53 +223,26 @@ class ArrayRowWriter:
         self.keys = tuple(keys)
         self.shape = tuple(int(s) for s in shape)  # a numpy integer would print into the header
         self.rows = 0
-        self.files = {}
-        try:
-            _write_head(self.path, head)
-            for key in self.keys:
-                self.files[key] = _open_npy(array_path(self.path, key), self.shape)
-        except BaseException:
-            self.discard()
-            raise
-
-    def _fail(self, message: str):
-        self.discard()
-        raise ValueError(f"{self.path.name}: {message}")
+        _write_head(self.path, head)
+        for key in self.keys:
+            _open_npy(array_path(self.path, key), self.shape).close()
 
     def append(self, rows: dict) -> None:
         if self.rows == self.shape[0]:
-            self._fail(f"a row after the last of {self.shape[0]}")
+            raise ValueError(f"{self.path.name}: a row after the last of {self.shape[0]}")
         rows = {key: np.asarray(rows[key], dtype=float) for key in self.keys}
         for key, row in rows.items():
             if row.shape != self.shape[1:]:
-                self._fail(f"row {self.rows} of {key!r} has shape {row.shape}, "
-                           f"expected {self.shape[1:]}")
+                raise ValueError(f"{self.path.name}: row {self.rows} of {key!r} has shape "
+                                 f"{row.shape}, expected {self.shape[1:]}")
         for key, row in rows.items():
-            row.tofile(self.files[key])
+            with open(array_path(self.path, key), "ab") as fh:
+                row.tofile(fh)
         self.rows += 1
 
     def close(self) -> None:
         if self.rows < self.shape[0]:
-            self._fail(f"closed after {self.rows} of {self.shape[0]} rows")
-        for fh in self.files.values():
-            fh.close()
-
-    def discard(self) -> None:
-        """Close and delete every file of the set."""
-        for fh in self.files.values():
-            fh.close()
-        for path in (self.path, *(array_path(self.path, key) for key in self.keys)):
-            if path.is_file():
-                path.unlink()
-
-    def __enter__(self) -> "ArrayRowWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.discard()
+            raise ValueError(f"{self.path.name}: closed after {self.rows} of {self.shape[0]} rows")
 
 
 def read_array(path, shape: tuple) -> np.ndarray:

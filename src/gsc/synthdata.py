@@ -204,10 +204,10 @@ def _subset(ds: PairDataset, idx: np.ndarray, tag: str) -> PairDataset:
     meta = dict(ds.meta)
     meta.update({"N": int(idx.size), "rho": 0.0, "split": tag})
     return PairDataset(
-        img=ds.img[idx].copy(),
-        txt=ds.txt[idx].copy(),
+        img=ds.img[idx],
+        txt=ds.txt[idx],
         match_perm=np.arange(idx.size),
-        cluster_ids=ds.cluster_ids[idx].copy(),
+        cluster_ids=ds.cluster_ids[idx],
         meta=meta,
     )
 

@@ -318,8 +318,10 @@ def test_train_missing_dataset_exits_2(tmp_path):
     ["sweep", "--n", "50", "--epochs", "1"],  # every cell's dev split has 5 samples
     # no train sample at all, which even a mode without label estimation needs
     ["train", "--mode", "baseline", "--n", "40", "--epochs", "1", "--config", "no-train.json"],
+    ["sweep", "--rhos", "", "--n", "120", "--epochs", "1"],  # a grid of no cell
+    ["sweep", "--rhos", "0", "--modes", " , ", "--n", "120", "--epochs", "1"],
 ], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data",
-        "sweep-small-split", "train-empty-train-split"])
+        "sweep-small-split", "train-empty-train-split", "sweep-no-rho", "sweep-no-mode"])
 def test_a_rejected_command_creates_no_out_directory(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # "nowhere" names no file in it
     (tmp_path / "no-train.json").write_text(json.dumps({"f_train": 0.0, "f_dev": 0.5,
@@ -338,6 +340,8 @@ def test_train_no_ensemble_maps_to_long_warmup(tmp_path):
 
 
 LABEL_FILES = ["labels.json", "labels.y.npy", "labels.y_cm.npy", "labels.y_im.npy"]
+CKPT_FILES = [f"ckpt_{net}_{modality}{suffix}" for net in "AB" for modality in ("img", "txt")
+              for suffix in (".json", ".theta.npy")]
 
 
 @pytest.mark.parametrize("mode, n_epochs", [
@@ -348,7 +352,9 @@ def test_train_dump_labels(tmp_path, mode, n_epochs):
     argv = ["train", *FAST_TRAIN, "--rho", "0.5", "--mode", mode, "--dump-labels"]
     out = tmp_path / "run"
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert sorted(p.name for p in out.glob("labels.*")) == sorted(LABEL_FILES)
+    # every output, and no staging entry
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["metrics.jsonl", "report.json", *LABEL_FILES, *CKPT_FILES])
     # the rows a direct run of the same cell hands its sink
     cfg = cli.load_config(cli.build_parser().parse_args(argv))
     train, dev, _ = cli.build_splits(cfg, *cli.seed_and_rho(cfg))
@@ -369,14 +375,21 @@ def test_train_dump_labels(tmp_path, mode, n_epochs):
         assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
+def _snapshot(directory):
+    """Every entry under ``directory``: a file's bytes, None for a directory."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in directory.rglob("*")}
+
+
 def _abort_at_epoch_2(monkeypatch, out):
     """Make training raise NumericalError as epoch 2 starts, after the dump
-    has two rows on disk."""
+    has two rows on disk in the staging directory."""
     train_epoch = trainer.train_epoch
 
     def aborting(state, *args):
         if state.epoch == 2:
-            row_bytes = (out / "labels.y.npy").stat().st_size - 128  # a 128-byte .npy header
+            (stage,) = out.glob(".partial-*")
+            row_bytes = (stage / "labels.y.npy").stat().st_size - 128  # a 128-byte .npy header
             assert row_bytes == 2 * 128 * 8  # two rows of the 128 train samples
             raise NumericalError("epoch 2, net A, batch 0: non-finite values in the loss")
         return train_epoch(state, *args)
@@ -385,7 +398,18 @@ def _abort_at_epoch_2(monkeypatch, out):
 
 
 def _report_is_a_directory(monkeypatch, out):
+    (out / "report.json").unlink(missing_ok=True)
     (out / "report.json").mkdir(parents=True)
+
+
+def _train_fails_leaving_out_as_it_was(monkeypatch, capsys, out, argv, make_fail, code, message):
+    if make_fail:
+        make_fail(monkeypatch, out)
+    before = _snapshot(out) if out.exists() else {}
+    with np.errstate(all="ignore"):
+        assert run_cli("train", *FAST_TRAIN, *argv, "--dump-labels", "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert out.is_dir() and _snapshot(out) == before
 
 
 @pytest.mark.parametrize("argv, make_fail, code, message", [
@@ -396,13 +420,32 @@ def _report_is_a_directory(monkeypatch, out):
 ], ids=["abort-at-epoch-0", "abort-at-epoch-2", "unwritable-report"])
 def test_a_failed_train_leaves_no_label_dump(tmp_path, monkeypatch, capsys, argv, make_fail,
                                              code, message):
+    _train_fails_leaving_out_as_it_was(monkeypatch, capsys, tmp_path / "o", argv, make_fail,
+                                       code, message)
+
+
+@pytest.mark.parametrize("make_fail, code, message", [
+    (_abort_at_epoch_2, 3, "numerical abort: epoch 2, net A, batch 0"),
+    (_report_is_a_directory, 2, "cannot write output: "),
+], ids=["abort-at-epoch-2", "unwritable-report"])
+def test_a_failed_train_leaves_an_earlier_run_as_it_was(tmp_path, monkeypatch, capsys, make_fail,
+                                                        code, message):
     out = tmp_path / "o"
-    if make_fail:
-        make_fail(monkeypatch, out)
-    with np.errstate(all="ignore"):
-        assert run_cli("train", *FAST_TRAIN, *argv, "--dump-labels", "--out", str(out)) == code
-    assert message in capsys.readouterr().err
-    assert out.is_dir() and not any(out.glob("labels.*"))
+    assert run_cli("train", *FAST_TRAIN, "--seed", "3", "--dump-labels", "--out", str(out)) == 0
+    _train_fails_leaving_out_as_it_was(monkeypatch, capsys, out, [], make_fail, code, message)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty-out", "earlier-gen"])
+def test_a_failed_gen_leaves_out_as_it_was(tmp_path, capsys, earlier):
+    out = tmp_path / "g"
+    if earlier:
+        assert run_cli("gen", *GEN_ARGS, "--out", str(out)) == 0
+        (out / "test.json").unlink()
+    (out / "test.json").mkdir(parents=True)
+    before = _snapshot(out)
+    assert run_cli("gen", *GEN_ARGS, "--seed", "8", "--out", str(out)) == 2
+    assert "cannot write output: " in capsys.readouterr().err
+    assert _snapshot(out) == before
 
 
 def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):

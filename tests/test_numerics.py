@@ -261,9 +261,10 @@ def test_row_writer_writes_what_write_arrays_writes_for_the_stacked_rows(tmp_pat
     head = {"noise_mask": [True, False]}
     for name in ("rows", "whole"):
         (tmp_path / name).mkdir()
-    with ArrayRowWriter(tmp_path / "rows" / "labels.json", head, LABEL_KEYS, (n_rows, n)) as writer:
-        for row in rows:
-            writer.append(row)
+    writer = ArrayRowWriter(tmp_path / "rows" / "labels.json", head, LABEL_KEYS, (n_rows, n))
+    for row in rows:
+        writer.append(row)
+    writer.close()
     write_arrays(tmp_path / "whole" / "labels.json", head,
                  {key: np.stack([row[key] for row in rows]) for key in LABEL_KEYS})
     names = _files(tmp_path / "whole")
@@ -300,23 +301,9 @@ def _early_close(writer, n):
     (_row_after_the_last, "a row after the last of 3"),
     (_early_close, "closed after 1 of 3 rows"),
 ], ids=["short-row", "long-row", "row-after-the-last", "early-close"])
-def test_row_writer_misuse_raises_and_leaves_no_file(tmp_path, misuse, message):
+def test_row_writer_misuse_raises_naming_the_head(tmp_path, misuse, message):
     n = 50
     writer = ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, n))
     assert len(_files(tmp_path)) == 4
     with pytest.raises(ValueError, match=f"labels.json: {message}"):
         misuse(writer, n)
-    assert _files(tmp_path) == []
-
-
-def test_row_writer_leaves_no_file_when_its_block_raises(tmp_path):
-    with pytest.raises(NumericalError):
-        with ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, 5)) as writer:
-            writer.append(_label_rows(1, 5)[0])
-            raise NumericalError("epoch 1")
-    assert _files(tmp_path) == []
-    with pytest.raises(ValueError, match="closed after 2 of 3 rows"):
-        with ArrayRowWriter(tmp_path / "labels.json", {}, LABEL_KEYS, (3, 5)) as writer:
-            for row in _label_rows(2, 5):
-                writer.append(row)
-    assert _files(tmp_path) == []

@@ -144,6 +144,17 @@ def test_split_is_disjoint_cover():
     assert set(np.round(seen, 12)) == set(np.round(ds.img[:, 0], 12))
 
 
+@pytest.mark.parametrize("fracs", [(0.6, 0.2, 0.2), (1.0, 0.0, 0.0)],
+                         ids=["three-ways", "all-train"])
+def test_no_split_shares_memory_with_its_source_or_another_split(fracs):
+    ds = generate(GenSpec(n=50, n_clusters=10, seed=11))
+    parts = [ds, *split(ds, *fracs, derive_rng(11, "split"))]
+    for name in ("img", "txt", "match_perm", "cluster_ids"):
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
 def test_split_invalid_fractions():
     ds = generate(GenSpec(n=10, n_clusters=5, seed=12))
     with pytest.raises(ValueError):

@@ -26,7 +26,9 @@ stored changes only the file lines, and one of the split files' layout
 only the file lines and the splits' ``:json`` lines; a change that reassociates floats shows by the
 ``:quality`` lines whether the quality fields moved. It exits 1,
 naming the file, if a ``.json`` or ``.jsonl`` output holds a ``NaN`` or
-``Infinity`` token, which ``json.dumps`` writes but JSON does not allow. A pure refactor leaves every byte of every output and every
+``Infinity`` token, which ``json.dumps`` writes but JSON does not allow,
+and, naming the path, if a ``.partial-*`` staging entry of ``gen`` or
+``train`` is left under ``OUT`` after the cells. A pure refactor leaves every byte of every output and every
 loaded array unchanged, so the digests of two checkouts diff empty:
 
     python3 tools/output_digest.py old/src /tmp/old > old.txt
@@ -170,7 +172,8 @@ def main(argv=None) -> int:
             return 1
         if cell[0] in STDOUT_FILES:
             (out / STDOUT_FILES[cell[0]]).write_text(stdout.getvalue(), encoding="utf-8")
-    problems = non_json_outputs(out)
+    problems = [f"{p.relative_to(out).as_posix()}: a staging entry left after its command"
+                for p in sorted(out.rglob(".partial-*"))] + non_json_outputs(out)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
