@@ -10,7 +10,11 @@ the label dump is written as the run goes, one epoch's row at a time through
 ``gen`` and ``train`` write every output into a staging directory inside
 ``--out`` and move the files into ``--out`` only when the command has
 succeeded (``staged``), so a failed ``gen`` or ``train`` leaves ``--out``
-holding the files it held before.
+holding the files it held before; SIGTERM cleans up as Ctrl-C does.
+Every cell of a ``sweep`` trains from the sweep's ``seed``, so its
+``summary.csv`` row is the ``report --csv`` row of ``train --seed S --rho r
+--mode m`` with the sweep's other keys, and every mode at a noise rate
+trains on the same splits from the same initial networks.
 Exit codes: 0 success, 1 check failure, 2 usage/input error or an output
 path that cannot be written, 3 numerical abort.
 """
@@ -20,10 +24,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import shutil
+import signal
 import sys
 import tempfile
 from dataclasses import asdict, fields
@@ -203,14 +207,6 @@ def load_splits(data_path: str):
     return tuple(load_dataset(path.parent / name) for name in names)
 
 
-def _cell_inputs(cfg: dict, mode: str, rho: float, seed: int, splits=None):
-    """The checked training config and (train, dev, test) splits of one cell."""
-    tc = train_config_from({**cfg, "mode": mode, "seed": seed})
-    splits = splits if splits is not None else build_splits(cfg, seed, rho)
-    check_split_sizes(mode, *splits)
-    return tc, splits
-
-
 def _run_cell(tc: TrainConfig, splits, on_labels=None):
     """Train one cell and evaluate its best checkpoint on test."""
     train, dev, test = splits
@@ -233,10 +229,10 @@ def cmd_train(args) -> int:
     cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
     mode = str(cfg["mode"])
-    splits = load_splits(args.data) if args.data else None
-    if splits is not None:
-        rho = float(splits[0].meta.get("rho", rho))
-    tc, splits = _cell_inputs(cfg, mode, rho, seed, splits)
+    tc = train_config_from(cfg)
+    splits = load_splits(args.data) if args.data else build_splits(cfg, seed, rho)
+    rho = float(splits[0].meta.get("rho", rho))
+    check_split_sizes(mode, *splits)
     out = out_root(args)  # before training, so an unwritable --out exits 2 at once
     with staged(out) as stage:
         dump = _label_dump(stage, tc, splits[0]) if cfg["track_labels"] else None
@@ -262,13 +258,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cell_seed(master: int, rho: float, mode: str) -> int:
-    """master + stable 32-bit hash of the cell, so adding cells never
-    perturbs existing ones."""
-    tag = f"rho={rho:.6f}|mode={mode}".encode("utf-8")
-    return int(master) + int.from_bytes(hashlib.sha256(tag).digest()[:4], "big")
-
-
 # the config keys sweep does not take from a config file, and why
 SWEEP_IGNORES = {"mode": "its grid comes from --modes and --rhos",
                  "rho": "its grid comes from --modes and --rhos",
@@ -284,20 +273,25 @@ def cmd_sweep(args) -> int:
     for flag, values in (("--rhos", rhos), ("--modes", modes)):
         if not values:
             raise ValueError(f"{flag} names no value, so the grid has no cell")
-    grid = [(mode, rho, _cell_seed(cfg["seed"], rho, mode)) for rho in rhos for mode in modes]
-    for cell in grid:  # every cell's configuration and splits, one cell's data at a time
-        _cell_inputs(cfg, *cell)
+    seed = int(cfg["seed"])
+    configs = {mode: train_config_from({**cfg, "mode": mode}) for mode in modes}
+    for rho in rhos:  # every cell's splits, one noise rate's data at a time
+        splits = build_splits(cfg, seed, rho)
+        for mode in modes:
+            check_split_sizes(mode, *splits)
     out = out_root(args)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
-        for mode, rho, seed in grid:
-            result, test_retr = _run_cell(*_cell_inputs(cfg, mode, rho, seed))
-            writer.writerow(csv_row(mode, rho, test_retr, result.detection))
-            fh.flush()
-            print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")
+        for rho in rhos:
+            splits = build_splits(cfg, seed, rho)  # every mode trains on the same data
+            for mode in modes:
+                result, test_retr = _run_cell(configs[mode], splits)
+                writer.writerow(csv_row(mode, rho, test_retr, result.detection))
+                fh.flush()
+                print(f"done rho={rho} mode={mode} rsum={test_retr.recall_sum:.1f}")
     print(f"wrote {csv_path}")
     return 0
 
@@ -417,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rhos", default="0,0.2,0.4,0.6")
     p_sweep.add_argument("--modes", default="gsc,baseline")
     p_sweep.add_argument("--seed", type=int,
-                         help="master seed for cell derivation (config key `seed`, default 0)")
+                         help="every cell's data and init seed (config key `seed`, default 0)")
     p_sweep.add_argument("--epochs", type=int)
     p_sweep.add_argument("--n", type=int)
     p_sweep.add_argument("--config")
@@ -456,6 +450,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # SIGTERM raises SystemExit, so `staged` deletes its staging directory as
+    # on Ctrl-C; `main` leaves signals alone for callers that run it in-process
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
 
 

@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +450,30 @@ def test_a_failed_gen_leaves_out_as_it_was(tmp_path, capsys, earlier):
     assert _snapshot(out) == before
 
 
+def test_sigterm_to_a_train_leaves_out_as_it_was(tmp_path):
+    """The `gsc` script's entry point turns SIGTERM into exit code 143, so the
+    staging directory is deleted as on Ctrl-C."""
+    out = tmp_path / "k"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier output")
+    before = _snapshot(out)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["train", "--n", "400", "--epochs", "100000", "--dump-labels", "--out", str(out)]
+    proc = subprocess.Popen([sys.executable, "-c", "from gsc.cli import entry; entry()", *argv],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out.glob(".partial-*/labels.json")):  # training has begun
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert _snapshot(out) == before
+
+
 def test_track_labels_in_config_and_dump_labels_are_one_switch(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"track_labels": True}))
@@ -677,6 +703,62 @@ def test_sweep_grid_rows_and_reproducibility(tmp_path):
          "r1_t2i", "r5_t2i", "r10_t2i", "rsum", "det_acc", "det_auc"])
     assert len(lines) == 1 + 4  # header + 2 rhos x 2 modes
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+SWEEP_KEYS = ["--n", "120", "--epochs", "1", "--seed", "7"]
+
+
+def _split_bytes(ds):
+    return (ds.img.tobytes(), ds.txt.tobytes(), ds.match_perm.tobytes(),
+            ds.cluster_ids.tobytes(), json.dumps(ds.meta, sort_keys=True))
+
+
+def test_a_sweep_trains_every_mode_at_a_noise_rate_on_the_same_data(tmp_path, monkeypatch):
+    cells = {}  # rho -> per mode: the bytes of its splits and of its initial net A
+    run_cell = cli._run_cell
+
+    def capturing(tc, splits, on_labels=None):
+        net_a = trainer.init_state(tc, splits[0]).nets[0]
+        cells.setdefault(splits[0].meta["rho"], []).append(
+            ([_split_bytes(ds) for ds in splits], net_a.theta.tobytes()))
+        return run_cell(tc, splits, on_labels)
+
+    monkeypatch.setattr(cli, "_run_cell", capturing)
+    modes = ("gsc", "baseline", "cm_only", "single_net")
+    assert run_cli("sweep", "--rhos", "0,0.4", "--modes", ",".join(modes), *SWEEP_KEYS,
+                   "--out", str(tmp_path)) == 0
+    assert sorted(cells) == [0.0, 0.4]
+    for per_mode in cells.values():
+        assert len(per_mode) == len(modes)
+        assert all(cell == per_mode[0] for cell in per_mode)
+
+
+def test_a_sweep_row_is_the_report_row_of_the_matching_train(tmp_path):
+    assert run_cli("sweep", "--rhos", "0,0.4", "--modes", "gsc,cm_only", *SWEEP_KEYS,
+                   "--out", str(tmp_path / "s")) == 0
+    reports = []
+    for rho in ("0", "0.4"):
+        for mode in ("gsc", "cm_only"):
+            out = tmp_path / f"{mode}-{rho}"
+            assert run_cli("train", "--rho", rho, "--mode", mode, *SWEEP_KEYS,
+                           "--out", str(out)) == 0
+            reports.append(str(out / "report.json"))
+    assert run_cli("report", *reports, "--csv", str(tmp_path / "trains.csv")) == 0
+    assert (tmp_path / "trains.csv").read_bytes() == (tmp_path / "s" / "summary.csv").read_bytes()
+
+
+def test_adding_a_mode_or_a_noise_rate_leaves_existing_rows_unchanged(tmp_path):
+    rows = {}
+    for rhos, modes in (("0.4", "cm_only"), ("0,0.4", "cm_only"), ("0.4", "gsc,cm_only"),
+                        ("0,0.4", "baseline,cm_only,gsc")):
+        out = tmp_path / f"{rhos}-{modes}"
+        assert run_cli("sweep", "--rhos", rhos, "--modes", modes, *SWEEP_KEYS,
+                       "--out", str(out)) == 0
+        lines = (out / "summary.csv").read_text().splitlines()[1:]
+        rows[rhos, modes] = {tuple(line.split(",")[:2]): line for line in lines}
+    largest = rows.pop(("0,0.4", "baseline,cm_only,gsc"))
+    for grid in rows.values():
+        assert all(largest[cell] == line for cell, line in grid.items())
 
 
 def test_sweep_rejects_unknown_mode(tmp_path):
