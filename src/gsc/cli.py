@@ -2,7 +2,11 @@
 
 Subcommands: gen, train, sweep, fdcheck, report. A flat JSON config file can
 set any training or generation key; explicit flags override file values,
-which override the built-in defaults. Every float array a command writes
+which override the built-in defaults. Each flag of gen, train and sweep that
+sets a key is declared from the key (``config_flags``): the key is its
+destination and the key's default fixes its type; ``--clusters``,
+``--warmup`` and ``--dump-labels`` are the flags of ``n_clusters``,
+``warmup_epochs`` and ``track_labels``. Every float array a command writes
 (a split's matrices, a checkpoint's ``theta``, the ``--dump-labels`` arrays)
 is a ``.npy`` file beside a JSON head, written by ``numerics.write_arrays``;
 the label dump is written as the run goes, one epoch's row at a time through
@@ -61,11 +65,13 @@ DEFAULTS = {
 def load_config(args, ignored=None) -> dict:
     """DEFAULTS <- the ``--config`` file <- the flags given.
 
-    A flag's argparse dest is its config key, so every flag whose dest is a
-    ``DEFAULTS`` key overrides the file when it is given (not None). Each
-    value of the file is checked for its JSON type here, its range after the
-    merge. The file may not set a key of ``ignored``, which maps the keys
-    ``sweep`` does not take from a config file to the reason.
+    ``config_flags`` declares each flag of a config key with the key as its
+    argparse dest and the type of the key's ``DEFAULTS`` value as its type,
+    so every flag whose dest is a ``DEFAULTS`` key overrides the file when
+    it is given (not None), parsed to the type the file's value is checked
+    for. Each value of the file is checked for its JSON type here, its range
+    after the merge. The file may not set a key of ``ignored``, which maps
+    the keys ``sweep`` does not take from a config file to the reason.
     """
     cfg = dict(DEFAULTS)
     if args.config:
@@ -362,6 +368,29 @@ def _report_row(path) -> list:
     return csv_row(meta.get("mode", "?"), meta.get("rho", ""), retrieval, det)
 
 
+# the config keys whose flag is not ``--<key>`` with dashes for underscores
+FLAG_ALIASES = {"n_clusters": "--clusters", "warmup_epochs": "--warmup",
+                "track_labels": "--dump-labels"}
+
+
+def config_flags(parser: argparse.ArgumentParser, keys, helps: dict) -> None:
+    """Add one flag per config key of ``keys``, then ``--config`` and ``--out``.
+
+    A key's flag is ``--<key>`` with dashes for underscores, or its alias in
+    ``FLAG_ALIASES``; its argparse dest is the key, and its type the type of
+    the key's default in ``DEFAULTS``, the type ``load_config`` checks the
+    config file's value against; a bool key is a switch that sets True.
+    ``helps`` maps a key to its help text.
+    """
+    for key in keys:
+        flag = FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
+        kind = type(DEFAULTS[key])
+        parse = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        parser.add_argument(flag, dest=key, help=helps.get(key), **parse)
+    parser.add_argument("--config")
+    parser.add_argument("--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsc",
@@ -369,53 +398,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_gen = sub.add_parser("gen", help="generate train/dev/test dataset files")
-    p_gen.add_argument("--n", type=int, help="total samples before splitting")
-    p_gen.add_argument("--rho", type=float, help="train-split noise rate in [0, 1]")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--clusters", type=int, dest="n_clusters")
-    p_gen.add_argument("--sigma-cluster", type=float, dest="sigma_cluster")
-    p_gen.add_argument("--sigma-view", type=float, dest="sigma_view")
-    p_gen.add_argument("--d-latent", type=int, dest="d_latent")
-    p_gen.add_argument("--d-img", type=int, dest="d_img")
-    p_gen.add_argument("--d-txt", type=int, dest="d_txt")
-    p_gen.add_argument("--f-train", type=float, dest="f_train")
-    p_gen.add_argument("--f-dev", type=float, dest="f_dev")
-    p_gen.add_argument("--f-test", type=float, dest="f_test")
-    p_gen.add_argument("--config")
-    p_gen.add_argument("--out")
+    config_flags(p_gen, ("n", "rho", "seed", "n_clusters", "sigma_cluster", "sigma_view",
+                         "d_latent", "d_img", "d_txt", *SPLIT_KEYS),
+                 {"n": "total samples before splitting", "rho": "train-split noise rate in [0, 1]"})
     p_gen.set_defaults(func=cmd_gen)
 
     p_train = sub.add_parser("train", help="run one training configuration")
     p_train.add_argument("--data", help="dataset directory or manifest from `gen`")
     p_train.add_argument("--mode", choices=MODES)
-    p_train.add_argument("--rho", type=float, help="noise rate when generating in-memory data")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--n", type=int)
-    p_train.add_argument("--batch-size", type=int, dest="batch_size")
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--tau1", type=float)
-    p_train.add_argument("--tau2", type=float)
-    p_train.add_argument("--beta1", type=float)
-    p_train.add_argument("--beta2", type=float)
-    p_train.add_argument("--warmup", type=int, dest="warmup_epochs")
-    p_train.add_argument("--dump-labels", action="store_const", const=True, dest="track_labels",
-                         help="write every epoch's labels, as the epoch ends, to "
-                         "labels.json and labels.{y,y_cm,y_im}.npy")
-    p_train.add_argument("--config")
-    p_train.add_argument("--out")
+    config_flags(p_train, ("rho", "seed", "epochs", "n", "batch_size", "lr", "gamma", "tau1",
+                           "tau2", "beta1", "beta2", "warmup_epochs", "track_labels"),
+                 {"rho": "noise rate when generating in-memory data",
+                  "track_labels": "write every epoch's labels, as the epoch ends, to "
+                  "labels.json and labels.{y,y_cm,y_im}.npy"})
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="noise-rate x mode grid, one CSV row per cell")
     p_sweep.add_argument("--rhos", default="0,0.2,0.4,0.6")
     p_sweep.add_argument("--modes", default="gsc,baseline")
-    p_sweep.add_argument("--seed", type=int,
-                         help="every cell's data and init seed (config key `seed`, default 0)")
-    p_sweep.add_argument("--epochs", type=int)
-    p_sweep.add_argument("--n", type=int)
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--out")
+    config_flags(p_sweep, ("seed", "epochs", "n"),
+                 {"seed": "every cell's data and init seed (config key `seed`, default 0)"})
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fd = sub.add_parser("fdcheck", help="finite-difference gradient verification")

@@ -343,6 +343,17 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
     (momentum 1) from the trained networks on its "est-init" schedule. Modes
     without estimators keep unit labels throughout. Every step and estimate
     overwrites ``state.work``.
+
+    So the labels lag the networks by one epoch: the labels estimated at the
+    start of epoch e weight the losses of epoch e+1, after both networks
+    have trained one more epoch. With W = ``warmup_epochs`` >= 1, the
+    seeding pass after epoch W-1 and epoch W's estimate read the same
+    networks, so epochs W and W+1 train on labels from the same weights.
+    The labels ``state`` holds when epoch e >= W returns, which ``run``
+    hands to ``on_labels`` as row e of the label dump and scores for
+    detection (the last epoch's is ``report.json``'s), are the labels
+    estimated at the start of epoch e. With no warm-up there is no seeding
+    pass, and epoch 0 trains on unit labels.
     """
     cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]

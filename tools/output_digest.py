@@ -45,8 +45,14 @@ dataset (``gen_argv``, ``train_argv`` and ``WORKLOADS``, taken from the
 ``gsc fdcheck --seeds 3``, whose stdout (each
 seed's worst finite-difference error and its coordinate) is written to
 ``OUT/fdcheck.txt``, so a change to the backward pass shows those errors
-equal to the last bit or not. BLAS is pinned to one thread before numpy
-loads, so the float results do not depend on the machine's thread count.
+equal to the last bit or not. The text of ``gsc --help`` and of each
+subcommand's ``--help`` is written to ``OUT/help/gsc.txt`` and
+``OUT/help/<subcommand>.txt`` (``HELP_ARGV``) and digested with the other
+files, so a change to the command-line surface (a flag, its type, its help
+or their order) shows as well; ``COLUMNS`` is set to 80 first, since
+argparse wraps help to the terminal width. BLAS is pinned to one thread
+before numpy loads, so the float results do not depend on the machine's
+thread count.
 """
 
 from __future__ import annotations
@@ -69,6 +75,9 @@ SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
 LABEL_FIELDS = ("y", "y_cm", "y_im")
 BENCH_SEED = 11
 STDOUT_FILES = {"fdcheck": "fdcheck.txt"}  # subcommand -> file under OUT holding its stdout
+# OUT/help/<name>.txt holds the --help text of the command line HELP_ARGV[name]
+HELP_ARGV = {"gsc": [], **{command: [command]
+                           for command in ("gen", "train", "sweep", "fdcheck", "report")}}
 
 
 def load_benchmark():
@@ -128,6 +137,19 @@ def label_arrays(cell: Path) -> dict:
     return arrays
 
 
+def help_text(main, argv) -> str:
+    """What ``main([*argv, "--help"])`` prints; argparse prints the help and
+    exits 0, and any other exit propagates."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            main([*argv, "--help"])
+        except SystemExit as done:
+            if done.code != 0:
+                raise
+    return stdout.getvalue()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -157,6 +179,7 @@ def main(argv=None) -> int:
         return 2
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to it
     sys.path.insert(0, str(src))
     import gsc.cli
 
@@ -172,6 +195,9 @@ def main(argv=None) -> int:
             return 1
         if cell[0] in STDOUT_FILES:
             (out / STDOUT_FILES[cell[0]]).write_text(stdout.getvalue(), encoding="utf-8")
+    (out / "help").mkdir()
+    for name, argv in HELP_ARGV.items():
+        (out / "help" / f"{name}.txt").write_text(help_text(gsc.cli.main, argv), encoding="utf-8")
     problems = [f"{p.relative_to(out).as_posix()}: a staging entry left after its command"
                 for p in sorted(out.rglob(".partial-*"))] + non_json_outputs(out)
     for problem in problems:
