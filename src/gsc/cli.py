@@ -119,10 +119,8 @@ def comma_list(text: str, kind, where: str) -> list:
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    tc = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
-                     hidden_dims=tuple(cfg["hidden_dims"]))  # load_config splits a string
-    tc.validate()
-    return tc
+    return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k != "hidden_dims"},
+                       hidden_dims=tuple(cfg["hidden_dims"]))  # load_config splits a string
 
 
 def gen_spec_from(cfg: dict, seed: int) -> GenSpec:
@@ -223,12 +221,10 @@ def _run_cell(tc: TrainConfig, splits, on_labels=None):
 def _label_dump(directory: Path, tc: TrainConfig, train) -> ArrayRowWriter:
     """The writer of the label dump in ``directory``: ``labels.json`` holds the
     train split's noise mask and ``labels.{y,y_cm,y_im}.npy`` one row per
-    epoch of ``tc``'s resolved schedule, each row appended by ``run``'s
-    ``on_labels`` sink as its epoch ends."""
-    resolved = tc.resolved()
+    epoch of ``tc``'s schedule (its mode's warm-up included), each row
+    appended by ``run``'s ``on_labels`` sink as its epoch ends."""
     return ArrayRowWriter(directory / "labels.json", {"noise_mask": train.noise_mask.tolist()},
-                          ("y", "y_cm", "y_im"),
-                          (resolved.warmup_epochs + resolved.epochs, train.n))
+                          ("y", "y_cm", "y_im"), (tc.warmup_epochs + tc.epochs, train.n))
 
 
 def cmd_train(args) -> int:

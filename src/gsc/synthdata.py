@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters for one synthetic dataset draw."""
+    """Parameters for one synthetic dataset draw, checked when built."""
 
     n: int = 2500
     d_latent: int = 16
@@ -51,7 +51,7 @@ class GenSpec:
     sigma_view: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n", "d_latent", "d_img", "d_txt", "n_clusters"):
             require_int(getattr(self, name), name, 1)
         if self.n_clusters > self.n:
@@ -69,14 +69,16 @@ class LatentInfo:
     txt_map: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairDataset:
     """Paired features with ground-truth correspondence bookkeeping.
 
     ``match_perm[i]`` is the index of the text presented as image i's
     partner; the true partner is always text i, so the noise mask is
-    derived from it, and the split name from ``meta``. Datasets are
-    immutable by convention: every operation returns a new instance.
+    derived from it, and the split name from ``meta``. Construction checks
+    that the rows of every field agree, that ``match_perm`` is a
+    permutation and that the features are finite; the fields cannot be
+    rebound, and every operation returns a new instance.
     """
 
     img: np.ndarray
@@ -106,7 +108,7 @@ class PairDataset:
         pairs with img row idx[k]."""
         return self.txt[self.match_perm[idx]]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         n = self.n
         if self.txt.shape[0] != n:
             raise ValueError("img/txt row counts differ")
@@ -127,7 +129,6 @@ def generate(spec: GenSpec, return_latent: bool = False):
     draw order (centers, assignments, latents, maps, view noise) is fixed,
     so identical specs reproduce byte-identical datasets.
     """
-    spec.validate()
     rng = derive_rng(spec.seed, "gen")
     centers = rng.standard_normal((spec.n_clusters, spec.d_latent))
     cluster_ids = rng.permutation(np.arange(spec.n) % spec.n_clusters)
@@ -279,7 +280,6 @@ def load_dataset(path) -> PairDataset:
             cluster_ids=np.asarray(clusters, dtype=int),
             meta=meta,
         )
-        ds.validate()
         if not np.array_equal(np.asarray(mask, dtype=bool), ds.noise_mask):
             raise ValueError("mask inconsistent with perm")
         return ds

@@ -14,7 +14,9 @@ label stores are updated by momentum before the next epoch begins.
 Epoch indexing: one epoch counter spans warm-up and main epochs, starting at
 0, and every epoch is one ``train_epoch`` call; warm-up epochs are the first
 ``warmup_epochs`` values of that counter. The learning-rate decay epoch is
-measured on the same counter. ``MODE_SPECS`` says what each mode runs.
+measured on the same counter. ``MODE_SPECS`` says what each mode runs; a
+``TrainConfig`` holds its mode's overrides from the moment it is built, so
+every function here reads the values the run uses straight from it.
 
 ``RunState.work`` is the run's one B x B work buffer, a flat float64 array
 of B^2 entries (B the largest batch ``batch_schedule`` cuts) that
@@ -29,7 +31,7 @@ label estimation keeps one batch's embeddings alive at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +70,8 @@ class ModeSpec:
     """What a mode runs: how many networks and which label estimators.
 
     A mode with neither estimator keeps its unit labels for the whole run.
-    ``beta`` and ``warmup_epochs``, when set, replace the configured momentum
-    coefficients and warm-up length.
+    ``beta`` and ``warmup_epochs``, when set, replace the momentum
+    coefficients and warm-up length of every ``TrainConfig`` of the mode.
     """
 
     n_nets: int = 2
@@ -105,6 +107,14 @@ class TrainConfig:
     knob of the run: ``run`` hands each epoch's labels to its ``on_labels``
     sink, through which ``gsc train --dump-labels`` writes them as the run
     goes.
+
+    Construction checks every knob as given and the mode (a ValueError
+    names the first bad one), writes the mode's ``MODE_SPECS`` overrides
+    over ``beta1``, ``beta2`` and ``warmup_epochs``, then checks that the
+    run has an epoch, so a config holds the values its run uses and no
+    invalid config exists. ``dataclasses.replace`` keeps the overridden
+    values, so build a config of another mode from the knobs as given,
+    not by replacing the mode of a built one.
     """
 
     tau1: float = 0.07
@@ -125,7 +135,7 @@ class TrainConfig:
     gmm_iters: int = 50
     gmm_floor: float = 1e-4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require_cosine_temperature(self.tau1, "tau1")
         for name in ("tau2", "lr", "lr_decay", "gmm_floor"):
             require_positive(getattr(self, name), name)
@@ -139,21 +149,15 @@ class TrainConfig:
             require_int(h, "hidden_dims entry", 1)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        resolved = self.resolved()
-        if resolved.warmup_epochs + resolved.epochs < 1:
+        spec = MODE_SPECS[self.mode]
+        if spec.beta is not None:
+            object.__setattr__(self, "beta1", spec.beta)
+            object.__setattr__(self, "beta2", spec.beta)
+        if spec.warmup_epochs is not None:
+            object.__setattr__(self, "warmup_epochs", spec.warmup_epochs)
+        if self.warmup_epochs + self.epochs < 1:
             raise ValueError("warmup_epochs + epochs must be at least 1: a run of no epoch "
                              "has no dev evaluation to pick a checkpoint by")
-
-    def resolved(self) -> "TrainConfig":
-        """Apply the overrides of the mode's ``MODE_SPECS`` entry."""
-        spec = MODE_SPECS[self.mode]
-        beta = spec.beta
-        return replace(
-            self,
-            beta1=self.beta1 if beta is None else beta,
-            beta2=self.beta2 if beta is None else beta,
-            warmup_epochs=(self.warmup_epochs if spec.warmup_epochs is None
-                           else spec.warmup_epochs))
 
 
 @dataclass
@@ -203,12 +207,7 @@ class RunState:
 
 def init_state(cfg: TrainConfig, train_ds: PairDataset) -> RunState:
     """Fresh networks (differing only by init stream), zero Adam moments,
-    all-ones labels and the work buffer for ``cfg.batch_size`` over ``train_ds``.
-
-    Validates ``cfg``, which need not be resolved: no mode override changes
-    the networks.
-    """
-    cfg.validate()
+    all-ones labels and the work buffer for ``cfg.batch_size`` over ``train_ds``."""
     d_img = train_ds.img.shape[1]
     d_txt = train_ds.txt.shape[1]
     dims_img = [d_img, *cfg.hidden_dims, cfg.embed_dim]
@@ -332,7 +331,7 @@ def _next_labels(state: RunState, ds: PairDataset, schedules, cfg: TrainConfig,
 
 
 def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dict:
-    """Run epoch ``state.epoch`` of the schedule under ``cfg.resolved()``.
+    """Run epoch ``state.epoch`` of ``cfg``'s schedule.
 
     Every network trains on its labels as they stand at epoch start. In a
     co-training epoch, every network's next labels are estimated before
@@ -355,7 +354,6 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
     estimated at the start of epoch e. With no warm-up there is no seeding
     pass, and epoch 0 trains on unit labels.
     """
-    cfg = cfg.resolved()
     spec = MODE_SPECS[cfg.mode]
     n = train_ds.n
     epoch = state.epoch
@@ -423,7 +421,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
     """Warm-up, cfg.epochs co-training epochs, per-epoch dev evaluation.
 
     Model selection keeps the network snapshot with the best dev recall sum;
-    ``validate`` guarantees at least one epoch, and a recall sum is at least
+    ``TrainConfig`` guarantees at least one epoch, and a recall sum is at least
     0, so the first epoch always sets one. Identical (cfg, data) reproduce the
     metric history bit-exactly. After each epoch (warm-up included) the sink
     ``on_labels``, when given, is called with {y, y_cm, y_im}: that epoch's
@@ -432,12 +430,8 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
     them, so a sink that writes each row out holds one epoch's labels at a
     time.
     """
-    train_ds.validate()
-    dev_ds.validate()
-    cfg.validate()
     check_split_sizes(cfg.mode, train_ds, dev_ds)
     state = init_state(cfg, train_ds)
-    cfg = cfg.resolved()
     history = []
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
     for epoch in range(cfg.warmup_epochs + cfg.epochs):

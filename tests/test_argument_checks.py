@@ -75,7 +75,7 @@ CASES = {
     "grad_total-tau1-below-floor": lambda: _grad_total(tau1=0.001),
     "embedding_indicator-tau1-below-floor": lambda: embedding_indicator(SQ, SQ, 0.001),
     "embedding_indicator-short-work": lambda: embedding_indicator(SQ, SQ, 0.1, np.empty(8)),
-    "TrainConfig-tau1-below-floor": lambda: TrainConfig(tau1=0.001).validate(),
+    "TrainConfig-tau1-below-floor": lambda: TrainConfig(tau1=0.001),
     "intra_structure_score-non-square": lambda: intra_structure_score(RECT, RECT, Y),
     "intra_structure_score-label-length": lambda: intra_structure_score(SQ, SQ, Y_SHORT),
     "embedding_structure_score-label-length":
@@ -92,9 +92,9 @@ CASES = {
        for name, k in (("bool", True), ("float", 2.5), ("zero", 0), ("above-n", 4))},
     "detection_metrics-label-length":
         lambda: detection_metrics(Y_SHORT, np.zeros(3, dtype=bool)),
-    **{f"TrainConfig-nan-{key}": (lambda key=key: TrainConfig(**{key: NAN}).validate())
+    **{f"TrainConfig-nan-{key}": (lambda key=key: TrainConfig(**{key: NAN}))
        for key in ("tau1", "tau2", "gamma", "lr", "lr_decay", "gmm_floor")},
-    **{f"GenSpec-nan-{key}": (lambda key=key: GenSpec(**{key: NAN}).validate())
+    **{f"GenSpec-nan-{key}": (lambda key=key: GenSpec(**{key: NAN}))
        for key in ("sigma_cluster", "sigma_view")},
     "split-nan-fraction": lambda: split(generate(GenSpec(n=20, n_clusters=2)),
                                         NAN, 0.5, 0.5, derive_rng(0, "split")),

@@ -291,7 +291,7 @@ def test_train_with_no_epoch_at_all_exits_2(tmp_path, capsys):
                    "--out", str(out)) == 2
     assert "warmup_epochs + epochs" in capsys.readouterr().err
     assert not (out / "metrics.jsonl").exists() and not (out / "report.json").exists()
-    # no_ensemble resolves to a 5-epoch warm-up, so the same flags still train
+    # a no_ensemble config holds its mode's 5-epoch warm-up, so the same flags still train
     assert run_cli("train", *FAST_TRAIN, "--mode", "no_ensemble", "--epochs", "0",
                    "--warmup", "0", "--out", str(out)) == 0
     assert len(read_jsonl(out / "metrics.jsonl")) == 5

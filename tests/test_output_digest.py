@@ -70,3 +70,10 @@ def test_help_text_propagates_an_error_exit():
     with pytest.raises(SystemExit) as exc:
         output_digest.help_text(cli.main, ["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cells_train_from_the_config_file_under_out(tmp_path):
+    config = str(tmp_path / output_digest.TRAIN_CONFIG_FILE)
+    (cell,) = [argv for argv in output_digest.cells(tmp_path) if "--config" in argv]
+    assert cell[:3] == ["train", "--config", config]
+    assert "--dump-labels" in cell and "--mode" not in cell  # the file sets the mode

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -54,6 +55,37 @@ def test_generate_invalid_spec():
         generate(GenSpec(n=5, n_clusters=6))
     with pytest.raises(ValueError):
         generate(GenSpec(sigma_view=-0.1))
+
+
+def _dataset(**change):
+    """A valid dataset of 4 pairs with the fields in ``change`` replaced."""
+    fields = {"img": np.zeros((4, 3)), "txt": np.zeros((4, 2)), "match_perm": np.arange(4),
+              "cluster_ids": np.zeros(4, dtype=int), **change}
+    return PairDataset(**fields)
+
+
+DATASET_ERRORS = {
+    "row-counts": ({"txt": np.zeros((3, 2))}, "img/txt row counts differ"),
+    "not-a-permutation": ({"match_perm": np.array([0, 1, 1, 3])}, "not a permutation"),
+    "nan-img": ({"img": np.where(np.eye(4, 3) == 1, np.nan, 0.0)}, "image features"),
+    "cluster-ids-shape": ({"cluster_ids": np.zeros((4, 1), dtype=int)},
+                          r"cluster_ids must have shape \(4,\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_ERRORS))
+def test_a_dataset_is_checked_when_built(case):
+    change, message = DATASET_ERRORS[case]
+    _dataset()  # the unchanged fields are valid
+    with pytest.raises(ValueError, match=message):
+        _dataset(**change)
+
+
+def test_a_dataset_field_cannot_be_rebound():
+    ds = _dataset()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.match_perm = np.array([1, 0, 2, 3])
+    assert np.array_equal(ds.match_perm, np.arange(4))
 
 
 def test_inject_noise_zero_rate_is_identity():

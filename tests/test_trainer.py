@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -35,31 +36,45 @@ def small_cfg(**kw):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(tau1=0.0).validate()
+        TrainConfig(tau1=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.2).validate()
+        TrainConfig(beta1=1.2)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
-        TrainConfig(mode="nope").validate()
-    TrainConfig().validate()
+        TrainConfig(mode="nope")
+    TrainConfig()
     # NaN or inf in a rate, temperature, weight or floor fails before training
     for key in ("tau1", "tau2", "gamma", "lr", "lr_decay", "gmm_floor"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=key):
-                TrainConfig(**{key: bad}).validate()
+                TrainConfig(**{key: bad})
     with pytest.raises(ValueError, match="gmm_floor"):
-        TrainConfig(gmm_floor=0.0).validate()
-    TrainConfig(gamma=0.0).validate()
+        TrainConfig(gmm_floor=0.0)
+    TrainConfig(gamma=0.0)
 
 
 def test_no_ensemble_mode_maps_to_unit_momentum_and_long_warmup():
-    cfg = TrainConfig(mode="no_ensemble").resolved()
+    cfg = TrainConfig(mode="no_ensemble")
     assert cfg.beta1 == 1.0 and cfg.beta2 == 1.0
     assert cfg.warmup_epochs == 5
     # other modes untouched
-    cfg2 = TrainConfig(mode="gsc", beta1=0.7).resolved()
+    cfg2 = TrainConfig(mode="gsc", beta1=0.7)
     assert cfg2.beta1 == 0.7 and cfg2.warmup_epochs == 1
+    # a config holds the overrides from construction, over the values given,
+    # and a replace() keeps them
+    cfg = TrainConfig(mode="no_ensemble", warmup_epochs=1, beta1=0.3, beta2=0.2)
+    assert (cfg.warmup_epochs, cfg.beta1, cfg.beta2) == (5, 1.0, 1.0)
+    longer = dataclasses.replace(cfg, epochs=3)
+    assert (longer.warmup_epochs, longer.beta1, longer.beta2, longer.epochs) == (5, 1.0, 1.0, 3)
+    # the epoch check reads the overridden warm-up: no_ensemble runs 5 epochs
+    assert TrainConfig(mode="no_ensemble", warmup_epochs=0, epochs=0).warmup_epochs == 5
+    with pytest.raises(ValueError, match="warmup_epochs \\+ epochs must be at least 1"):
+        TrainConfig(mode="gsc", warmup_epochs=0, epochs=0)
+    # the knobs are checked as given, so an overridden one out of range still fails
+    for key, bad in (("beta1", 1.5), ("beta2", -0.1), ("warmup_epochs", -1)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(mode="no_ensemble", **{key: bad})
 
 
 def test_run_rejects_small_splits_by_mode():
@@ -334,23 +349,6 @@ def test_train_epoch_matches_lockstep_reference(mode):
         _reference_epoch(ref_state, train, cfg)
         _assert_states_match(state, ref_state)
     assert all(np.all(lb.y == 1.0) for lb in state.labels) == (mode == "baseline")
-
-
-def test_train_epoch_resolves_its_config():
-    # no_ensemble overrides warm-up length and momenta; an unresolved config
-    # must run the same schedule as the resolved one
-    train, _, _ = small_data()
-    raw = small_cfg(mode="no_ensemble")
-    cfg = raw.resolved()
-    assert (raw.warmup_epochs, raw.beta1) != (cfg.warmup_epochs, cfg.beta1)
-    state = init_state(raw, train)
-    ref_state = init_state(cfg, train)
-    for _ in range(cfg.warmup_epochs + 1):
-        assert train_epoch(state, train, raw) == train_epoch(ref_state, train, cfg)
-        for lb, ref_lb in zip(state.labels, ref_state.labels):
-            for field in ("y", "y_cm", "y_im"):
-                assert np.array_equal(getattr(lb, field), getattr(ref_lb, field))
-    assert not np.all(ref_state.labels[0].y == 1.0)  # the seeding epoch was reached
 
 
 def test_train_epoch_aborts_with_location_on_nonfinite():

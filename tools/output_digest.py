@@ -37,7 +37,10 @@ loaded array unchanged, so the digests of two checkouts diff empty:
 
 The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 ``gsc train --dump-labels`` run, the same gsc run with every train pair
-mismatched (``--rho 1.0``, so one detection class is empty), a small
+mismatched (``--rho 1.0``, so one detection class is empty), the same run
+with its mode and knobs read from the config file ``OUT/train_config.json``
+(``TRAIN_CONFIG``: mode no_ensemble, whose overrides replace the file's
+warm-up and momenta, and a ``hidden_dims`` string), a small
 ``gsc sweep`` of two modes at two noise rates (``SMALL_SWEEP``, so its
 ``summary.csv`` is digested too), the benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
 dataset (``gen_argv``, ``train_argv`` and ``WORKLOADS``, taken from the
@@ -70,6 +73,10 @@ SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "3
                "--seed", "7", "--dump-labels"]
 SMALL_SWEEP = ["--n", "300", "--rhos", "0,0.4", "--modes", "gsc,baseline", "--epochs", "2",
                "--seed", "7"]
+# OUT/<TRAIN_CONFIG_FILE> holds TRAIN_CONFIG, the config file of one train cell
+TRAIN_CONFIG_FILE = "train_config.json"
+TRAIN_CONFIG = {"mode": "no_ensemble", "warmup_epochs": 2, "beta1": 0.3, "beta2": 0.2,
+                "hidden_dims": "16"}
 DATA = "data"
 SPLIT_ARRAYS = ("img", "txt", "match_perm", "noise_mask", "cluster_ids")
 LABEL_FIELDS = ("y", "y_cm", "y_im")
@@ -102,6 +109,8 @@ def cells(out: Path) -> list:
              for mode in MODES for warmup in (0, 1, 2)]
     argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--rho", "1.0",
                   "--out", str(out / "train_gsc_rho1")])
+    argvs.append(["train", "--config", str(out / TRAIN_CONFIG_FILE), *SMALL_TRAIN,
+                  "--out", str(out / "train_config")])
     argvs.append(["sweep", *SMALL_SWEEP, "--out", str(out / "sweep")])
     data = out / DATA
     argvs.append(bench.gen_argv(BENCH_SEED, data))
@@ -186,6 +195,8 @@ def main(argv=None) -> int:
     if Path(gsc.cli.__file__).resolve().parents[1] != src:
         print(f"gsc was imported from {gsc.cli.__file__}, not from {src}", file=sys.stderr)
         return 2
+    out.mkdir(parents=True)
+    (out / TRAIN_CONFIG_FILE).write_text(json.dumps(TRAIN_CONFIG), encoding="utf-8")
     for cell in cells(out):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
