@@ -18,7 +18,9 @@ holding the files it held before; SIGTERM cleans up as Ctrl-C does.
 Every cell of a ``sweep`` trains from the sweep's ``seed``, so its
 ``summary.csv`` row is the ``report --csv`` row of ``train --seed S --rho r
 --mode m`` with the sweep's other keys, and every mode at a noise rate
-trains on the same splits from the same initial networks.
+trains on the same splits from the same initial networks. A sweep generates
+and splits its data once (``build_splits``); a noise rate only re-pairs the
+train split, sharing its features.
 Exit codes: 0 success, 1 check failure, 2 usage/input error or an output
 path that cannot be written, 3 numerical abort.
 """
@@ -168,19 +170,21 @@ def staged(out: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def build_splits(cfg: dict, seed: int, rho: float):
-    """Generate, split, and inject noise into the train split only."""
+def build_splits(cfg: dict, seed: int, rhos) -> list:
+    """One ``(train, dev, test)`` per noise rate of ``rhos``, from one
+    generation and one split: each rate re-pairs the clean train split
+    (``inject_noise``, from the same ``noise`` generator), so every tuple
+    shares the features, and the dev and test splits, of the others."""
     ds = generate(gen_spec_from(cfg, seed))
     train, dev, test = split(ds, cfg["f_train"], cfg["f_dev"], cfg["f_test"],
                              derive_rng(seed, "split"))
-    train = inject_noise(train, rho, derive_rng(seed, "noise"))
-    return train, dev, test
+    return [(inject_noise(train, rho, derive_rng(seed, "noise")), dev, test) for rho in rhos]
 
 
 def cmd_gen(args) -> int:
     cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
-    train, dev, test = build_splits(cfg, seed, rho)
+    train, dev, test = build_splits(cfg, seed, [rho])[0]
     out = out_root(args)
     files = {tag: f"{tag}.json" for tag in ("train", "dev", "test")}
     manifest = {
@@ -232,7 +236,7 @@ def cmd_train(args) -> int:
     seed, rho = seed_and_rho(cfg)
     mode = str(cfg["mode"])
     tc = train_config_from(cfg)
-    splits = load_splits(args.data) if args.data else build_splits(cfg, seed, rho)
+    splits = load_splits(args.data) if args.data else build_splits(cfg, seed, [rho])[0]
     rho = float(splits[0].meta.get("rho", rho))
     check_split_sizes(mode, *splits)
     out = out_root(args)  # before training, so an unwritable --out exits 2 at once
@@ -277,18 +281,16 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} names no value, so the grid has no cell")
     seed = int(cfg["seed"])
     configs = {mode: train_config_from({**cfg, "mode": mode}) for mode in modes}
-    for rho in rhos:  # every cell's splits, one noise rate's data at a time
-        splits = build_splits(cfg, seed, rho)
-        for mode in modes:
-            check_split_sizes(mode, *splits)
+    cells = build_splits(cfg, seed, rhos)  # every mode at a rate trains on the same data
+    for mode in modes:  # noise leaves the split sizes as they are
+        check_split_sizes(mode, *cells[0])
     out = out_root(args)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         fh.flush()
-        for rho in rhos:
-            splits = build_splits(cfg, seed, rho)  # every mode trains on the same data
+        for rho, splits in zip(rhos, cells):
             for mode in modes:
                 result, test_retr = _run_cell(configs[mode], splits)
                 writer.writerow(csv_row(mode, rho, test_retr, result.detection))

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_int,
-                       require_positive, require_unit_interval, require_unit_rows,
-                       scale_rows_pow2, softmax_rows)
+from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into,
+                       require_cosine_temperature, require_int, require_positive,
+                       require_unit_interval, require_unit_rows, scale_rows_pow2, softmax_rows)
 
 __all__ = [
     "GMM_MIN_SCORES",
@@ -102,6 +102,7 @@ def embedding_indicator(e_img, e_txt, tau1: float, work: np.ndarray | None = Non
     require_unit_rows(ei, "image embeddings")
     require_unit_rows(et, "text embeddings")
     buf = bxb_view(work, ei.shape[0])
+    require_cosine_temperature(tau1, "tau1")
     _, rows, cols = exp_cosines_into(ei, et, tau1, buf)
     hit = buf.diagonal()
     out = 0.5 * (hit / rows + hit / cols)

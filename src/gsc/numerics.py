@@ -325,11 +325,10 @@ def exp_cosines_into(e_a: np.ndarray, e_b: np.ndarray, tau1: float, out: np.ndar
     softmax needs one exp per direction: row i's softmax of e_a e_b^T / tau1
     is E[i] / rows[i] and column j's is E[:, j] / cols[j], and the
     log-softmax diagonals are diag - log(rows) and diag - log(cols). Returns
-    (diag, rows, cols), diag the exponent's diagonal. A ``tau1`` below
-    ``MIN_COSINE_TEMPERATURE`` raises ValueError; the rows are not checked
-    here.
+    (diag, rows, cols), diag the exponent's diagonal. The caller checks
+    ``tau1`` (``require_cosine_temperature``) and the rows; neither is
+    checked here.
     """
-    require_cosine_temperature(tau1, "tau1")
     np.matmul(e_a / tau1, e_b.T, out=out)
     out -= 1.0 / tau1
     diag = out.diagonal().copy()

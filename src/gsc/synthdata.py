@@ -18,7 +18,7 @@ matrices inline, is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class PairDataset:
     derived from it, and the split name from ``meta``. Construction checks
     that the rows of every field agree, that ``match_perm`` is a
     permutation and that the features are finite; the fields cannot be
-    rebound, and every operation returns a new instance.
+    rebound, and every operation returns a new instance. Nothing writes
+    into the arrays, so instances may share them: ``inject_noise`` re-pairs
+    a split without copying its features.
     """
 
     img: np.ndarray
@@ -174,7 +176,9 @@ def inject_noise(ds: PairDataset, rho: float, rng: np.random.Generator) -> PairD
     The selected texts are deranged among themselves, so every selected pair
     is genuinely mismatched and every untouched pair stays clean. A rounded
     count of 1 is bumped to 2 because a single-element derangement does not
-    exist.
+    exist. Only ``match_perm`` and ``meta["rho"]`` change: the result shares
+    ``img``, ``txt`` and ``cluster_ids`` with ``ds``, never a copy, and
+    ``ds`` is left as it was.
     """
     require_unit_interval(rho, "rho")
     if not ds.is_clean():
@@ -189,15 +193,7 @@ def inject_noise(ds: PairDataset, rho: float, rng: np.random.Generator) -> PairD
     if k >= 2:
         chosen = np.sort(rng.choice(n, size=k, replace=False))
         perm[chosen] = chosen[_derangement(k, rng)]
-    meta = dict(ds.meta)
-    meta["rho"] = float(rho)
-    return PairDataset(
-        img=ds.img.copy(),
-        txt=ds.txt.copy(),
-        match_perm=perm,
-        cluster_ids=ds.cluster_ids.copy(),
-        meta=meta,
-    )
+    return replace(ds, match_perm=perm, meta={**ds.meta, "rho": float(rho)})
 
 
 def _subset(ds: PairDataset, idx: np.ndarray, tag: str) -> PairDataset:

@@ -359,7 +359,8 @@ def test_train_dump_labels(tmp_path, mode, n_epochs):
         ["metrics.jsonl", "report.json", *LABEL_FILES, *CKPT_FILES])
     # the rows a direct run of the same cell hands its sink
     cfg = cli.load_config(cli.build_parser().parse_args(argv))
-    train, dev, _ = cli.build_splits(cfg, *cli.seed_and_rho(cfg))
+    seed, rho = cli.seed_and_rho(cfg)
+    train, dev, _ = cli.build_splits(cfg, seed, [rho])[0]
     rows = []
     trainer.run(cli.train_config_from(cfg), train, dev, rows.append)
     assert len(rows) == n_epochs
@@ -759,6 +760,33 @@ def test_adding_a_mode_or_a_noise_rate_leaves_existing_rows_unchanged(tmp_path):
     largest = rows.pop(("0,0.4", "baseline,cm_only,gsc"))
     for grid in rows.values():
         assert all(largest[cell] == line for cell, line in grid.items())
+
+
+def test_a_sweep_generates_and_splits_its_data_once(tmp_path, monkeypatch):
+    calls = []
+    generate = cli.generate
+    monkeypatch.setattr(cli, "generate", lambda spec: calls.append(spec) or generate(spec))
+    assert run_cli("sweep", "--rhos", "0,0.4,1", "--modes", "baseline", *SWEEP_KEYS,
+                   "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
+
+
+# 21 samples split 1 / 10 / 10
+TINY_TRAIN = {"f_train": 0.04, "f_dev": 0.48, "f_test": 0.48}
+
+
+@pytest.mark.parametrize("rhos, modes, message", [
+    ("0,0.4", "baseline", "cannot mismatch 2 of 1 pairs"),
+    ("0", "baseline,gsc", "train split has 1 samples; mode 'gsc' needs at least 4"),
+], ids=["noise-rate", "mode"])
+def test_a_sweep_rejects_a_bad_cell_before_creating_out(tmp_path, capsys, rhos, modes, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--config", str(path), "--n", "21", "--epochs", "1",
+                   "--rhos", rhos, "--modes", modes, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_mode(tmp_path):

@@ -139,6 +139,16 @@ def test_inject_noise_reproducible():
     assert np.array_equal(a.match_perm, b.match_perm)
 
 
+def test_inject_noise_shares_the_features_and_leaves_its_input_as_it_was():
+    ds = generate(GenSpec(n=40, n_clusters=5, seed=9))
+    meta = dict(ds.meta)
+    out = inject_noise(ds, 0.5, derive_rng(9, "noise"))
+    for name in ("img", "txt", "cluster_ids"):
+        assert np.shares_memory(getattr(out, name), getattr(ds, name))
+    assert out.noise_mask.sum() == 20 and out.meta == {**meta, "rho": 0.5}
+    assert np.array_equal(ds.match_perm, np.arange(40)) and ds.meta == meta
+
+
 def test_inject_noise_errors():
     ds = generate(GenSpec(n=20, n_clusters=4, seed=8))
     with pytest.raises(ValueError):

@@ -41,8 +41,9 @@ mismatched (``--rho 1.0``, so one detection class is empty), the same run
 with its mode and knobs read from the config file ``OUT/train_config.json``
 (``TRAIN_CONFIG``: mode no_ensemble, whose overrides replace the file's
 warm-up and momenta, and a ``hidden_dims`` string), a small
-``gsc sweep`` of two modes at two noise rates (``SMALL_SWEEP``, so its
-``summary.csv`` is digested too), the benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
+``gsc sweep`` of two modes at three noise rates, the last re-pairing every
+train pair (``SMALL_SWEEP``, so its ``summary.csv`` is digested too), the
+benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
 dataset (``gen_argv``, ``train_argv`` and ``WORKLOADS``, taken from the
 ``perfbench/run.py`` beside this tool, so the two cannot drift apart), and
 ``gsc fdcheck --seeds 3``, whose stdout (each
@@ -71,7 +72,7 @@ from pathlib import Path
 
 SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "32",
                "--seed", "7", "--dump-labels"]
-SMALL_SWEEP = ["--n", "300", "--rhos", "0,0.4", "--modes", "gsc,baseline", "--epochs", "2",
+SMALL_SWEEP = ["--n", "300", "--rhos", "0,0.4,1", "--modes", "gsc,baseline", "--epochs", "2",
                "--seed", "7"]
 # OUT/<TRAIN_CONFIG_FILE> holds TRAIN_CONFIG, the config file of one train cell
 TRAIN_CONFIG_FILE = "train_config.json"
