@@ -182,16 +182,25 @@ def _e_step(weights, variances, sq, log_joint, tmp):
     """Log marginal density of the scores, from the squared deviations ``sq``
     of the scores from the component means (component x score); the log
     joint density is written into ``log_joint``, and ``tmp``, which may be
-    ``sq``, is overwritten."""
+    ``sq``, is overwritten.
+
+    The marginal is shift + log(sum of exp(joint - shift)), shift the larger
+    joint term of each score. With two components the larger term's exp is
+    exp(0) = 1 exactly, so only the smaller one's, exp(min - max) floored at
+    ``EM_EXP_FLOOR``, is taken, and 1 is added: bit for bit the two-exp sum.
+    """
     np.divide(sq, variances[:, None], out=log_joint)
     log_joint += np.log(2.0 * np.pi * variances)[:, None]
     log_joint *= 0.5
     np.subtract(np.log(weights)[:, None], log_joint, out=log_joint)
-    shift = log_joint.max(axis=0)
-    np.subtract(log_joint, shift, out=tmp)
-    np.maximum(tmp, EM_EXP_FLOOR, out=tmp)
-    np.exp(tmp, out=tmp)
-    return shift + np.log(tmp.sum(axis=0))
+    shift = np.maximum(log_joint[0], log_joint[1])
+    rest = np.minimum(log_joint[0], log_joint[1], out=tmp[0])
+    rest -= shift
+    np.maximum(rest, EM_EXP_FLOOR, out=rest)
+    np.exp(rest, out=rest)
+    rest += 1.0
+    shift += np.log(rest, out=rest)
+    return shift
 
 
 def gmm_fit(scores, iters: int = 50, floor: float = 1e-4) -> GmmModel:

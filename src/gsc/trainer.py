@@ -26,7 +26,9 @@ intermediates into its own ``bxb_view`` of it; `losses` says why the buffer
 belongs to the run and not to the step. A batch's features are gathered
 from the split as it is needed, the texts through
 ``PairDataset.paired_txt``, so no epoch copies the presented texts, and
-label estimation keeps one batch's embeddings alive at a time.
+label estimation keeps one batch's embedding matrices alive at a time, with
+no encoder cache or gathered features. Dev evaluation holds one P x P
+similarity matrix for any number of networks (``evaluate_retrieval``).
 """
 
 from __future__ import annotations
@@ -41,11 +43,15 @@ from .discrimination import (GMM_MIN_SCORES, SoftLabels, embedding_indicator,
 from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
                           retrieval_report)
 from .losses import grad_total
-from .model import Encoder, encode, encode_pair, sim_matrix
+from .model import EmbeddingBatch, Encoder, encode, encode_pair, sim_matrix
 from .numerics import (AdamState, NumericalError, adam_step, derive_rng,
                        require_cosine_temperature, require_int, require_positive,
                        require_unit_interval)
 from .synthdata import PairDataset
+
+# rows of the block through which evaluation adds a network's similarities: a
+# 32 x P float64 block stays below glibc's initial 128 KiB mmap threshold up to P = 512
+EVAL_ROW_BLOCK = 32
 
 __all__ = [
     "MODES",
@@ -289,9 +295,10 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     """Next label store from estimates on ``src``'s embeddings.
 
     The cross-modal indicator and the purified structure score are computed
-    batch by batch from the embeddings (``embedding_indicator`` and
+    batch by batch from the embedding matrices (``embedding_indicator`` and
     ``embedding_structure_score``; each sample appears in exactly one
-    batch, and its embeddings are dropped before the next batch is encoded);
+    batch; the batch's gathered features and encoder caches are dropped
+    before it is scored, and its embeddings before the next batch is encoded);
     the structure scores for the whole split then feed a single mixture fit.
     An estimator the mode leaves out contributes ones. Non-finite embeddings
     of ``src`` raise NumericalError naming the epoch, ``src``, the batch and
@@ -305,14 +312,15 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     y = labels.y
     for b_i, idx in enumerate(schedule):
         try:
-            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, ds.img[idx], ds.paired_txt(idx))
+            e_i, e_t = (e.matrix for e in encode_pair(src.img_enc, src.txt_enc, ds.img[idx],
+                                                      ds.paired_txt(idx)))
         except NumericalError as err:
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
         if spec.use_cm:
-            est_cm[idx] = embedding_indicator(e_i.matrix, e_t.matrix, cfg.tau1, work)
+            est_cm[idx] = embedding_indicator(e_i, e_t, cfg.tau1, work)
         if spec.use_im:
-            scores[idx] = embedding_structure_score(e_i.matrix, e_t.matrix, y[idx])
+            scores[idx] = embedding_structure_score(e_i, e_t, y[idx])
         del e_i, e_t
     if spec.use_im:
         gmm = gmm_fit(scores, iters=cfg.gmm_iters, floor=cfg.gmm_floor)
@@ -378,15 +386,39 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
     return {"loss_cm": cm_sum / n_batches, "loss_im": im_sum / n_batches}
 
 
+def _split_embeddings(net: Network, ds: PairDataset):
+    """A network's image and text embeddings of a whole split, without the
+    encoder caches that only backprop reads."""
+    return (EmbeddingBatch(encode(net.img_enc, ds.img).matrix),
+            EmbeddingBatch(encode(net.txt_enc, ds.txt).matrix))
+
+
+def _add_similarities(sims: np.ndarray, a: EmbeddingBatch, b: EmbeddingBatch) -> None:
+    """``sims += sim_matrix(a, b)``, ``EVAL_ROW_BLOCK`` rows at a time
+    through one small temporary."""
+    block = np.empty((min(EVAL_ROW_BLOCK, sims.shape[0]), sims.shape[1]))
+    for start in range(0, sims.shape[0], EVAL_ROW_BLOCK):
+        part = sims[start:start + EVAL_ROW_BLOCK]
+        part += np.matmul(a.matrix[start:start + EVAL_ROW_BLOCK], b.matrix.T,
+                          out=block[:len(part)])
+
+
 def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
-    """Retrieval on a split using the mean of the networks' similarities."""
-    sims = None
-    for net in nets:
-        s = sim_matrix(encode(net.img_enc, ds.img), encode(net.txt_enc, ds.txt))
-        if sims is None:
-            sims = s
-        else:
-            sims += s
+    """Retrieval on a split using the mean of the networks' similarities.
+
+    The first network's P x P similarity matrix (P = ``ds.n``) is the one
+    P x P matrix the evaluation holds: every other network's similarities
+    are added into it a row block at a time (``_add_similarities``), and no
+    encoder cache outlives its forward pass. OpenBLAS picks its kernel by
+    shape, so a row block's product can differ from the same rows of the
+    full product in the last bit: the mean is not always bit-identical to
+    the sum of full products. Every recall is rank-based, so only a tie
+    within the last bit could move one.
+    """
+    first, *rest = nets
+    sims = sim_matrix(*_split_embeddings(first, ds))
+    for net in rest:
+        _add_similarities(sims, *_split_embeddings(net, ds))
     sims /= len(nets)
     return retrieval_report(sims)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gsc.discrimination import (GmmModel, SoftLabels, combine_labels,
+from gsc import discrimination
+from gsc.discrimination import (EM_EXP_FLOOR, GmmModel, SoftLabels, combine_labels,
                                 cross_modal_indicator, embedding_indicator,
                                 embedding_structure_score, ensemble_update, gmm_fit,
                                 gmm_posterior, intra_structure_score)
@@ -420,6 +421,48 @@ def test_gmm_fit_floored_exponents_leave_every_bit():
         assert model.loglik == loglik
         assert np.array_equal(gmm_posterior(model, scores), post)
     assert below >= 100  # the cases reach the subnormal range of np.exp
+
+
+def _two_exp_e_step(weights, variances, sq, log_joint, tmp):
+    """``discrimination._e_step`` taking the exp of both shifted joint terms,
+    the larger one's included."""
+    np.divide(sq, variances[:, None], out=log_joint)
+    log_joint += np.log(2.0 * np.pi * variances)[:, None]
+    log_joint *= 0.5
+    np.subtract(np.log(weights)[:, None], log_joint, out=log_joint)
+    shift = log_joint.max(axis=0)
+    np.subtract(log_joint, shift, out=tmp)
+    np.maximum(tmp, EM_EXP_FLOOR, out=tmp)
+    np.exp(tmp, out=tmp)
+    return shift + np.log(tmp.sum(axis=0))
+
+
+def _fit_and_posterior(scores):
+    model = gmm_fit(scores)
+    return model, gmm_posterior(model, scores)
+
+
+def test_e_step_one_exp_per_score_matches_the_two_exp_form_bit_for_bit(monkeypatch):
+    # the larger shifted term is exp(0) = 1 exactly, and min - max = -(max - min)
+    rng = derive_rng(13, "e-step")
+    cases = [np.full(40, 0.25)]  # every score equal: two identical components
+    for case in range(300):
+        n = int(rng.integers(4, 3001))
+        lo, hi = rng.uniform(-1.0, 1.0, 2)
+        spread = float(10.0 ** rng.uniform(-4, 0))
+        scores = np.where(rng.uniform(size=n) < rng.uniform(0.1, 0.9),
+                          rng.normal(lo, spread, n), rng.normal(hi, spread, n))
+        cases.append(np.clip(scores, -1.0, 1.0) if case % 2 else scores)
+    fits = [_fit_and_posterior(scores) for scores in cases]
+    monkeypatch.setattr(discrimination, "_e_step", _two_exp_e_step)
+    for scores, (model, post) in zip(cases, fits):
+        reference, reference_post = _fit_and_posterior(scores)
+        assert model.loglik == reference.loglik
+        assert np.array_equal(model.weights, reference.weights)
+        assert np.array_equal(model.means, reference.means)
+        assert np.array_equal(model.variances, reference.variances)
+        assert np.array_equal(post, reference_post)
+    assert np.all(fits[0][1] == 0.49999999999999994)
 
 
 def test_gmm_fit_requires_enough_scores():

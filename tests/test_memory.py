@@ -1,5 +1,6 @@
-"""Peak allocation of the per-step kernels and of a training epoch, in B x B
-float64 arrays, of a whole run's label sink, and of loading a dataset split.
+"""Peak allocation of the per-step kernels, of a training epoch and of its
+label estimation, in B x B float64 arrays, of dev evaluation, of a whole
+run's label sink, and of loading a dataset split.
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call,
 with its inputs allocated beforehand, counts the temporaries the call makes.
@@ -15,7 +16,8 @@ from gsc.losses import _embedding_grads
 from gsc.model import EmbeddingBatch
 from gsc.numerics import derive_rng, softmax_rows
 from gsc.synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
-from gsc.trainer import TrainConfig, init_state, run, train_epoch
+from gsc.trainer import (TrainConfig, _next_labels, batch_schedule, evaluate_retrieval,
+                         init_state, run, train_epoch)
 
 B, D = 256, 32
 
@@ -72,6 +74,31 @@ def test_training_epoch_at_batch_400_allocates_little_beside_the_runs_buffer():
     # copy of every text per epoch, two estimation batches alive at once and
     # fresh encode and backprop temporaries, it was 2.31.
     assert _peak(train_epoch, state, ds, cfg) / state.work.nbytes < 1.5
+
+
+def test_label_estimation_at_batch_400_keeps_no_encoder_cache():
+    # the train split and batch size of the gsc_bigbatch benchmark workload
+    ds = inject_noise(generate(GenSpec(n=2000, seed=3)), 0.4, derive_rng(3, "noise"))
+    cfg = TrainConfig(batch_size=400, warmup_epochs=0, seed=3)
+    state = init_state(cfg, ds)
+    schedules = [batch_schedule(ds.n, 400, derive_rng(3, "batches", k)) for k in range(2)]
+    # Measured: 0.86 B x B (1.11 MB), one batch's embedding matrices, the
+    # scoring temporaries and the n-vectors of the estimates. Holding the
+    # batch's gathered features and encoder caches while scoring it took
+    # 1.11 B x B.
+    peak = _peak(_next_labels, state, ds, schedules, cfg, cfg.beta1, cfg.beta2)
+    assert peak / state.work.nbytes < 0.95
+
+
+def test_a_second_network_adds_no_similarity_matrix_to_evaluation():
+    # the desk workloads' dev split: P = 250
+    ds = generate(GenSpec(n=250, seed=3))
+    nets = init_state(TrainConfig(seed=3), ds).nets
+    pxp = ds.n * ds.n * 8
+    # Measured: 1.65 P x P with two networks and 1.53 with one. Two full
+    # similarity matrices and both networks' encoder caches took 2.78 and 1.78.
+    extra = _peak(evaluate_retrieval, nets, ds) - _peak(evaluate_retrieval, nets[:1], ds)
+    assert extra / pxp < 0.25
 
 
 @pytest.mark.parametrize("epochs", [2, 24])

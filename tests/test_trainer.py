@@ -7,6 +7,7 @@ import pytest
 from gsc import trainer
 from gsc.discrimination import ensemble_update, gmm_fit, gmm_posterior
 from gsc.discrimination import cross_modal_indicator, intra_structure_score
+from gsc.evalmetrics import retrieval_report
 from gsc.losses import grad_total
 from gsc.model import Encoder, encode, sim_matrix
 from gsc.numerics import NumericalError, adam_step, derive_rng
@@ -451,6 +452,23 @@ def test_run_best_checkpoint_reproduces_best_dev_score():
     res = run(small_cfg(seed=5), train, dev)
     retr = evaluate_retrieval(res.best_nets, dev)
     assert retr.recall_sum == pytest.approx(res.best_recall_sum)
+
+
+@pytest.mark.parametrize("p", [10, 31, 32, 33, 250])
+def test_evaluate_retrieval_scores_the_mean_of_the_full_similarity_matrices(p, monkeypatch):
+    # dev sizes below, at and one row past a 32-row block, and the desk dev split's
+    ds = generate(GenSpec(n=p, n_clusters=8, seed=p))
+    nets = init_state(TrainConfig(seed=p), ds).nets
+    s_a, s_b = (sim_matrix(encode(net.img_enc, ds.img), encode(net.txt_enc, ds.txt))
+                for net in nets)
+    full = (s_a + s_b) / 2
+    scored = []
+    monkeypatch.setattr(trainer, "retrieval_report",
+                        lambda s: scored.append(s.copy()) or retrieval_report(s))
+    assert evaluate_retrieval(nets, ds) == retrieval_report(full)
+    # a row block's product may differ from the full product in the last bit
+    (blocked,) = scored
+    assert np.max(np.abs(blocked - full)) <= 4 * np.spacing(1.0)
 
 
 def test_run_detection_improves_over_warmup_epoch():

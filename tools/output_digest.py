@@ -40,7 +40,9 @@ The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 mismatched (``--rho 1.0``, so one detection class is empty), the same run
 with its mode and knobs read from the config file ``OUT/train_config.json``
 (``TRAIN_CONFIG``: mode no_ensemble, whose overrides replace the file's
-warm-up and momenta, and a ``hidden_dims`` string), a small
+warm-up and momenta, and a ``hidden_dims`` string), the same gsc run on
+``--n 330`` (``PAST_BLOCK_N``), whose dev and test splits of 33 rows are
+one row past a row block of the evaluation, a small
 ``gsc sweep`` of two modes at three noise rates, the last re-pairing every
 train pair (``SMALL_SWEEP``, so its ``summary.csv`` is digested too), the
 benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
@@ -74,6 +76,9 @@ SMALL_TRAIN = ["--n", "300", "--rho", "0.4", "--epochs", "3", "--batch-size", "3
                "--seed", "7", "--dump-labels"]
 SMALL_SWEEP = ["--n", "300", "--rhos", "0,0.4,1", "--modes", "gsc,baseline", "--epochs", "2",
                "--seed", "7"]
+# dev and test splits of 33 rows each: one row past a 32-row block of
+# trainer.evaluate_retrieval (SMALL_TRAIN's 30 rows are a single block)
+PAST_BLOCK_N = 330
 # OUT/<TRAIN_CONFIG_FILE> holds TRAIN_CONFIG, the config file of one train cell
 TRAIN_CONFIG_FILE = "train_config.json"
 TRAIN_CONFIG = {"mode": "no_ensemble", "warmup_epochs": 2, "beta1": 0.3, "beta2": 0.2,
@@ -112,6 +117,8 @@ def cells(out: Path) -> list:
                   "--out", str(out / "train_gsc_rho1")])
     argvs.append(["train", "--config", str(out / TRAIN_CONFIG_FILE), *SMALL_TRAIN,
                   "--out", str(out / "train_config")])
+    argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--n", str(PAST_BLOCK_N),
+                  "--out", str(out / f"train_gsc_n{PAST_BLOCK_N}")])
     argvs.append(["sweep", *SMALL_SWEEP, "--out", str(out / "sweep")])
     data = out / DATA
     argvs.append(bench.gen_argv(BENCH_SEED, data))
