@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .numerics import AdamState, NumericalError, adam_step, cosine, derive_rng, softmax_rows
 from .synthdata import GenSpec, PairDataset, generate, inject_noise, load_dataset, save_dataset, split
-from .model import EmbeddingBatch, Encoder, encode, sim_matrix
+from .model import Encoder, encode, sim_matrix
 from .discrimination import (GmmModel, SoftLabels, combine_labels, cross_modal_indicator,
                              embedding_structure_score, ensemble_update, gmm_fit, gmm_posterior,
                              intra_structure_score)

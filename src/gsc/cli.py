@@ -307,6 +307,9 @@ def cmd_fdcheck(args) -> int:
     require_positive(args.h, "--h")
     require_positive(args.tol, "--tol")
     dims = comma_list(args.dims, int, "--dims")
+    if len(dims) < 2 or min(dims) < 1 or dims[0] < 2:  # the text encoder takes dims[0] - 1
+        raise ValueError(f"--dims {args.dims!r} must list at least two widths, each at least 1 "
+                         "and the first at least 2")
     worst = None
     all_pass = True
     for seed in range(args.seeds):

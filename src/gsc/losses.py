@@ -68,8 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Encoder, EmbeddingBatch, ForwardCache, encode, encode_pair, param_layout,
-                    param_views)
+from .model import Encoder, ForwardCache, encode, encode_pair, param_layout, param_views
 from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_computed,
                        require_cosine_temperature, require_positive, softmax_into)
 
@@ -127,10 +126,9 @@ def loss_im(s_ii, s_tt, y, tau2: float) -> float:
     return float(-(diag - softmax_into(z, 1, z)).mean())
 
 
-def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
-                     tau1: float, tau2: float, gamma: float,
-                     work: np.ndarray | None = None):
-    """Loss report plus gradients w.r.t. the two embedding matrices.
+def _embedding_grads(ei: np.ndarray, et: np.ndarray, y, tau1: float, tau2: float,
+                     gamma: float, work: np.ndarray | None = None):
+    """Loss report plus gradients w.r.t. the embedding matrices ``ei`` and ``et``.
 
     Both blocks write their B x B quantities, in turn, into the one
     ``bxb_view`` of the flat ``work`` array (allocated when None),
@@ -159,8 +157,6 @@ def _embedding_grads(e_img: EmbeddingBatch, e_txt: EmbeddingBatch, y,
     """
     require_positive(tau2, "tau2")
     require_positive(gamma, "gamma", allow_zero=True)
-    ei = e_img.matrix
-    et = e_txt.matrix
     b = ei.shape[0]
     yv = as_vector(y, b, "labels")
     require_cosine_temperature(tau1, "tau1")  # before the structure block runs
@@ -255,12 +251,12 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     of at least B^2 float64 entries the B x B intermediates are written
     into, one after the other (allocated when None).
     """
-    e_img, e_txt = encode_pair(enc_img, enc_txt, x_img, x_txt)
+    (e_img, e_txt), (c_img, c_txt) = encode_pair(enc_img, enc_txt, x_img, x_txt)
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)
     cut = enc_img.theta.size
     grad = np.empty(cut + enc_txt.theta.size)
-    _backprop_encoder(enc_img, e_img.cache, e_img.matrix, g_ei, grad[:cut])
-    _backprop_encoder(enc_txt, e_txt.cache, e_txt.matrix, g_et, grad[cut:])
+    _backprop_encoder(enc_img, c_img, e_img, g_ei, grad[:cut])
+    _backprop_encoder(enc_txt, c_txt, e_txt, g_et, grad[cut:])
     require_computed("image-encoder gradients", grad[:cut])
     require_computed("text-encoder gradients", grad[cut:])
     return report, grad
@@ -268,9 +264,7 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
 
 def _dense_loss_value(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
                       tau1: float, tau2: float, gamma: float) -> float:
-    e_img = encode(enc_img, x_img)
-    e_txt = encode(enc_txt, x_txt)
-    ei, et = e_img.matrix, e_txt.matrix
+    ei, et = encode(enc_img, x_img)[0], encode(enc_txt, x_txt)[0]
     return (loss_cm(ei @ et.T, y, tau1)
             + gamma * loss_im(ei @ ei.T, et @ et.T, y, tau2))
 

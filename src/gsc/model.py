@@ -1,9 +1,10 @@
 """Per-modality MLP encoders with unit-norm outputs, plus similarity matrices.
 
 An encoder is a stack of affine layers with tanh between them and a final
-row-wise L2 normalization, so all similarities are cosines. ``encode`` keeps
-the intermediate activations needed for the hand-derived backward pass in
-`losses`.
+row-wise L2 normalization, so all similarities are cosines. An embedding
+is a plain float64 matrix of unit-norm rows: ``encode`` returns it and,
+as a separate value, the ``ForwardCache`` of intermediate activations that
+only the hand-derived backward pass in `losses` reads.
 
 An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
 b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
@@ -27,7 +28,6 @@ from .numerics import (array_path, as_matrix, json_entry, read_array, read_json_
                        require_computed, require_finite, require_int, write_arrays)
 
 __all__ = [
-    "EmbeddingBatch",
     "Encoder",
     "ForwardCache",
     "encode",
@@ -52,14 +52,6 @@ class ForwardCache:
 
     inputs: list
     norms: np.ndarray
-
-
-@dataclass
-class EmbeddingBatch:
-    """A batch of unit-norm embedding rows."""
-
-    matrix: np.ndarray
-    cache: ForwardCache | None = None
 
 
 def param_layout(dims: Sequence[int]) -> list:
@@ -115,13 +107,16 @@ class Encoder:
         return enc
 
 
-def encode(enc: Encoder, x) -> EmbeddingBatch:
+def encode(enc: Encoder, x) -> tuple:
     """Forward pass: affine/tanh stack, then row-wise L2 normalization.
 
-    Each layer's bias and tanh, and the final division by the row norms, are
-    applied in the memory of the layer's matmul output, so the cache's
-    activations and the returned matrix are arrays of their own that
-    `losses`' backward pass may overwrite."""
+    Returns ``(matrix, cache)``: the unit-norm embedding rows and the
+    ``ForwardCache`` that backprop reads. Each layer's bias and tanh, and the
+    final division by the row norms, are applied in the memory of the
+    layer's matmul output, so the cache's activations and the returned
+    matrix are arrays of their own that `losses`' backward pass may
+    overwrite. A caller that only reads the matrix takes ``encode(...)[0]``,
+    so the cache is freed at once."""
     a = as_matrix(x, "encoder input")
     if a.shape[1] != enc.dims[0]:
         raise ValueError(f"input dim {a.shape[1]} != encoder input dim {enc.dims[0]}")
@@ -138,25 +133,28 @@ def encode(enc: Encoder, x) -> EmbeddingBatch:
     norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=1)), NORM_FLOOR)
     with np.errstate(invalid="ignore"):  # non-finite rows are caught downstream
         matrix = np.divide(a, norms[:, None], out=a)
-    return EmbeddingBatch(matrix=matrix, cache=ForwardCache(inputs=inputs, norms=norms))
+    return matrix, ForwardCache(inputs=inputs, norms=norms)
 
 
 def encode_pair(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt):
-    """Encode paired batches; NumericalError names a non-finite side."""
-    e_img = encode(enc_img, x_img)
-    e_txt = encode(enc_txt, x_txt)
-    if e_img.matrix.shape[0] != e_txt.matrix.shape[0]:
+    """Encode paired batches into ``((e_img, e_txt), (c_img, c_txt))``, the
+    two embedding matrices and their caches; NumericalError names a
+    non-finite side."""
+    e_img, c_img = encode(enc_img, x_img)
+    e_txt, c_txt = encode(enc_txt, x_txt)
+    if e_img.shape[0] != e_txt.shape[0]:
         raise ValueError("image/text batch sizes differ")
-    require_computed("image embeddings", e_img.matrix)
-    require_computed("text embeddings", e_txt.matrix)
-    return e_img, e_txt
+    require_computed("image embeddings", e_img)
+    require_computed("text embeddings", e_txt)
+    return (e_img, e_txt), (c_img, c_txt)
 
 
-def sim_matrix(a: EmbeddingBatch, b: EmbeddingBatch) -> np.ndarray:
-    """Pairwise dot products; cosines when both batches are unit-norm."""
-    if a.matrix.shape[1] != b.matrix.shape[1]:
-        raise ValueError(f"embedding dims differ: {a.matrix.shape[1]} vs {b.matrix.shape[1]}")
-    return a.matrix @ b.matrix.T
+def sim_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise dot products of the rows of two embedding matrices; cosines
+    when both are unit-norm."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
+    return a @ b.T
 
 
 def save_encoder(enc: Encoder, path) -> None:

@@ -43,8 +43,8 @@ from .discrimination import (GMM_MIN_SCORES, SoftLabels, embedding_indicator,
 from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
                           retrieval_report)
 from .losses import grad_total
-from .model import EmbeddingBatch, Encoder, encode, encode_pair, sim_matrix
-from .numerics import (AdamState, NumericalError, adam_step, derive_rng,
+from .model import Encoder, encode, encode_pair, sim_matrix
+from .numerics import (AdamState, NumericalError, adam_step, derive_rng, require_computed,
                        require_cosine_temperature, require_int, require_positive,
                        require_unit_interval)
 from .synthdata import PairDataset
@@ -63,6 +63,7 @@ __all__ = [
     "TrainConfig",
     "batch_schedule",
     "check_split_sizes",
+    "combined_labels",
     "evaluate_retrieval",
     "init_state",
     "learning_rate",
@@ -312,8 +313,7 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     y = labels.y
     for b_i, idx in enumerate(schedule):
         try:
-            e_i, e_t = (e.matrix for e in encode_pair(src.img_enc, src.txt_enc, ds.img[idx],
-                                                      ds.paired_txt(idx)))
+            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, ds.img[idx], ds.paired_txt(idx))[0]
         except NumericalError as err:
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
@@ -387,20 +387,26 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
 
 
 def _split_embeddings(net: Network, ds: PairDataset):
-    """A network's image and text embeddings of a whole split, without the
-    encoder caches that only backprop reads."""
-    return (EmbeddingBatch(encode(net.img_enc, ds.img).matrix),
-            EmbeddingBatch(encode(net.txt_enc, ds.txt).matrix))
+    """A network's image and text embedding matrices of a whole split,
+    without the encoder caches that only backprop reads. Non-finite ones
+    raise NumericalError naming the network and the split (its
+    ``split_tag``)."""
+    e_img, e_txt = encode(net.img_enc, ds.img)[0], encode(net.txt_enc, ds.txt)[0]
+    try:
+        require_computed("image embeddings", e_img)
+        require_computed("text embeddings", e_txt)
+    except NumericalError as err:
+        raise NumericalError(f"net {net.name}, {ds.split_tag} evaluation: {err}") from err
+    return e_img, e_txt
 
 
-def _add_similarities(sims: np.ndarray, a: EmbeddingBatch, b: EmbeddingBatch) -> None:
+def _add_similarities(sims: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """``sims += sim_matrix(a, b)``, ``EVAL_ROW_BLOCK`` rows at a time
     through one small temporary."""
     block = np.empty((min(EVAL_ROW_BLOCK, sims.shape[0]), sims.shape[1]))
     for start in range(0, sims.shape[0], EVAL_ROW_BLOCK):
         part = sims[start:start + EVAL_ROW_BLOCK]
-        part += np.matmul(a.matrix[start:start + EVAL_ROW_BLOCK], b.matrix.T,
-                          out=block[:len(part)])
+        part += np.matmul(a[start:start + EVAL_ROW_BLOCK], b.T, out=block[:len(part)])
 
 
 def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
@@ -413,7 +419,8 @@ def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
     shape, so a row block's product can differ from the same rows of the
     full product in the last bit: the mean is not always bit-identical to
     the sum of full products. Every recall is rank-based, so only a tie
-    within the last bit could move one.
+    within the last bit could move one. Non-finite embeddings raise
+    NumericalError naming the network and ``ds.split_tag``.
     """
     first, *rest = nets
     sims = sim_matrix(*_split_embeddings(first, ds))
@@ -454,8 +461,10 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
 
     Model selection keeps the network snapshot with the best dev recall sum;
     ``TrainConfig`` guarantees at least one epoch, and a recall sum is at least
-    0, so the first epoch always sets one. Identical (cfg, data) reproduce the
-    metric history bit-exactly. After each epoch (warm-up included) the sink
+    0, so the first epoch always sets one. A NumericalError of an epoch's dev
+    evaluation is raised again with the epoch prepended. Identical (cfg,
+    data) reproduce the metric history bit-exactly. After each epoch
+    (warm-up included) the sink
     ``on_labels``, when given, is called with {y, y_cm, y_im}: that epoch's
     combined, cross-modal and intra-modal labels, each the mean over the
     networks as an n-vector indexed by train sample. ``run`` keeps none of
@@ -468,7 +477,10 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
     best_recall_sum, best_epoch, best_nets = -1.0, -1, None
     for epoch in range(cfg.warmup_epochs + cfg.epochs):
         loss = train_epoch(state, train_ds, cfg)
-        retr = evaluate_retrieval(state.nets, dev_ds)
+        try:
+            retr = evaluate_retrieval(state.nets, dev_ds)
+        except NumericalError as err:
+            raise NumericalError(f"epoch {epoch}, {err}") from err
         y_run = combined_labels(state.labels)
         det = detection_metrics(y_run, train_ds.noise_mask)
         history.append({

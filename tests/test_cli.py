@@ -568,6 +568,18 @@ def test_train_nonfinite_loss_or_adam_moment_exits_3_naming_it(tmp_path, capsys,
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_train_with_nonfinite_dev_embeddings_exits_3_naming_the_evaluation(tmp_path, capsys):
+    # every weight stays finite after epoch 0, but both networks' dev embeddings overflow
+    out = tmp_path / "o"
+    argv = ["train", "--n", "300", "--epochs", "1", "--warmup", "0", "--batch-size", "240",
+            "--lr", "1e308", "--out", str(out)]
+    with np.errstate(all="ignore"):
+        assert run_cli(*argv) == 3
+    assert ("numerical abort: epoch 0, net A, dev evaluation: non-finite values in image "
+            "embeddings" in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["gmm_floor", "lr_decay"])
 def test_train_rejects_nonfinite_config_value_before_training(tmp_path, capsys, key):
     cfg_path = tmp_path / "cfg.json"
@@ -825,6 +837,7 @@ def test_fdcheck_passes_and_fails_on_tight_tol(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--seeds", "0"), ("--seeds", "-2"), ("--batch", "1"), ("--h", "0"), ("--tol", "nan"),
+    ("--dims", "1,4"), ("--dims", "8"), ("--dims", "8,0,4"),
 ])
 def test_fdcheck_rejects_arguments_that_check_nothing(capsys, flag, value):
     assert run_cli("fdcheck", "--seeds", "1", "--batch", "3", "--dims", "4,3",

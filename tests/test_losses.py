@@ -197,9 +197,7 @@ def test_embedding_grads_match_dense_reference(b):
     enc_txt = Encoder.init([9, 12, 8], rng)
     x_img = rng.standard_normal((b, 10))
     x_txt = rng.standard_normal((b, 9))
-    e_img = encode(enc_img, x_img)
-    e_txt = encode(enc_txt, x_txt)
-    ei, et = e_img.matrix, e_txt.matrix
+    ei, et = encode(enc_img, x_img)[0], encode(enc_txt, x_txt)[0]
     labels = [rng.uniform(0.0, 1.0, size=b), np.zeros(b), np.ones(b), np.full(b, 0.3),
               np.where(np.arange(b) % 2 == 0, 0.0, 0.7)]
     for y in labels:
@@ -207,7 +205,7 @@ def test_embedding_grads_match_dense_reference(b):
             report, _ = grad_total(enc_img, enc_txt, x_img, x_txt, y, 0.07, 0.5, gamma)
             want = loss_cm(ei @ et.T, y, 0.07) + gamma * loss_im(ei @ ei.T, et @ et.T, y, 0.5)
             assert abs(report.l_cm + gamma * report.l_im - want) <= 1e-12
-            _, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, 0.5, gamma)
+            _, g_ei, g_et = _embedding_grads(ei, et, y, 0.07, 0.5, gamma)
             ref_ei, ref_et = _dense_embedding_grads(ei, et, y, 0.07, 0.5, gamma)
             for got, ref in ((g_ei, ref_ei), (g_et, ref_et)):
                 scale = max(np.abs(ref).max(), 1e-300)
@@ -219,14 +217,14 @@ def test_embedding_grads_bit_identical_to_allocating_kernel(b):
     rng = derive_rng(b, "grad-inplace")
     enc_img = Encoder.init([10, 12, 32], rng)
     enc_txt = Encoder.init([9, 12, 32], rng)
-    e_img = encode(enc_img, rng.standard_normal((b, 10)))
-    e_txt = encode(enc_txt, rng.standard_normal((b, 9)))
+    e_img = encode(enc_img, rng.standard_normal((b, 10)))[0]
+    e_txt = encode(enc_txt, rng.standard_normal((b, 9)))[0]
     labels = (rng.uniform(0.0, 1.0, size=b), np.zeros(b), np.ones(b))
     work = np.full((b + 1) ** 2, np.nan)  # a run's buffer: larger, and reused
     for y, tau2, buf in itertools.product(labels, (1.0, 0.7), (None, work)):
         report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, 0.07, tau2, 0.01, buf)
         l_cm, l_im, ref_ei, ref_et = _embedding_grads_allocating(
-            e_img.matrix, e_txt.matrix, y, 0.07, tau2, 0.01)
+            e_img, e_txt, y, 0.07, tau2, 0.01)
         assert (report.l_cm, report.l_im) == (l_cm, l_im)
         assert np.array_equal(g_ei, ref_ei) and np.array_equal(g_et, ref_et)
 

@@ -13,7 +13,6 @@ import pytest
 
 from gsc.discrimination import embedding_indicator, embedding_structure_score
 from gsc.losses import _embedding_grads
-from gsc.model import EmbeddingBatch
 from gsc.numerics import derive_rng, softmax_rows
 from gsc.synthdata import GenSpec, generate, inject_noise, load_dataset, save_dataset, split
 from gsc.trainer import (TrainConfig, _next_labels, batch_schedule, evaluate_retrieval,
@@ -46,21 +45,21 @@ def _unit_rows(rng):
 
 def test_loss_kernel_keeps_one_bxb_buffer():
     rng = derive_rng(0, "mem-grads")
-    e_img = EmbeddingBatch(_unit_rows(rng))
-    e_txt = EmbeddingBatch(_unit_rows(rng))
+    e_img = _unit_rows(rng)
+    e_txt = _unit_rows(rng)
     y = rng.uniform(0.0, 1.0, size=B)
     assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01) < 2.0
 
 
 def test_kernels_allocate_no_bxb_array_with_the_runs_buffers():
     rng = derive_rng(4, "mem-work")
-    e_img = EmbeddingBatch(_unit_rows(rng))
-    e_txt = EmbeddingBatch(_unit_rows(rng))
+    e_img = _unit_rows(rng)
+    e_txt = _unit_rows(rng)
     y = rng.uniform(0.0, 1.0, size=B)
     work = np.empty(B * B)  # exactly one B x B buffer
     results = 2 * B * D / (B * B)  # the two B x d embedding gradients
     assert _peak_bxb(_embedding_grads, e_img, e_txt, y, 0.07, 1.0, 0.01, work) < results + 0.5
-    assert _peak_bxb(embedding_indicator, e_img.matrix, e_txt.matrix, 0.07, work) < 0.5
+    assert _peak_bxb(embedding_indicator, e_img, e_txt, 0.07, work) < 0.5
 
 
 def test_training_epoch_at_batch_400_allocates_little_beside_the_runs_buffer():

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gsc.model import (EmbeddingBatch, Encoder, encode, load_encoder, param_layout, param_views,
-                       save_encoder, sim_matrix)
+from gsc.model import (Encoder, encode, load_encoder, param_layout, param_views, save_encoder,
+                       sim_matrix)
 from gsc.numerics import derive_rng
 
 N_CASES = 100
@@ -17,8 +17,8 @@ def _identity_encoder(d):
 def test_encode_identity_layer_preserves_unit_norm_input():
     enc = _identity_encoder(4)
     x = np.array([[0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0]])
-    out = encode(enc, x)
-    assert np.max(np.abs(out.matrix - x)) < 1e-15
+    out = encode(enc, x)[0]
+    assert np.max(np.abs(out - x)) < 1e-15
 
 
 def test_encode_rows_are_unit_norm():
@@ -29,8 +29,8 @@ def test_encode_rows_are_unit_norm():
         d_out = int(rng.integers(2, 6))
         enc = Encoder.init([d_in, d_hidden, d_out], rng)
         x = rng.standard_normal((int(rng.integers(1, 7)), d_in)) * float(rng.uniform(0.1, 5.0))
-        out = encode(enc, x)
-        norms = np.linalg.norm(out.matrix, axis=1)
+        out = encode(enc, x)[0]
+        norms = np.linalg.norm(out, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
 
@@ -39,7 +39,7 @@ def test_encode_matches_scripted_forward_oracle():
     rng = derive_rng(1, "model-oracle")
     enc = Encoder.init([5, 7, 3], rng)
     x = rng.standard_normal((4, 5))
-    out = encode(enc, x).matrix
+    out = encode(enc, x)[0]
 
     expected = np.zeros((4, 3))
     for r in range(4):
@@ -63,8 +63,8 @@ def test_encode_deterministic_and_dim_checked():
     rng = derive_rng(2, "model-det")
     enc = Encoder.init([4, 3], rng)
     x = rng.standard_normal((5, 4))
-    a = encode(enc, x).matrix
-    b = encode(enc, x).matrix
+    a = encode(enc, x)[0]
+    b = encode(enc, x)[0]
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         encode(enc, rng.standard_normal((5, 6)))
@@ -74,13 +74,13 @@ def test_forward_cache_round_trip():
     rng = derive_rng(3, "model-cache")
     enc = Encoder.init([6, 5, 4], rng)
     x = rng.standard_normal((3, 6))
-    out = encode(enc, x)
-    again = encode(enc, out.cache.inputs[0]).matrix
-    assert np.array_equal(again, out.matrix)
+    out, cache = encode(enc, x)
+    again = encode(enc, cache.inputs[0])[0]
+    assert np.array_equal(again, out)
 
 
 def test_sim_matrix_orthonormal_self_is_identity():
-    e = EmbeddingBatch(matrix=np.eye(3))
+    e = np.eye(3)
     s = sim_matrix(e, e)
     assert np.array_equal(s, np.eye(3))
 
@@ -95,23 +95,22 @@ def test_sim_matrix_transpose_symmetry_and_unit_diag():
         b = rng.standard_normal((n2, d))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        ea, eb = EmbeddingBatch(matrix=a), EmbeddingBatch(matrix=b)
-        s = sim_matrix(ea, eb)
-        assert np.array_equal(s.T, sim_matrix(eb, ea))
+        s = sim_matrix(a, b)
+        assert np.array_equal(s.T, sim_matrix(b, a))
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
-        diag = np.diag(sim_matrix(ea, ea))
+        diag = np.diag(sim_matrix(a, a))
         assert np.max(np.abs(diag - 1.0)) < 1e-6
 
 
 def test_sim_matrix_hand_computed_2x2():
-    a = EmbeddingBatch(matrix=np.array([[1.0, 0.0], [0.6, 0.8]]))
-    b = EmbeddingBatch(matrix=np.array([[0.0, 1.0], [0.8, 0.6]]))
+    a = np.array([[1.0, 0.0], [0.6, 0.8]])
+    b = np.array([[0.0, 1.0], [0.8, 0.6]])
     s = sim_matrix(a, b)
     # direct dot products
     expected = np.array([[0.0, 0.8], [0.8, 0.6 * 0.8 + 0.8 * 0.6]])
     assert np.max(np.abs(s - expected)) < 1e-15
     with pytest.raises(ValueError):
-        sim_matrix(a, EmbeddingBatch(matrix=np.ones((2, 3))))
+        sim_matrix(a, np.ones((2, 3)))
 
 
 def test_encoder_checkpoint_round_trip(tmp_path):

@@ -267,8 +267,8 @@ def _reference_estimate(labels, src, x_img, x_txt, batches, cfg, use_cm, use_im,
     est_cm = np.ones(n)
     scores = np.zeros(n)
     for idx in batches:
-        e_i = encode(src.img_enc, x_img[idx])
-        e_t = encode(src.txt_enc, x_txt[idx])
+        e_i = encode(src.img_enc, x_img[idx])[0]
+        e_t = encode(src.txt_enc, x_txt[idx])[0]
         if use_cm:
             est_cm[idx] = cross_modal_indicator(sim_matrix(e_i, e_t), cfg.tau1)
         if use_im:
@@ -374,6 +374,17 @@ def test_label_estimation_aborts_with_location_on_nonfinite_source():
         train_epoch(state, train, cfg)
 
 
+@pytest.mark.parametrize("split_index, name", [(1, "dev"), (2, "test")])
+def test_evaluation_aborts_naming_the_network_and_the_split_on_nonfinite(split_index, name):
+    splits = small_data()
+    nets = init_state(small_cfg(), splits[0]).nets
+    nets[0].img_enc.weights[-1][0, 0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=f"^net A, {name} evaluation: non-finite values in image "
+                                  "embeddings$"):
+        evaluate_retrieval(nets, splits[split_index])
+
+
 @pytest.mark.parametrize("mode", ["gsc", "single_net"])
 def test_co_training_epoch_copies_no_network(monkeypatch, mode):
     # every network's labels are estimated before any network trains, so no
@@ -459,7 +470,7 @@ def test_evaluate_retrieval_scores_the_mean_of_the_full_similarity_matrices(p, m
     # dev sizes below, at and one row past a 32-row block, and the desk dev split's
     ds = generate(GenSpec(n=p, n_clusters=8, seed=p))
     nets = init_state(TrainConfig(seed=p), ds).nets
-    s_a, s_b = (sim_matrix(encode(net.img_enc, ds.img), encode(net.txt_enc, ds.txt))
+    s_a, s_b = (sim_matrix(encode(net.img_enc, ds.img)[0], encode(net.txt_enc, ds.txt)[0])
                 for net in nets)
     full = (s_a + s_b) / 2
     scored = []
