@@ -39,6 +39,8 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from .evalmetrics import (CSV_COLUMNS, RECALL_KS, DetectionReport, RetrievalReport,
                           assemble_report, csv_row)
 from .losses import fd_check
@@ -307,9 +309,11 @@ def cmd_fdcheck(args) -> int:
     require_positive(args.h, "--h")
     require_positive(args.tol, "--tol")
     dims = comma_list(args.dims, int, "--dims")
-    if len(dims) < 2 or min(dims) < 1 or dims[0] < 2:  # the text encoder takes dims[0] - 1
+    # the text encoder takes dims[0] - 1 inputs, and an output row of width 1 is +-1,
+    # so its gradient is 0
+    if len(dims) < 2 or min(dims) < 1 or dims[0] < 2 or dims[-1] < 2:
         raise ValueError(f"--dims {args.dims!r} must list at least two widths, each at least 1 "
-                         "and the first at least 2")
+                         "and the first and the last at least 2")
     worst = None
     all_pass = True
     for seed in range(args.seeds):
@@ -437,10 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code: 3 on a
+    NumericalError, 2 on invalid arguments or an output that cannot be
+    written, each reported as one stderr line.
+
+    The command runs with numpy's floating-point warnings off
+    (``np.errstate(all="ignore")``): a non-finite value is reported by the
+    package's own checks, which name where it arose, and a warning would
+    only add lines before that message."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 3

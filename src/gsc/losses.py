@@ -28,9 +28,9 @@ the intra-modal logits, their softmax and their gradient g_w fill the
 buffer, and X and Y, taken from it, are summed into the two B x d embedding
 gradients. The cross-modal block then overwrites the buffer with the exp of
 the pair logits and turns that into the pair-similarity gradient in place,
-weighting it a fixed block of rows at a time (``GRAD_ROW_BLOCK``) through a
-small temporary instead of a second B x B array; its two B x d products are
-added last. The buffer belongs to the run, not to the step:
+weighting it a fixed block of rows at a time (``numerics.ROW_BLOCK``)
+through a small temporary instead of a second B x B array; its two B x d
+products are added last. The buffer belongs to the run, not to the step:
 ``trainer.init_state`` allocates it once as ``RunState.work``, and every
 step and label estimate of the run overwrites it. glibc serves an
 allocation above its mmap threshold (128 KiB at start; a B x B float64
@@ -68,13 +68,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoder, ForwardCache, encode, encode_pair, param_layout, param_views
-from .numerics import (as_matrix, as_vector, bxb_view, exp_cosines_into, require_computed,
-                       require_cosine_temperature, require_positive, softmax_into)
-
-# rows of the pair-logit gradient weighted per pass: a 32 x B float64 block
-# stays below glibc's initial 128 KiB mmap threshold up to B = 512
-GRAD_ROW_BLOCK = 32
+from .model import Encoder, ForwardCache, encode, param_layout, param_views
+from .numerics import (ROW_BLOCK, as_matrix, as_vector, bxb_view, exp_cosines_into,
+                       require_computed, require_cosine_temperature, require_positive,
+                       softmax_into)
 
 __all__ = [
     "FdCheckReport",
@@ -146,15 +143,17 @@ def _embedding_grads(ei: np.ndarray, et: np.ndarray, y, tau1: float, tau2: float
     column sums c. Its gradient g_s = -(y_i (I - P) + (I - Q) y_j) /
     (2 B tau1), with P = E / r_i and Q = E / c_j, is
     E * (y_i / r_i + y_j / c_j) - 2 diag(y), scaled by 1 / (2 B tau1). The
-    weights y_i / r_i + y_j / c_j are formed ``GRAD_ROW_BLOCK`` rows at a
+    weights y_i / r_i + y_j / c_j are formed ``ROW_BLOCK`` rows at a
     time, each entry as one sum, as the whole B x B outer sum would give it.
     The scale is applied to g_s's B x d products, added last, not to the
     B x B matrix, which saves a B x B pass and keeps the row weights finite:
     r_i is at least B exp(-2 / tau1), so y_i / r_i fits a double at the tau1
     floor, while y_i / (2 B tau1 r_i) can overflow there for a tiny batch.
     Each loss is checked as soon as it exists; a non-finite one raises
-    NumericalError.
+    NumericalError. Embeddings of unequal shape raise ValueError first.
     """
+    if ei.shape != et.shape:
+        raise ValueError(f"embedding shapes differ: {ei.shape} vs {et.shape}")
     require_positive(tau2, "tau2")
     require_positive(gamma, "gamma", allow_zero=True)
     b = ei.shape[0]
@@ -198,12 +197,12 @@ def _embedding_grads(ei: np.ndarray, et: np.ndarray, y, tau1: float, tau2: float
     g_s = buf
     row_w = yv / rows
     col_w = yv / cols
-    block = np.empty((min(GRAD_ROW_BLOCK, b), b))
-    for start in range(0, b, GRAD_ROW_BLOCK):
-        part = g_s[start:start + GRAD_ROW_BLOCK]
+    block = np.empty((min(ROW_BLOCK, b), b))
+    for start in range(0, b, ROW_BLOCK):
+        part = g_s[start:start + ROW_BLOCK]
         weights = block[:len(part)]
         weights[...] = col_w  # broadcast by assignment, which needs no iterator buffer
-        weights += row_w[start:start + GRAD_ROW_BLOCK, None]
+        weights += row_w[start:start + ROW_BLOCK, None]
         part *= weights
     g_s.flat[on_diag] -= 2.0 * yv
     scale = 1.0 / (2.0 * b * tau1)
@@ -249,9 +248,13 @@ def grad_total(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt, y,
     constants; gradients flow through similarity matrices, both losses, the
     row normalization, and the MLP layers only. ``work`` is the flat array
     of at least B^2 float64 entries the B x B intermediates are written
-    into, one after the other (allocated when None).
+    into, one after the other (allocated when None). Non-finite image or
+    text embeddings (``encode``), a non-finite loss or a non-finite gradient
+    raise NumericalError naming the stage; batches of unequal size raise
+    ValueError before the losses are taken.
     """
-    (e_img, e_txt), (c_img, c_txt) = encode_pair(enc_img, enc_txt, x_img, x_txt)
+    e_img, c_img = encode(enc_img, x_img, "image embeddings")
+    e_txt, c_txt = encode(enc_txt, x_txt, "text embeddings")
     report, g_ei, g_et = _embedding_grads(e_img, e_txt, y, tau1, tau2, gamma, work)
     cut = enc_img.theta.size
     grad = np.empty(cut + enc_txt.theta.size)

@@ -4,7 +4,10 @@ An encoder is a stack of affine layers with tanh between them and a final
 row-wise L2 normalization, so all similarities are cosines. An embedding
 is a plain float64 matrix of unit-norm rows: ``encode`` returns it and,
 as a separate value, the ``ForwardCache`` of intermediate activations that
-only the hand-derived backward pass in `losses` reads.
+only the hand-derived backward pass in `losses` reads. ``encode`` is the
+one place an embedding is made and the one place it is checked: a
+non-finite one raises NumericalError naming the stage its caller gives, so
+training, label estimation and evaluation each add only their location.
 
 An encoder's parameters are one flat float64 vector ``theta`` laid out W0,
 b0, W1, b1, ... (``param_layout``); its ``weights`` (d_in, d_out) and
@@ -31,7 +34,6 @@ __all__ = [
     "Encoder",
     "ForwardCache",
     "encode",
-    "encode_pair",
     "load_encoder",
     "param_layout",
     "param_views",
@@ -107,7 +109,7 @@ class Encoder:
         return enc
 
 
-def encode(enc: Encoder, x) -> tuple:
+def encode(enc: Encoder, x, stage: str = "embeddings") -> tuple:
     """Forward pass: affine/tanh stack, then row-wise L2 normalization.
 
     Returns ``(matrix, cache)``: the unit-norm embedding rows and the
@@ -116,7 +118,12 @@ def encode(enc: Encoder, x) -> tuple:
     layer's matmul output, so the cache's activations and the returned
     matrix are arrays of their own that `losses`' backward pass may
     overwrite. A caller that only reads the matrix takes ``encode(...)[0]``,
-    so the cache is freed at once."""
+    so the cache is freed at once.
+
+    The row norms are checked before the division: a NaN or inf in the pass
+    and a squared norm that overflows each leave a norm non-finite, and
+    raise NumericalError naming ``stage``. So every returned row is finite,
+    and none is the zero row a division by an infinite norm would give."""
     a = as_matrix(x, "encoder input")
     if a.shape[1] != enc.dims[0]:
         raise ValueError(f"input dim {a.shape[1]} != encoder input dim {enc.dims[0]}")
@@ -131,22 +138,9 @@ def encode(enc: Encoder, x) -> tuple:
         a = z
     # exactly np.linalg.norm(a, axis=1), without its extra B x d copy of a
     norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=1)), NORM_FLOOR)
-    with np.errstate(invalid="ignore"):  # non-finite rows are caught downstream
-        matrix = np.divide(a, norms[:, None], out=a)
+    require_computed(stage, norms)
+    matrix = np.divide(a, norms[:, None], out=a)
     return matrix, ForwardCache(inputs=inputs, norms=norms)
-
-
-def encode_pair(enc_img: Encoder, enc_txt: Encoder, x_img, x_txt):
-    """Encode paired batches into ``((e_img, e_txt), (c_img, c_txt))``, the
-    two embedding matrices and their caches; NumericalError names a
-    non-finite side."""
-    e_img, c_img = encode(enc_img, x_img)
-    e_txt, c_txt = encode(enc_txt, x_txt)
-    if e_img.shape[0] != e_txt.shape[0]:
-        raise ValueError("image/text batch sizes differ")
-    require_computed("image embeddings", e_img)
-    require_computed("text embeddings", e_txt)
-    return (e_img, e_txt), (c_img, c_txt)
 
 
 def sim_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ its caller (`cli.staged`).
 ``exp_cosines_into`` is the kernel of a cosine matrix, whose known bound
 lets one exp give both its row and its column softmax.
 ``bxb_view`` cuts a batch's one B x B buffer from a run's flat work array
-(`losses` says why a run keeps one). ``scale_rows_pow2`` scales each row by
-a power of two so that its squares neither underflow nor overflow.
+(`losses` says why a run keeps one), and ``ROW_BLOCK`` is the row count of
+the small temporary through which a B x B or P x P matrix is updated.
+``scale_rows_pow2`` scales each row by a power of two so that its squares
+neither underflow nor overflow.
 """
 
 from __future__ import annotations
@@ -343,6 +345,12 @@ def softmax_rows(m, tau: float) -> np.ndarray:
     z = as_matrix(m, "softmax input") / tau
     softmax_into(z, 1, z)
     return z
+
+
+# rows per pass of a kernel that updates a B x B or P x P matrix a block of
+# rows at a time through one small temporary: a 32-row float64 block stays
+# below glibc's initial 128 KiB mmap threshold up to 512 columns
+ROW_BLOCK = 32
 
 
 def bxb_view(work: np.ndarray | None, b: int) -> np.ndarray:

@@ -43,15 +43,11 @@ from .discrimination import (GMM_MIN_SCORES, SoftLabels, embedding_indicator,
 from .evalmetrics import (RECALL_KS, DetectionReport, RetrievalReport, detection_metrics,
                           retrieval_report)
 from .losses import grad_total
-from .model import Encoder, encode, encode_pair, sim_matrix
-from .numerics import (AdamState, NumericalError, adam_step, derive_rng, require_computed,
+from .model import Encoder, encode, sim_matrix
+from .numerics import (ROW_BLOCK, AdamState, NumericalError, adam_step, derive_rng,
                        require_cosine_temperature, require_int, require_positive,
                        require_unit_interval)
 from .synthdata import PairDataset
-
-# rows of the block through which evaluation adds a network's similarities: a
-# 32 x P float64 block stays below glibc's initial 128 KiB mmap threshold up to P = 512
-EVAL_ROW_BLOCK = 32
 
 __all__ = [
     "MODES",
@@ -137,7 +133,7 @@ class TrainConfig:
     warmup_epochs: int = 1
     seed: int = 0
     mode: str = MODES[0]
-    embed_dim: int = 32
+    embed_dim: int = 32  # at least 2: a unit row of width 1 is +-1, so no gradient moves it
     hidden_dims: tuple = (64,)
     gmm_iters: int = 50
     gmm_floor: float = 1e-4
@@ -150,7 +146,7 @@ class TrainConfig:
         require_unit_interval(self.beta1, "beta1")
         require_unit_interval(self.beta2, "beta2")
         for name, minimum in (("batch_size", 2), ("epochs", 0), ("warmup_epochs", 0),
-                              ("lr_decay_epoch", 0), ("embed_dim", 1), ("gmm_iters", 1)):
+                              ("lr_decay_epoch", 0), ("embed_dim", 2), ("gmm_iters", 1)):
             require_int(getattr(self, name), name, minimum)
         for h in self.hidden_dims:
             require_int(h, "hidden_dims entry", 1)
@@ -298,12 +294,13 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     The cross-modal indicator and the purified structure score are computed
     batch by batch from the embedding matrices (``embedding_indicator`` and
     ``embedding_structure_score``; each sample appears in exactly one
-    batch; the batch's gathered features and encoder caches are dropped
-    before it is scored, and its embeddings before the next batch is encoded);
-    the structure scores for the whole split then feed a single mixture fit.
-    An estimator the mode leaves out contributes ones. Non-finite embeddings
-    of ``src`` raise NumericalError naming the epoch, ``src``, the batch and
-    this stage.
+    batch). Each modality is encoded on its own, and its gathered features
+    and encoder cache are dropped before the next is encoded, so while a
+    batch is scored only its two embedding matrices are alive, and they are
+    dropped before the next batch is encoded. The structure scores for the
+    whole split then feed a single mixture fit. An estimator the mode leaves
+    out contributes ones. Non-finite embeddings of ``src`` (``encode``)
+    raise NumericalError naming the epoch, ``src``, the batch and this stage.
     """
     spec = MODE_SPECS[cfg.mode]
     n = ds.n
@@ -313,7 +310,8 @@ def _estimate_labels(labels: SoftLabels, src: Network, ds: PairDataset, schedule
     y = labels.y
     for b_i, idx in enumerate(schedule):
         try:
-            e_i, e_t = encode_pair(src.img_enc, src.txt_enc, ds.img[idx], ds.paired_txt(idx))[0]
+            e_i = encode(src.img_enc, ds.img[idx], "image embeddings")[0]
+            e_t = encode(src.txt_enc, ds.paired_txt(idx), "text embeddings")[0]
         except NumericalError as err:
             raise NumericalError(f"epoch {epoch}, net {src.name}, batch {b_i}, "
                                  f"label estimation: {err}") from err
@@ -389,24 +387,22 @@ def train_epoch(state: RunState, train_ds: PairDataset, cfg: TrainConfig) -> dic
 def _split_embeddings(net: Network, ds: PairDataset):
     """A network's image and text embedding matrices of a whole split,
     without the encoder caches that only backprop reads. Non-finite ones
-    raise NumericalError naming the network and the split (its
-    ``split_tag``)."""
-    e_img, e_txt = encode(net.img_enc, ds.img)[0], encode(net.txt_enc, ds.txt)[0]
+    (``encode``) raise NumericalError, to which the network and the split
+    (its ``split_tag``) are added here."""
     try:
-        require_computed("image embeddings", e_img)
-        require_computed("text embeddings", e_txt)
+        return (encode(net.img_enc, ds.img, "image embeddings")[0],
+                encode(net.txt_enc, ds.txt, "text embeddings")[0])
     except NumericalError as err:
         raise NumericalError(f"net {net.name}, {ds.split_tag} evaluation: {err}") from err
-    return e_img, e_txt
 
 
 def _add_similarities(sims: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``sims += sim_matrix(a, b)``, ``EVAL_ROW_BLOCK`` rows at a time
-    through one small temporary."""
-    block = np.empty((min(EVAL_ROW_BLOCK, sims.shape[0]), sims.shape[1]))
-    for start in range(0, sims.shape[0], EVAL_ROW_BLOCK):
-        part = sims[start:start + EVAL_ROW_BLOCK]
-        part += np.matmul(a[start:start + EVAL_ROW_BLOCK], b.T, out=block[:len(part)])
+    """``sims += sim_matrix(a, b)``, ``ROW_BLOCK`` rows at a time through
+    one small temporary."""
+    block = np.empty((min(ROW_BLOCK, sims.shape[0]), sims.shape[1]))
+    for start in range(0, sims.shape[0], ROW_BLOCK):
+        part = sims[start:start + ROW_BLOCK]
+        part += np.matmul(a[start:start + ROW_BLOCK], b.T, out=block[:len(part)])
 
 
 def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:

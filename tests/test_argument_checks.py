@@ -4,9 +4,9 @@ One row per (entry point, bad argument): a NaN temperature, rate, weight,
 floor or scale, a tau1 below the cosine-temperature floor, a bool, None or
 string in place of a number (a momentum coefficient, a recall cutoff k),
 a k that is not a whole number, a noise rate outside [0, 1], a non-square
-matrix, embedding rows of norm above 1, a label vector of the wrong length
-or a work array too short for one B x B buffer. Each must raise ValueError
-before any computation.
+matrix, embedding rows of norm above 1, image and text batches of unequal
+size, a label vector of the wrong length or a work array too short for one
+B x B buffer. Each must raise ValueError before any computation.
 """
 
 import numpy as np
@@ -30,12 +30,12 @@ Y = np.ones(3)
 Y_SHORT = np.ones(2)
 
 
-def _grad_total(**kw):
+def _grad_total(n_txt=3, **kw):
     rng = derive_rng(0, "argument-checks")
     args = dict(y=Y, tau1=0.1, tau2=1.0, gamma=0.01)
     args.update(kw)
     return grad_total(Encoder.init([4, 3], rng), Encoder.init([5, 3], rng),
-                      rng.standard_normal((3, 4)), rng.standard_normal((3, 5)), **args)
+                      rng.standard_normal((3, 4)), rng.standard_normal((n_txt, 5)), **args)
 
 
 def _adam(lr):
@@ -67,6 +67,7 @@ CASES = {
     "grad_total-nan-tau2": lambda: _grad_total(tau2=NAN),
     "grad_total-nan-gamma": lambda: _grad_total(gamma=NAN),
     "grad_total-label-length": lambda: _grad_total(y=Y_SHORT),
+    "grad_total-batch-sizes": lambda: _grad_total(n_txt=2),
     "cross_modal_indicator-nan-tau1": lambda: cross_modal_indicator(SQ, NAN),
     "cross_modal_indicator-non-square": lambda: cross_modal_indicator(RECT, 0.1),
     "embedding_indicator-nan-tau1": lambda: embedding_indicator(SQ, SQ, NAN),

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,44 @@ def test_train_with_nonfinite_dev_embeddings_exits_3_naming_the_evaluation(tmp_p
     assert list(out.iterdir()) == []
 
 
+NONFINITE_TRAINS = {
+    # a step's squared embedding norms overflow, which a division by them would
+    # turn into rows of zeros
+    "embedding-norm-overflow": (["--epochs", "3", "--warmup", "1", "--batch-size", "64",
+                                 "--lr", "1e200"],
+                                "epoch 0, net A, batch 1: non-finite values in image embeddings"),
+    "dev-embeddings": (["--epochs", "1", "--warmup", "0", "--batch-size", "240", "--lr", "1e308"],
+                       "epoch 0, net A, dev evaluation: non-finite values in image embeddings"),
+    "loss": (["--rho", "0.4", "--epochs", "1", "--batch-size", "32", "--seed", "7",
+              "--tau2", "1e-307"], "epoch 0, net A, batch 0: non-finite values in the loss"),
+    "adam-moment": (["--rho", "0.4", "--epochs", "1", "--batch-size", "32", "--seed", "7",
+                     "--tau2", "1e-300"],
+                    "epoch 0, net A, batch 0: non-finite values in the Adam second moment"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(NONFINITE_TRAINS.values()),
+                         ids=list(NONFINITE_TRAINS))
+def test_a_numerical_abort_prints_one_line_and_no_warning(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("train", "--n", "300", *argv, "--out", str(out)) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical abort: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_train_rejects_a_width_1_embedding_before_writing(tmp_path, capsys):
+    # every unit row of width 1 is +-1, so no gradient would move a network
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"embed_dim": 1}))
+    out = tmp_path / "run"
+    assert run_cli("train", *FAST_TRAIN, "--config", str(cfg_path), "--out", str(out)) == 2
+    assert "embed_dim must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["gmm_floor", "lr_decay"])
 def test_train_rejects_nonfinite_config_value_before_training(tmp_path, capsys, key):
     cfg_path = tmp_path / "cfg.json"
@@ -837,7 +876,7 @@ def test_fdcheck_passes_and_fails_on_tight_tol(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--seeds", "0"), ("--seeds", "-2"), ("--batch", "1"), ("--h", "0"), ("--tol", "nan"),
-    ("--dims", "1,4"), ("--dims", "8"), ("--dims", "8,0,4"),
+    ("--dims", "1,4"), ("--dims", "8"), ("--dims", "8,0,4"), ("--dims", "4,3,1"),
 ])
 def test_fdcheck_rejects_arguments_that_check_nothing(capsys, flag, value):
     assert run_cli("fdcheck", "--seeds", "1", "--batch", "3", "--dims", "4,3",

@@ -285,6 +285,15 @@ def test_fd_check_linear_encoders_tight_tolerance():
     assert report.max_rel_err < 1e-6
 
 
+def test_fd_check_raises_no_floating_point_error():
+    # the finite-difference sweep of `gsc fdcheck`, with numpy's checks raising
+    rng = derive_rng(5, "grad-fd-errstate")
+    enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=3)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = fd_check(enc_img, enc_txt, x_img, x_txt, y, 0.07, 1.0, 0.01)
+    assert report.passed
+
+
 def test_fd_check_detects_perturbed_gradient():
     rng = derive_rng(4, "grad-perturb")
     enc_img, enc_txt, x_img, x_txt, y = _random_instance(rng, b=4)

@@ -81,12 +81,13 @@ def test_label_estimation_at_batch_400_keeps_no_encoder_cache():
     cfg = TrainConfig(batch_size=400, warmup_epochs=0, seed=3)
     state = init_state(cfg, ds)
     schedules = [batch_schedule(ds.n, 400, derive_rng(3, "batches", k)) for k in range(2)]
-    # Measured: 0.86 B x B (1.11 MB), one batch's embedding matrices, the
-    # scoring temporaries and the n-vectors of the estimates. Holding the
-    # batch's gathered features and encoder caches while scoring it took
-    # 1.11 B x B.
+    # Measured: 0.58 B x B (0.74 MB), one batch's embedding matrices, the
+    # scoring temporaries and the n-vectors of the estimates; each modality's
+    # gathered features and encoder cache are freed before the next is
+    # encoded. Encoding both modalities before dropping either's features and
+    # cache took 0.86 B x B, and holding them while scoring took 1.11.
     peak = _peak(_next_labels, state, ds, schedules, cfg, cfg.beta1, cfg.beta2)
-    assert peak / state.work.nbytes < 0.95
+    assert peak / state.work.nbytes < 0.7
 
 
 def test_a_second_network_adds_no_similarity_matrix_to_evaluation():

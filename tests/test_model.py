@@ -5,7 +5,7 @@ import pytest
 
 from gsc.model import (Encoder, encode, load_encoder, param_layout, param_views, save_encoder,
                        sim_matrix)
-from gsc.numerics import derive_rng
+from gsc.numerics import NumericalError, derive_rng
 
 N_CASES = 100
 
@@ -70,6 +70,20 @@ def test_encode_deterministic_and_dim_checked():
         encode(enc, rng.standard_normal((5, 6)))
 
 
+
+@pytest.mark.parametrize("scale", [1e200, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+def test_encode_raises_naming_its_stage_when_a_row_norm_is_not_finite(scale):
+    # at 1e200 every entry is finite but its square overflows, so the row norm
+    # is inf; a division by it would return rows of zeros
+    rng = derive_rng(5, "model-nonfinite")
+    enc = Encoder.init([4, 6, 3], rng)
+    enc.weights[-1][...] = scale
+    x = rng.standard_normal((5, 4))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="^non-finite values in text embeddings$"):
+            encode(enc, x, "text embeddings")
+        with pytest.raises(NumericalError, match="^non-finite values in embeddings$"):
+            encode(enc, x)
 def test_forward_cache_round_trip():
     rng = derive_rng(3, "model-cache")
     enc = Encoder.init([6, 5, 4], rng)

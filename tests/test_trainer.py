@@ -44,6 +44,10 @@ def test_config_validation():
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(mode="nope")
+    # every unit row of width 1 is +-1, so every gradient would be 0
+    with pytest.raises(ValueError, match="^embed_dim must be an integer >= 2, got 1$"):
+        TrainConfig(embed_dim=1)
+    TrainConfig(embed_dim=2)
     TrainConfig()
     # NaN or inf in a rate, temperature, weight or floor fails before training
     for key in ("tau1", "tau2", "gamma", "lr", "lr_decay", "gmm_floor"):
@@ -383,6 +387,16 @@ def test_evaluation_aborts_naming_the_network_and_the_split_on_nonfinite(split_i
             NumericalError, match=f"^net A, {name} evaluation: non-finite values in image "
                                   "embeddings$"):
         evaluate_retrieval(nets, splits[split_index])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_healthy_run_raises_no_floating_point_error(mode):
+    # `cli.main` runs every command with numpy's warnings off, so a healthy run
+    # must not overflow, divide by zero or make a NaN anywhere on its way
+    train, dev, test = small_data()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        result = run(small_cfg(mode=mode), train, dev)
+        evaluate_retrieval(result.best_nets, test)
 
 
 @pytest.mark.parametrize("mode", ["gsc", "single_net"])
