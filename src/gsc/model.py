@@ -1,7 +1,8 @@
 """Per-modality MLP encoders with unit-norm outputs, plus similarity matrices.
 
 An encoder is a stack of affine layers with tanh between them and a final
-row-wise L2 normalization, so all similarities are cosines. An embedding
+row-wise L2 normalization, so all similarities are cosines: every nonzero
+row comes back unit-norm, however small its norm. An embedding
 is a plain float64 matrix of unit-norm rows: ``encode`` returns it and,
 as a separate value, the ``ForwardCache`` of intermediate activations that
 only the hand-derived backward pass in `losses` reads. ``encode`` is the
@@ -49,7 +50,8 @@ class ForwardCache:
     """Intermediates retained by ``encode``: enough to rerun or backprop.
 
     ``inputs[l]`` is the activation entering affine layer l; ``norms`` are
-    the (floored) row L2 norms of the last affine output.
+    the row L2 norms of the last affine output, each measured exactly even
+    when its squares underflow, and ``NORM_FLOOR`` for a zero row.
     """
 
     inputs: list
@@ -123,7 +125,16 @@ def encode(enc: Encoder, x, stage: str = "embeddings") -> tuple:
     The row norms are checked before the division: a NaN or inf in the pass
     and a squared norm that overflows each leave a norm non-finite, and
     raise NumericalError naming ``stage``. So every returned row is finite,
-    and none is the zero row a division by an infinite norm would give."""
+    and none is the zero row a division by an infinite norm would give.
+
+    Every nonzero row comes back unit-norm. A row whose norm is below
+    ``NORM_FLOOR`` (whose squares may underflow) is first multiplied by the
+    power of two that brings its largest entry into [0.5, 1), which is exact
+    (``numerics.scale_rows_pow2``), and divided by its scaled norm; the
+    cache keeps the unscaled norm, the scaled one times that power, so the
+    backward pass differentiates what was returned. A zero row stays zero,
+    with ``NORM_FLOOR`` as its norm. Rows at or above the floor are divided
+    by their norms as measured: scaling them would change no bit."""
     a = as_matrix(x, "encoder input")
     if a.shape[1] != enc.dims[0]:
         raise ValueError(f"input dim {a.shape[1]} != encoder input dim {enc.dims[0]}")
@@ -137,9 +148,17 @@ def encode(enc: Encoder, x, stage: str = "embeddings") -> tuple:
             np.tanh(z, out=z)
         a = z
     # exactly np.linalg.norm(a, axis=1), without its extra B x d copy of a
-    norms = np.maximum(np.sqrt(np.add.reduce(a * a, axis=1)), NORM_FLOOR)
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))
     require_computed(stage, norms)
-    matrix = np.divide(a, norms[:, None], out=a)
+    divisors = norms
+    tiny = np.flatnonzero(norms < NORM_FLOOR)
+    if tiny.size:  # measured scaled by a power of two, as numerics.scale_rows_pow2 does
+        _, exponent = np.frexp(np.abs(a[tiny]).max(axis=1))
+        a[tiny] = np.ldexp(a[tiny], -exponent[:, None])
+        divisors = norms.copy()
+        divisors[tiny] = np.maximum(np.sqrt(np.add.reduce(a[tiny] ** 2, axis=1)), NORM_FLOOR)
+        norms[tiny] = np.ldexp(divisors[tiny], exponent)
+    matrix = np.divide(a, divisors[:, None], out=a)
     return matrix, ForwardCache(inputs=inputs, norms=norms)
 
 

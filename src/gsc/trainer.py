@@ -28,7 +28,9 @@ from the split as it is needed, the texts through
 ``PairDataset.paired_txt``, so no epoch copies the presented texts, and
 label estimation keeps one batch's embedding matrices alive at a time, with
 no encoder cache or gathered features. Dev evaluation holds one P x P
-similarity matrix for any number of networks (``evaluate_retrieval``).
+similarity matrix for any number of networks: every network's similarities
+are added into it the same way, a row block at a time
+(``evaluate_retrieval``).
 """
 
 from __future__ import annotations
@@ -396,32 +398,27 @@ def _split_embeddings(net: Network, ds: PairDataset):
         raise NumericalError(f"net {net.name}, {ds.split_tag} evaluation: {err}") from err
 
 
-def _add_similarities(sims: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``sims += sim_matrix(a, b)``, ``ROW_BLOCK`` rows at a time through
-    one small temporary."""
-    block = np.empty((min(ROW_BLOCK, sims.shape[0]), sims.shape[1]))
-    for start in range(0, sims.shape[0], ROW_BLOCK):
-        part = sims[start:start + ROW_BLOCK]
-        part += np.matmul(a[start:start + ROW_BLOCK], b.T, out=block[:len(part)])
-
-
 def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
     """Retrieval on a split using the mean of the networks' similarities.
 
-    The first network's P x P similarity matrix (P = ``ds.n``) is the one
-    P x P matrix the evaluation holds: every other network's similarities
-    are added into it a row block at a time (``_add_similarities``), and no
-    encoder cache outlives its forward pass. OpenBLAS picks its kernel by
-    shape, so a row block's product can differ from the same rows of the
-    full product in the last bit: the mean is not always bit-identical to
-    the sum of full products. Every recall is rank-based, so only a tie
-    within the last bit could move one. Non-finite embeddings raise
-    NumericalError naming the network and ``ds.split_tag``.
+    Every network's split is encoded first (matrices only: no encoder cache
+    outlives its forward pass); then one zeroed P x P matrix (P = ``ds.n``)
+    is allocated, every network's similarities are added into it
+    ``ROW_BLOCK`` rows at a time, and the embeddings are dropped before the
+    ranking, so the evaluation holds one P x P matrix for any number of
+    networks. OpenBLAS picks its kernel by shape, so a row block's product
+    can differ from the same rows of the full product in the last bit: the
+    mean is not always bit-identical to the mean of full products. Every
+    recall is rank-based, so only a tie within the last bit could move one.
+    Non-finite embeddings raise NumericalError naming the network and
+    ``ds.split_tag``.
     """
-    first, *rest = nets
-    sims = sim_matrix(*_split_embeddings(first, ds))
-    for net in rest:
-        _add_similarities(sims, *_split_embeddings(net, ds))
+    embeddings = [_split_embeddings(net, ds) for net in nets]
+    sims = np.zeros((ds.n, ds.n))
+    for e_img, e_txt in embeddings:
+        for start in range(0, ds.n, ROW_BLOCK):
+            sims[start:start + ROW_BLOCK] += sim_matrix(e_img[start:start + ROW_BLOCK], e_txt)
+    del embeddings, e_img, e_txt  # the ranking holds only the similarities
     sims /= len(nets)
     return retrieval_report(sims)
 

@@ -4,7 +4,9 @@ Each row of ``CASES`` names a kernel, a transformation of its inputs that
 leaves its output unchanged (or permuted with the batch), and the tolerance
 of the comparison: the largest absolute difference over the largest
 absolute entry of the untransformed output. The rows run at B = 128 and at
-B = 400, a size at which the B x B reference forms are slow.
+B = 400, a size at which the B x B reference forms are slow. The encoder
+has an exact invariance of its own: a power of two on its last layer moves
+no bit of the embeddings.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from gsc.discrimination import embedding_indicator, embedding_structure_score
 from gsc.losses import grad_total
-from gsc.model import Encoder
+from gsc.model import Encoder, encode, param_layout
 from gsc.numerics import derive_rng
 
 D = 32  # embedding width
@@ -97,3 +99,38 @@ def test_kernel_output_is_invariant(case, tol, b):
         scale = np.abs(want).max()
         assert scale > 0
         assert np.abs(got - want).max() <= tol * scale
+
+
+def _last_layer_times(enc, factor):
+    scaled = Encoder(enc.dims, enc.theta.copy())
+    scaled.weights[-1][...] *= factor
+    scaled.biases[-1][...] *= factor
+    return scaled
+
+
+@pytest.mark.parametrize("k", [-30, -70, -560])
+def test_a_power_of_two_on_the_last_layer_moves_only_its_gradient(k):
+    """Multiplying the last affine layer by 2^k multiplies every row the
+    normalization receives by 2^k, exactly. So the embeddings, and with them
+    the first layer's gradient, keep every bit, and the last layer's
+    gradient is multiplied by exactly 2^-k. At k = -70 and -560 the row
+    norms are below ``NORM_FLOOR``; at -560 the squares of the entries
+    underflow."""
+    b = 128
+    rng = derive_rng(b, "invariants", "last-layer-pow2", k)
+    enc_img = Encoder.init([D_IMG, HIDDEN, D], rng)
+    enc_txt = Encoder.init([D_TXT, HIDDEN, D], rng)
+    x_img = rng.standard_normal((b, D_IMG))
+    x_txt = rng.standard_normal((b, D_TXT))
+    y = rng.uniform(0.05, 1.0, b)
+    scaled = [_last_layer_times(enc, 2.0 ** k) for enc in (enc_img, enc_txt)]
+    for enc, enc_scaled, x in zip((enc_img, enc_txt), scaled, (x_img, x_txt)):
+        assert np.array_equal(encode(enc_scaled, x)[0], encode(enc, x)[0])
+    _, grad = grad_total(enc_img, enc_txt, x_img, x_txt, y, TAU1, TAU2, GAMMA)
+    _, grad_scaled = grad_total(*scaled, x_img, x_txt, y, TAU1, TAU2, GAMMA)
+    cut = enc_img.theta.size
+    for part, part_scaled, dims in ((grad[:cut], grad_scaled[:cut], enc_img.dims),
+                                    (grad[cut:], grad_scaled[cut:], enc_txt.dims)):
+        for name, where, _ in param_layout(dims):
+            factor = 2.0 ** -k if int(name[1:]) == len(dims) - 2 else 1.0  # the last layer
+            assert np.array_equal(part_scaled[where], part[where] * factor), name

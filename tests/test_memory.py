@@ -101,6 +101,19 @@ def test_a_second_network_adds_no_similarity_matrix_to_evaluation():
     assert extra / pxp < 0.25
 
 
+def test_evaluation_holds_one_similarity_matrix_and_no_embedding_while_ranking():
+    # the desk workloads' dev split: P = 250. Dev evaluation sets the traced
+    # peak of a gsc_desk run: 822 KB on the seed-11 splits, against 706 KB
+    # for a training epoch.
+    ds = generate(GenSpec(n=250, seed=3))
+    nets = init_state(TrainConfig(seed=3), ds).nets
+    pxp = ds.n * ds.n * 8
+    # Measured: 1.64 P x P with two networks. Allocating the matrix before
+    # the first network is encoded took 1.91, and keeping the embeddings
+    # through the ranking 2.05.
+    assert _peak(evaluate_retrieval, nets, ds) / pxp < 1.75
+
+
 @pytest.mark.parametrize("epochs", [2, 24])
 def test_a_run_holds_no_epoch_of_labels_its_sink_has_dropped(epochs):
     ds = generate(GenSpec(n=400, seed=5))

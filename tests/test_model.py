@@ -84,6 +84,35 @@ def test_encode_raises_naming_its_stage_when_a_row_norm_is_not_finite(scale):
             encode(enc, x, "text embeddings")
         with pytest.raises(NumericalError, match="^non-finite values in embeddings$"):
             encode(enc, x)
+
+
+def _last_layer_scaled(scale):
+    """A [8, 6, 4] encoder whose last affine layer is multiplied by ``scale``,
+    and a batch of 5 inputs."""
+    rng = derive_rng(8, "model-tiny-rows")
+    enc = Encoder.init([8, 6, 4], rng)
+    enc.weights[-1][...] *= scale
+    enc.biases[-1][...] *= scale
+    return enc, rng.standard_normal((5, 8))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-170])
+def test_encode_returns_unit_rows_below_the_norm_floor(scale):
+    # row norms of about 1e-20 and 1e-170, below NORM_FLOOR; at 1e-170 the
+    # squares of the entries underflow to 0
+    enc, x = _last_layer_scaled(scale)
+    out, cache = encode(enc, x)
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-15
+    assert np.all((cache.norms > 0.1 * scale) & (cache.norms < 10.0 * scale))
+
+
+def test_encode_returns_zero_rows_for_an_all_zero_last_layer():
+    enc, x = _last_layer_scaled(0.0)
+    out, cache = encode(enc, x)
+    assert np.array_equal(out, np.zeros((5, 4)))
+    assert np.array_equal(cache.norms, np.full(5, 1e-12))
+
+
 def test_forward_cache_round_trip():
     rng = derive_rng(3, "model-cache")
     enc = Encoder.init([6, 5, 4], rng)

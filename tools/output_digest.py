@@ -40,9 +40,10 @@ The cells: the 6 modes x ``--warmup`` 0/1/2 of a small in-memory
 mismatched (``--rho 1.0``, so one detection class is empty), the same run
 with its mode and knobs read from the config file ``OUT/train_config.json``
 (``TRAIN_CONFIG``: mode no_ensemble, whose overrides replace the file's
-warm-up and momenta, and a ``hidden_dims`` string), the same gsc run on
-``--n 330`` (``PAST_BLOCK_N``), whose dev and test splits of 33 rows are
-one row past a row block of the evaluation, a small
+warm-up and momenta, and a ``hidden_dims`` string), the same gsc and
+single_net runs on ``--n 330`` (``PAST_BLOCK_N``), whose dev and test
+splits of 33 rows are one row past a row block of the evaluation, with two
+networks and with one, a small
 ``gsc sweep`` of two modes at three noise rates, the last re-pairing every
 train pair (``SMALL_SWEEP``, so its ``summary.csv`` is digested too), the
 benchmark's ``gsc gen`` at seed 11 and its workload command lines on that
@@ -117,8 +118,9 @@ def cells(out: Path) -> list:
                   "--out", str(out / "train_gsc_rho1")])
     argvs.append(["train", "--config", str(out / TRAIN_CONFIG_FILE), *SMALL_TRAIN,
                   "--out", str(out / "train_config")])
-    argvs.append(["train", "--mode", "gsc", *SMALL_TRAIN, "--n", str(PAST_BLOCK_N),
-                  "--out", str(out / f"train_gsc_n{PAST_BLOCK_N}")])
+    argvs += [["train", "--mode", mode, *SMALL_TRAIN, "--n", str(PAST_BLOCK_N),
+               "--out", str(out / f"train_{mode}_n{PAST_BLOCK_N}")]
+              for mode in ("gsc", "single_net")]
     argvs.append(["sweep", *SMALL_SWEEP, "--out", str(out / "sweep")])
     data = out / DATA
     argvs.append(bench.gen_argv(BENCH_SEED, data))
