@@ -187,6 +187,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args)
     seed, rho = seed_and_rho(cfg)
     train, dev, test = build_splits(cfg, seed, [rho])[0]
+    check_split_sizes("baseline", train, dev, test)  # the smallest minimums of any mode
     out = out_root(args)
     files = {tag: f"{tag}.json" for tag in ("train", "dev", "test")}
     manifest = {

@@ -28,7 +28,6 @@ __all__ = [
     "GMM_MIN_SCORES",
     "GmmModel",
     "SoftLabels",
-    "combine_labels",
     "cross_modal_indicator",
     "embedding_indicator",
     "embedding_structure_score",
@@ -124,8 +123,8 @@ def intra_structure_score(s_ii, s_tt, y) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"structure shapes differ: {a.shape} vs {b.shape}")
     yv = as_vector(y, a.shape[0], "labels")
-    a = scale_rows_pow2(a)
-    b = scale_rows_pow2(b)
+    a, _ = scale_rows_pow2(a)
+    b, _ = scale_rows_pow2(b)
     w = yv * yv
     return _weighted_cosine((a * b) @ w, (a * a) @ w, (b * b) @ w)
 
@@ -267,13 +266,6 @@ def gmm_posterior(model: GmmModel, s):
     post = np.exp(log_joint[model.clean_component] - log_total)
     post = np.clip(post, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return float(post[0]) if np.ndim(s) == 0 else post
-
-
-def combine_labels(y_cm, y_im) -> np.ndarray:
-    """Elementwise minimum of the two label vectors: ``SoftLabels.y`` of
-    the checked vectors."""
-    a = as_vector(y_cm, name="y_cm")
-    return SoftLabels(a, as_vector(y_im, a.shape[0], "y_im")).y
 
 
 def ensemble_update(labels: SoftLabels, new_cm, new_im,

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import (array_path, as_matrix, json_entry, read_array, read_json_object,
-                       require_computed, require_finite, require_int, write_arrays)
+                       require_computed, require_finite, require_int, scale_rows_pow2,
+                       write_arrays)
 
 __all__ = [
     "Encoder",
@@ -131,8 +132,9 @@ def encode(enc: Encoder, x, stage: str = "embeddings") -> tuple:
     ``NORM_FLOOR`` (whose squares may underflow) is first multiplied by the
     power of two that brings its largest entry into [0.5, 1), which is exact
     (``numerics.scale_rows_pow2``), and divided by its scaled norm; the
-    cache keeps the unscaled norm, the scaled one times that power, so the
-    backward pass differentiates what was returned. A zero row stays zero,
+    cache keeps the unscaled norm, the scaled one times that power (its
+    exponent is the one ``scale_rows_pow2`` returns), so the backward pass
+    differentiates what was returned. A zero row stays zero,
     with ``NORM_FLOOR`` as its norm. Rows at or above the floor are divided
     by their norms as measured: scaling them would change no bit."""
     a = as_matrix(x, "encoder input")
@@ -152,12 +154,11 @@ def encode(enc: Encoder, x, stage: str = "embeddings") -> tuple:
     require_computed(stage, norms)
     divisors = norms
     tiny = np.flatnonzero(norms < NORM_FLOOR)
-    if tiny.size:  # measured scaled by a power of two, as numerics.scale_rows_pow2 does
-        _, exponent = np.frexp(np.abs(a[tiny]).max(axis=1))
-        a[tiny] = np.ldexp(a[tiny], -exponent[:, None])
+    if tiny.size:
+        a[tiny], exponent = scale_rows_pow2(a[tiny])
         divisors = norms.copy()
         divisors[tiny] = np.maximum(np.sqrt(np.add.reduce(a[tiny] ** 2, axis=1)), NORM_FLOOR)
-        norms[tiny] = np.ldexp(divisors[tiny], exponent)
+        norms[tiny] = np.ldexp(divisors[tiny], exponent[:, 0])
     matrix = np.divide(a, divisors[:, None], out=a)
     return matrix, ForwardCache(inputs=inputs, norms=norms)
 

@@ -1,9 +1,9 @@
 """Deterministic numerical primitives shared across the package.
 
-Plain numpy throughout: argument checks, the softmax kernels, cosine
-similarity, an in-place Adam step over one flat parameter vector (a
-network's ``theta`` in `trainer`; the moments are an ``AdamState`` that
-`trainer` owns), and helpers for deriving independent seeded random generators. No
+Plain numpy throughout: argument checks, the softmax kernels, an in-place
+Adam step over one flat parameter vector (a network's ``theta`` in
+`trainer`; the moments are an ``AdamState`` that `trainer` owns), and
+helpers for deriving independent seeded random generators. No
 GPU, no autodiff; gradients are hand-derived in `losses`. Each argument
 condition of the package's public functions is checked by one function here
 (``as_matrix``, ``as_vector``, ``require_cosine_temperature``,
@@ -24,7 +24,7 @@ lets one exp give both its row and its column softmax.
 (`losses` says why a run keeps one), and ``ROW_BLOCK`` is the row count of
 the small temporary through which a B x B or P x P matrix is updated.
 ``scale_rows_pow2`` scales each row by a power of two so that its squares
-neither underflow nor overflow.
+neither underflow nor overflow, and returns the exponents with the rows.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "bxb_view",
-    "cosine",
     "derive_rng",
     "exp_cosines_into",
     "json_entry",
@@ -363,34 +362,20 @@ def bxb_view(work: np.ndarray | None, b: int) -> np.ndarray:
     return work[:b * b].reshape(b, b)
 
 
-def scale_rows_pow2(m: np.ndarray) -> np.ndarray:
-    """``m`` with each row (each vector, for a 1-D ``m``) multiplied by the
-    power of two that brings its largest magnitude into [0.5, 1).
+def scale_rows_pow2(m: np.ndarray) -> tuple:
+    """``(scaled, exponent)``: ``m`` with each row (each vector, for a 1-D
+    ``m``) multiplied by the power of two that brings its largest magnitude
+    into [0.5, 1), and the integer exponents, one per row with the last axis
+    kept, so that ``np.ldexp(scaled, exponent)`` is ``m``.
 
     A power-of-two factor is exact, so a quotient of products of the scaled
     entries has every bit of the unscaled one wherever that one neither
     underflows nor overflows; a row of 1e-170 entries, whose squares
-    underflow to 0, can be measured scaled. A zero row stays zero.
+    underflow to 0, can be measured scaled. A zero row stays zero, with
+    exponent 0.
     """
     _, exponent = np.frexp(np.abs(m).max(axis=-1, keepdims=True))
-    return np.ldexp(m, -exponent)
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity of two equal-length vectors, clipped into [-1, 1].
-
-    A zero-norm input yields 0.0 instead of an error; embeddings are
-    unit-normalized upstream, so this corner only arises in synthetic inputs.
-    Each vector is scaled first (``scale_rows_pow2``), so a vector of tiny or
-    huge entries has the cosine of its direction.
-    """
-    a = scale_rows_pow2(as_vector(u, name="u"))
-    b = scale_rows_pow2(as_vector(v, a.shape[0], "v"))
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return np.ldexp(m, -exponent), exponent
 
 
 ADAM_BETA1 = 0.9  # decay of the first moment
@@ -431,8 +416,6 @@ def adam_step(theta: np.ndarray, grad, state: AdamState, lr: float) -> None:
 
 
 def _tag_word(tag) -> int:
-    if isinstance(tag, (bool, np.bool_)):
-        return int(tag)
     if isinstance(tag, (int, np.integer)):
         return int(tag) & 0xFFFFFFFF
     digest = hashlib.sha256(str(tag).encode("utf-8")).digest()

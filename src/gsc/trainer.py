@@ -61,7 +61,6 @@ __all__ = [
     "TrainConfig",
     "batch_schedule",
     "check_split_sizes",
-    "combined_labels",
     "evaluate_retrieval",
     "init_state",
     "learning_rate",
@@ -423,11 +422,6 @@ def evaluate_retrieval(nets, ds: PairDataset) -> RetrievalReport:
     return retrieval_report(sims)
 
 
-def combined_labels(labels) -> np.ndarray:
-    """Run-level label estimate: mean over networks of the combined y."""
-    return np.mean([lb.y for lb in labels], axis=0)
-
-
 @dataclass
 class RunResult:
     """Everything a finished run produces.
@@ -457,12 +451,13 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
     0, so the first epoch always sets one. A NumericalError of an epoch's dev
     evaluation is raised again with the epoch prepended. Identical (cfg,
     data) reproduce the metric history bit-exactly. After each epoch
-    (warm-up included) the sink
-    ``on_labels``, when given, is called with {y, y_cm, y_im}: that epoch's
+    (warm-up included) ``run`` takes one dict {y, y_cm, y_im}: that epoch's
     combined, cross-modal and intra-modal labels, each the mean over the
-    networks as an n-vector indexed by train sample. ``run`` keeps none of
-    them, so a sink that writes each row out holds one epoch's labels at a
-    time.
+    networks as an n-vector indexed by train sample. Its ``y`` is scored
+    against the train split's noise mask (``det_acc``, ``det_auc``), and the
+    sink ``on_labels``, when given, is called with the dict. ``run`` keeps
+    none of them, so a sink that writes each row out holds one epoch's
+    labels at a time.
     """
     check_split_sizes(cfg.mode, train_ds, dev_ds)
     state = init_state(cfg, train_ds)
@@ -474,8 +469,9 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
             retr = evaluate_retrieval(state.nets, dev_ds)
         except NumericalError as err:
             raise NumericalError(f"epoch {epoch}, {err}") from err
-        y_run = combined_labels(state.labels)
-        det = detection_metrics(y_run, train_ds.noise_mask)
+        labels = {key: np.mean([getattr(lb, key) for lb in state.labels], axis=0)
+                  for key in ("y", "y_cm", "y_im")}
+        det = detection_metrics(labels["y"], train_ds.noise_mask)
         history.append({
             "epoch": epoch,
             "mode": cfg.mode,
@@ -488,8 +484,7 @@ def run(cfg: TrainConfig, train_ds: PairDataset, dev_ds: PairDataset,
             "det_auc": det.auc,
         })
         if on_labels is not None:
-            on_labels({"y": y_run, **{key: np.mean([getattr(lb, key) for lb in state.labels],
-                                                   axis=0) for key in ("y_cm", "y_im")}})
+            on_labels(labels)
         if retr.recall_sum > best_recall_sum:
             best_recall_sum = retr.recall_sum
             best_epoch = epoch

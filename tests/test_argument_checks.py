@@ -12,9 +12,9 @@ B x B buffer. Each must raise ValueError before any computation.
 import numpy as np
 import pytest
 
-from gsc.discrimination import (SoftLabels, combine_labels, cross_modal_indicator,
-                                embedding_indicator, embedding_structure_score,
-                                ensemble_update, gmm_fit, intra_structure_score)
+from gsc.discrimination import (SoftLabels, cross_modal_indicator, embedding_indicator,
+                                embedding_structure_score, ensemble_update, gmm_fit,
+                                intra_structure_score)
 from gsc.evalmetrics import detection_metrics, recall_at_k
 from gsc.losses import grad_total, loss_cm, loss_im, structure_logits
 from gsc.model import Encoder
@@ -81,7 +81,6 @@ CASES = {
     "intra_structure_score-label-length": lambda: intra_structure_score(SQ, SQ, Y_SHORT),
     "embedding_structure_score-label-length":
         lambda: embedding_structure_score(RECT, RECT, Y_SHORT),
-    "combine_labels-label-length": lambda: combine_labels(Y, Y_SHORT),
     "ensemble_update-label-length":
         lambda: ensemble_update(SoftLabels.ones(3), Y_SHORT, Y, 0.7, 0.7),
     **{f"ensemble_update-beta-{name}":

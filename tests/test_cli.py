@@ -316,6 +316,7 @@ def test_train_missing_dataset_exits_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["train", "--tau1", "-1"],
     ["gen", "--n", "0"],
+    ["gen", "--n", "40", "--clusters", "2"],  # a dev split of 4, which no mode can train on
     ["train", "--n", "50"],  # a dev split of 5, below the 10 that Recall@10 needs
     ["train", "--data", "nowhere"],
     ["sweep", "--n", "50", "--epochs", "1"],  # every cell's dev split has 5 samples
@@ -323,8 +324,9 @@ def test_train_missing_dataset_exits_2(tmp_path):
     ["train", "--mode", "baseline", "--n", "40", "--epochs", "1", "--config", "no-train.json"],
     ["sweep", "--rhos", "", "--n", "120", "--epochs", "1"],  # a grid of no cell
     ["sweep", "--rhos", "0", "--modes", " , ", "--n", "120", "--epochs", "1"],
-], ids=["train-bad-config", "gen-no-samples", "train-small-split", "train-no-data",
-        "sweep-small-split", "train-empty-train-split", "sweep-no-rho", "sweep-no-mode"])
+], ids=["train-bad-config", "gen-no-samples", "gen-small-split", "train-small-split",
+        "train-no-data", "sweep-small-split", "train-empty-train-split", "sweep-no-rho",
+        "sweep-no-mode"])
 def test_a_rejected_command_creates_no_out_directory(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # "nowhere" names no file in it
     (tmp_path / "no-train.json").write_text(json.dumps({"f_train": 0.0, "f_dev": 0.5,

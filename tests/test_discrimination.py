@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gsc import discrimination
-from gsc.discrimination import (EM_EXP_FLOOR, GmmModel, SoftLabels, combine_labels,
-                                cross_modal_indicator, embedding_indicator,
-                                embedding_structure_score, ensemble_update, gmm_fit,
-                                gmm_posterior, intra_structure_score)
+from gsc.discrimination import (EM_EXP_FLOOR, GmmModel, SoftLabels, cross_modal_indicator,
+                                embedding_indicator, embedding_structure_score,
+                                ensemble_update, gmm_fit, gmm_posterior,
+                                intra_structure_score)
 from gsc.numerics import MIN_COSINE_TEMPERATURE, bxb_view, derive_rng, softmax_rows
 
 N_CASES = 100
@@ -517,10 +517,8 @@ def test_gmm_posterior_monotone_above_both_means_when_clean_is_broader():
 # ---------------------------------------------------------------------------
 
 def test_combine_labels_examples():
-    out = combine_labels(np.array([1.0, 0.5]), np.array([0.3, 0.5]))
+    out = SoftLabels(np.array([1.0, 0.5]), np.array([0.3, 0.5])).y
     assert np.array_equal(out, np.array([0.3, 0.5]))
-    with pytest.raises(ValueError):
-        combine_labels(np.ones(2), np.ones(3))
 
 
 def test_combine_labels_dominance_property():
@@ -529,9 +527,9 @@ def test_combine_labels_dominance_property():
         n = int(rng.integers(1, 30))
         a = rng.uniform(0, 1, n)
         b = rng.uniform(0, 1, n)
-        out = combine_labels(a, b)
+        out = SoftLabels(a, b).y
         assert np.all(out <= a) and np.all(out <= b)
-        assert np.array_equal(combine_labels(a, a), a)
+        assert np.array_equal(SoftLabels(a, a).y, a)
 
 
 def test_ensemble_update_direct_substitution():

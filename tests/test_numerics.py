@@ -6,8 +6,8 @@ import pytest
 
 from gsc.model import Encoder, param_views
 from gsc.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, ArrayRowWriter,
-                          NumericalError, adam_step, array_path, cosine, derive_rng,
-                          read_array, softmax_rows, write_arrays)
+                          NumericalError, adam_step, array_path, derive_rng, read_array,
+                          scale_rows_pow2, softmax_rows, write_arrays)
 
 N_CASES = 120
 
@@ -85,48 +85,23 @@ def test_softmax_rows_bit_identical_to_allocating_version():
             assert np.array_equal(m, before)  # the input is never written
 
 
-def test_cosine_identity_orthogonal_analytic():
-    u = np.array([0.6, 0.8])
-    assert cosine(u, u) == pytest.approx(1.0, abs=1e-15)
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0, abs=0)
-    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
-        math.sqrt(2.0) / 2.0, abs=1e-15)
-
-
-def test_cosine_zero_norm_is_degenerate_not_error():
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
-    assert cosine(np.ones(3), np.zeros(3)) == 0.0
-
-
-def test_cosine_of_tiny_or_huge_vectors_is_their_direction():
-    # the squares of 1e-300 underflow and those of 1e300 overflow
-    assert cosine(np.full(3, 1e-300), np.ones(3)) == pytest.approx(1.0, abs=1e-15)
-    assert cosine(np.ones(3), np.full(3, -1e-300)) == pytest.approx(-1.0, abs=1e-15)
-    assert cosine(np.full(3, 1e300), np.array([1.0, 0.0, 0.0])) == pytest.approx(
-        1.0 / math.sqrt(3.0), abs=1e-15)
-    # the scaling is by powers of two, so ordinary vectors keep every bit
-    rng = derive_rng(3, "cosine-bits")
+def test_scale_rows_pow2_is_exact_and_brings_each_row_into_half_to_one():
+    rng = derive_rng(3, "scale-rows")
     for _ in range(N_CASES):
-        u, v = rng.standard_normal((2, 7)) * rng.uniform(0.01, 100.0, size=(2, 1))
-        plain = np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0)
-        assert cosine(u, v) == plain
-
-
-def test_cosine_length_mismatch():
-    with pytest.raises(ValueError):
-        cosine(np.ones(3), np.ones(4))
-
-
-def test_cosine_symmetry_and_scale_invariance():
-    rng = derive_rng(2, "cosine-props")
-    for _ in range(N_CASES):
-        n = int(rng.integers(1, 10))
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-15)
-        s = float(rng.uniform(0.1, 50.0))
-        assert cosine(s * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
-        assert -1.0 <= cosine(u, v) <= 1.0
+        m = rng.standard_normal((4, 7)) * rng.uniform(0.01, 100.0, size=(4, 1))
+        scaled, exponent = scale_rows_pow2(m)
+        assert exponent.shape == (4, 1)
+        assert np.array_equal(scaled * 2.0 ** exponent, m)  # a power of two keeps every bit
+        top = np.abs(scaled).max(axis=1)
+        assert np.all((0.5 <= top) & (top < 1.0))
+    # the squares of 1e-300 underflow and those of 1e300 overflow; scaled, neither does
+    for value in (1e-300, -1e-300, 1e300):
+        scaled, exponent = scale_rows_pow2(np.array([[value, value / 3.0], [1.0, 2.0]]))
+        assert 0.5 <= abs(scaled[0, 0]) < 1.0
+        assert np.array_equal(np.ldexp(scaled, exponent)[0], [value, value / 3.0])
+    scaled, exponent = scale_rows_pow2(np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 0.5]]))
+    assert np.array_equal(scaled[0], np.zeros(3)) and exponent[0, 0] == 0
+    assert np.array_equal(scaled[1], [0.75, -0.25, 0.125]) and exponent[1, 0] == 2
 
 
 def _zero_state(p):
@@ -223,6 +198,12 @@ def test_derived_rng_streams_are_stable_and_independent():
     c = derive_rng(42, "batches", 3, 1).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_a_bool_stream_tag_is_its_integer():
+    for flag in (False, True):
+        assert np.array_equal(derive_rng(5, "flag", flag).standard_normal(4),
+                              derive_rng(5, "flag", int(flag)).standard_normal(4))
 
 
 def _saved_bytes(arr) -> bytes:
